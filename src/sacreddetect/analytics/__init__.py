@@ -2,7 +2,7 @@
 
 from .consistency import ConsistencyGroup, duplicate_consistency
 from .matrix import LabelMatrix, MatrixRow, tabulate
-from .reports import render_reports
+from .reports import render_from_bundle
 from .stats import (
     AgreementStats,
     DisagreementRatios,
@@ -29,7 +29,7 @@ __all__ = [
     "duplicate_consistency",
     "group_rates",
     "pairwise_agreement",
-    "render_reports",
+    "render_from_bundle",
     "tabulate",
     "term_report",
 ]

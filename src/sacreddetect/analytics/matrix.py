@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CoverageError
-from ..hashing import sha256_text
 from ..lexicon.matcher import MatchResult
 from ..textpipe.corpus import SentenceRecord
 
@@ -30,7 +29,6 @@ class MatrixRow:
     sentence_id: str
     ngo_id: str
     group: str
-    text_hash: str
     tree: str  # yes | no
     model_labels: tuple[str, ...]  # aligned with LabelMatrix.model_ids
 
@@ -97,7 +95,6 @@ def tabulate(
                 sentence_id=rec.sentence_id,
                 ngo_id=rec.ngo_id,
                 group=groups.get(rec.ngo_id, "unknown"),
-                text_hash=sha256_text(normalize_sentence_text(rec.text)),
                 tree=tree_by_id[rec.sentence_id],
                 model_labels=tuple(
                     verdict_sets[model_id][rec.sentence_id] for model_id in model_ids

@@ -1,4 +1,5 @@
-"""Report rendering: CSV and Markdown tables plus a machine-readable bundle.
+"""Report rendering: the stats bundle, and the CSV and Markdown tables read
+straight from it.
 
 Numbers are formatted only here -- percentages to one decimal, ratios to
 two -- while stats.json keeps full precision. Undefined ratios render as
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from ..jsonlio import write_json, write_text
 from .consistency import ConsistencyGroup
-from .stats import AgreementStats, DisagreementRatios, GroupRates, RateCell, RatioCell
+from .stats import AgreementStats, DisagreementRatios, GroupRates
 from .terms import TermReport
 
 FOOTNOTES = (
@@ -31,11 +32,13 @@ def fmt_pct(value: float) -> str:
     return f"{value:.1f}%"
 
 
-def fmt_ratio(value: float) -> str:
-    if math.isnan(value):
-        return "n/a"
-    if math.isinf(value):
+def fmt_ratio(value: float | str | None) -> str:
+    """Two decimals; nan and stats.json's None (no yes, no no) render as
+    "n/a", inf and its "inf" (no no) as the infinity sign."""
+    if value == "inf" or value == math.inf:
         return "∞"
+    if value is None or math.isnan(value):
+        return "n/a"
     return f"{value:.2f}"
 
 
@@ -80,41 +83,44 @@ def render_corpus_table(summary: list[dict]) -> tuple[str, str]:
     return _csv(csv_rows), "# Corpus size per NGO\n\n" + md
 
 
-def render_rates_table(rates: GroupRates) -> tuple[str, str]:
+def render_rates_table(bundle: dict) -> tuple[str, str]:
+    classifiers, scopes, rates = bundle["classifiers"], bundle["scopes"], bundle["rates"]
     csv_rows = [["classifier", "scope", "pct_yes", "pct_no"]]
-    for classifier in rates.classifiers:
-        for scope in rates.scopes:
-            cell = rates.cell(classifier, scope)
+    for classifier in classifiers:
+        for scope in scopes:
+            cell = rates[f"{classifier}|{scope}"]
             csv_rows.append(
-                [classifier, scope, f"{cell.pct_yes:.1f}", f"{cell.pct_no:.1f}"]
+                [classifier, scope, f"{cell['pct_yes']:.1f}", f"{cell['pct_no']:.1f}"]
             )
-    header = ["Scope"] + [f"{c} %yes / %no" for c in rates.classifiers]
+    header = ["Scope"] + [f"{c} %yes / %no" for c in classifiers]
     md_rows = []
-    for scope in rates.scopes:
+    for scope in scopes:
         row = [scope]
-        for classifier in rates.classifiers:
-            cell = rates.cell(classifier, scope)
-            row.append(f"{fmt_pct(cell.pct_yes)} / {fmt_pct(cell.pct_no)}")
+        for classifier in classifiers:
+            cell = rates[f"{classifier}|{scope}"]
+            row.append(f"{fmt_pct(cell['pct_yes'])} / {fmt_pct(cell['pct_no'])}")
         md_rows.append(row)
     md = "# Sentences recognized as religious language\n\n" + _md_table(header, md_rows)
     return _csv(csv_rows), md
 
 
-def render_agreement_table(agreement: AgreementStats) -> tuple[str, str]:
-    pairs = list(agreement.pairwise)
-    csv_rows = [["scope", "overall"] + [f"{a}&{b}" for a, b in pairs]]
+def render_agreement_table(bundle: dict) -> tuple[str, str]:
+    agreement = bundle["agreement"]
+    pairs = agreement["pairs"]
+    csv_rows = [["scope", "overall"] + pairs]
     md_rows = []
-    for scope in agreement.scopes:
-        values = [agreement.overall[scope]] + [agreement.pairwise[p][scope] for p in pairs]
+    for scope in bundle["scopes"]:
+        values = [agreement["overall"][scope]] + [agreement["pairwise"][p][scope] for p in pairs]
         csv_rows.append([scope] + [f"{v:.1f}" for v in values])
         md_rows.append([scope] + [fmt_pct(v) for v in values])
-    header = ["Scope", "Overall"] + [f"{a} & {b}" for a, b in pairs]
+    header = ["Scope", "Overall"] + [p.replace("&", " & ", 1) for p in pairs]
     md = "# Agreement between classifiers\n\n" + _md_table(header, md_rows)
     return _csv(csv_rows), md
 
 
-def render_ratio_table(ratios: DisagreementRatios) -> tuple[str, str]:
-    a, b = ratios.pair
+def render_ratio_table(bundle: dict) -> tuple[str, str]:
+    a, b = bundle["ratio_pair"]
+    ratios = bundle["disagreement_ratios"]
     csv_rows = [
         [
             "scope",
@@ -130,28 +136,28 @@ def render_ratio_table(ratios: DisagreementRatios) -> tuple[str, str]:
         ]
     ]
     md_rows = []
-    for scope in ratios.scopes:
-        ca, cb = ratios.cell(a, scope), ratios.cell(b, scope)
+    for scope in bundle["scopes"]:
+        ca, cb = ratios[f"{a}|{scope}"], ratios[f"{b}|{scope}"]
         csv_rows.append(
             [
                 scope,
-                fmt_ratio(ca.ratio),
-                fmt_ratio(cb.ratio),
-                ca.n_yes,
-                ca.n_no,
-                ca.n_malformed_self,
-                cb.n_yes,
-                cb.n_no,
-                cb.n_malformed_self,
-                ca.n_disagreements,
+                fmt_ratio(ca["ratio"]),
+                fmt_ratio(cb["ratio"]),
+                ca["n_yes"],
+                ca["n_no"],
+                ca["n_malformed_self"],
+                cb["n_yes"],
+                cb["n_no"],
+                cb["n_malformed_self"],
+                ca["n_disagreements"],
             ]
         )
         md_rows.append(
             [
                 scope,
-                f"{fmt_ratio(ca.ratio)} ({ca.n_yes}:{ca.n_no})",
-                f"{fmt_ratio(cb.ratio)} ({cb.n_yes}:{cb.n_no})",
-                str(ca.n_disagreements),
+                f"{fmt_ratio(ca['ratio'])} ({ca['n_yes']}:{ca['n_no']})",
+                f"{fmt_ratio(cb['ratio'])} ({cb['n_yes']}:{cb['n_no']})",
+                str(ca["n_disagreements"]),
             ]
         )
     md = (
@@ -161,33 +167,33 @@ def render_ratio_table(ratios: DisagreementRatios) -> tuple[str, str]:
     return _csv(csv_rows), md
 
 
-def render_term_report(report: TermReport) -> str:
-    lines = [f"# Sentences containing “{report.phrase}”", ""]
-    lines.append(f"Occurrences: {report.n_sentences}")
+def render_term_report(phrase: str, entry: dict) -> str:
+    """One phrase's bundle entry; classifiers are listed alphabetically,
+    the order stats.json's sorted keys give them."""
+    counts = entry["counts"]
+    lines = [f"# Sentences containing “{phrase}”", ""]
+    lines.append(f"Occurrences: {entry['n_sentences']}")
     lines.append("")
     lines.append(
         _md_table(
             ["Classifier", "N yes", "% yes"],
-            [
-                [c, report.counts[c]["n_yes"], fmt_pct(report.counts[c]["pct_yes"])]
-                for c in report.counts
-            ],
+            [[c, counts[c]["n_yes"], fmt_pct(counts[c]["pct_yes"])] for c in sorted(counts)],
         )
     )
-    if report.samples:
+    if entry.get("samples"):
         lines.append("## Samples")
         lines.append("")
-        for sample in report.samples:
-            labels = ", ".join(f"{k}={v}" for k, v in sample["labels"].items())
+        for sample in entry["samples"]:
+            labels = ", ".join(f"{k}={v}" for k, v in sorted(sample["labels"].items()))
             lines.append(f"- ({sample['ngo_id']}; {labels}) {sample['text']}")
-            for key, value in sample.items():
+            for key in sorted(sample):
                 if key.startswith("argumentation:"):
-                    lines.append(f"  - {key.split(':', 1)[1]}: {value}")
+                    lines.append(f"  - {key.split(':', 1)[1]}: {sample[key]}")
         lines.append("")
     return "\n".join(lines)
 
 
-def render_consistency(groups: list[ConsistencyGroup], classifiers: tuple[str, ...]) -> str:
+def render_consistency(groups: list[dict], classifiers: list[str]) -> str:
     lines = ["# Duplicate-sentence labeling consistency", ""]
     if not groups:
         lines.append("No duplicate sentences in the corpus.")
@@ -196,9 +202,9 @@ def render_consistency(groups: list[ConsistencyGroup], classifiers: tuple[str, .
     header = ["N", "Sentence"] + [f"{c} yes/no/malformed (consistency)" for c in classifiers]
     rows = []
     for g in groups:
-        row = [str(g.n_occurrences), g.text[:120]]
+        row = [str(g["n_occurrences"]), g["text"][:120]]
         for c in classifiers:
-            e = g.per_classifier[c]
+            e = g["per_classifier"][c]
             cons = "n/a" if e["consistency"] is None else f"{e['consistency']:.3f}"
             row.append(f"{e['n_yes']}/{e['n_no']}/{e['n_malformed']} ({cons})")
         rows.append(row)
@@ -206,20 +212,16 @@ def render_consistency(groups: list[ConsistencyGroup], classifiers: tuple[str, .
     return "\n".join(lines)
 
 
-def render_reports(
-    out_dir: str | Path,
-    corpus_summary: list[dict],
-    rates: GroupRates,
-    agreement: AgreementStats,
-    ratios: DisagreementRatios | None,
-    term_reports: list[TermReport],
-    consistency: list[ConsistencyGroup],
-    provenance: dict[str, str],
-    bundle: dict | None = None,
-) -> list[Path]:
-    """Write the full report bundle; returns the files written."""
+def render_from_bundle(out_dir: str | Path, bundle: dict) -> list[Path]:
+    """Write every report file, and a copy of the bundle, from a stats
+    bundle (see stats_bundle); returns the files written.
+
+    The bundle stores raw counts and full-precision values, and its
+    "classifiers", "scopes", "agreement.pairs" and "ratio_pair" lists carry
+    the presentation order that stats.json's sorted keys cannot, so an
+    in-memory bundle and the same bundle reloaded render to the same bytes.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     def emit(name: str, content: str) -> None:
@@ -227,147 +229,20 @@ def render_reports(
         write_text(path, content)
         written.append(path)
 
-    footer = _footer(provenance, FOOTNOTES)
-    csv1, md1 = render_corpus_table(corpus_summary)
-    emit("table1.csv", csv1)
-    emit("table1.md", md1 + footer)
-    csv2, md2 = render_rates_table(rates)
-    emit("table2.csv", csv2)
-    emit("table2.md", md2 + footer)
-    csv3, md3 = render_agreement_table(agreement)
-    emit("table3.csv", csv3)
-    emit("table3.md", md3 + footer)
-    if ratios is not None:
-        csv4, md4 = render_ratio_table(ratios)
-        emit("table4.csv", csv4)
-        emit("table4.md", md4 + footer)
-    for report in term_reports:
-        emit(f"terms/{phrase_slug(report.phrase)}.md", render_term_report(report) + footer)
-    emit(
-        "consistency.md",
-        render_consistency(consistency, rates.classifiers) + footer,
-    )
-
-    stats_path = out_dir / "stats.json"
-    if bundle is None:
-        bundle = stats_bundle(
-            corpus_summary, rates, agreement, ratios, term_reports, consistency, provenance
-        )
-    write_json(stats_path, bundle)
-    written.append(stats_path)
+    footer = _footer(bundle["provenance"], FOOTNOTES)
+    tables = [render_corpus_table(bundle["corpus"])]
+    tables += [render_rates_table(bundle), render_agreement_table(bundle)]
+    if "disagreement_ratios" in bundle:
+        tables.append(render_ratio_table(bundle))
+    for i, (table_csv, table_md) in enumerate(tables, start=1):
+        emit(f"table{i}.csv", table_csv)
+        emit(f"table{i}.md", table_md + footer)
+    for phrase, entry in bundle["terms"].items():
+        emit(f"terms/{phrase_slug(phrase)}.md", render_term_report(phrase, entry) + footer)
+    emit("consistency.md", render_consistency(bundle["consistency"], bundle["classifiers"]) + footer)
+    write_json(out_dir / "stats.json", bundle)
+    written.append(out_dir / "stats.json")
     return written
-
-
-def render_from_bundle(out_dir: str | Path, bundle: dict) -> list[Path]:
-    """Render the report files from a previously written stats bundle.
-
-    The bundle stores raw counts and full-precision values, so rendering
-    from it is exact and byte-deterministic.
-    """
-    classifiers = tuple(bundle.get("classifiers", ()))
-    scopes = tuple(bundle.get("scopes", ()))
-    rates = _rates_from_bundle(bundle["rates"], classifiers, scopes)
-    agreement = _agreement_from_bundle(bundle["agreement"], scopes)
-    ratios = _ratios_from_bundle(
-        bundle.get("disagreement_ratios"), scopes, tuple(bundle.get("ratio_pair", ()))
-    )
-    terms = [
-        TermReport(phrase=p, n_sentences=entry["n_sentences"], counts=entry["counts"], samples=[])
-        for p, entry in bundle.get("terms", {}).items()
-    ]
-    consistency = [
-        ConsistencyGroup(
-            text=g["text"],
-            n_occurrences=g["n_occurrences"],
-            per_classifier=g["per_classifier"],
-        )
-        for g in bundle.get("consistency", [])
-    ]
-    written = render_reports(
-        out_dir,
-        bundle.get("corpus", []),
-        rates,
-        agreement,
-        ratios,
-        terms,
-        consistency,
-        bundle.get("provenance", {}),
-        bundle=bundle,
-    )
-    return written
-
-
-def _ordered_unique(items: list[str], preferred: tuple[str, ...]) -> tuple[str, ...]:
-    """preferred order where given, discovery order for anything else."""
-    seen = dict.fromkeys(items)
-    return tuple(p for p in preferred if p in seen) + tuple(
-        k for k in seen if k not in preferred
-    )
-
-
-def _rates_from_bundle(
-    raw: dict, classifiers: tuple[str, ...], scopes: tuple[str, ...]
-) -> GroupRates:
-    cells = {}
-    found_classifiers: list[str] = []
-    found_scopes: list[str] = []
-    for key, cell in raw.items():
-        classifier, scope = key.split("|", 1)
-        found_classifiers.append(classifier)
-        found_scopes.append(scope)
-        cells[(classifier, scope)] = RateCell(
-            n=cell["n"],
-            n_yes=cell["n_yes"],
-            n_no=cell["n_no"],
-            n_malformed=cell["n_malformed"],
-        )
-    return GroupRates(
-        classifiers=_ordered_unique(found_classifiers, classifiers),
-        scopes=_ordered_unique(found_scopes, scopes),
-        cells=cells,
-    )
-
-
-def _agreement_from_bundle(raw: dict, scopes: tuple[str, ...]) -> AgreementStats:
-    pair_order = raw.get("pairs", list(raw.get("pairwise", {})))
-    pairwise = {}
-    classifiers: list[str] = []
-    for key in pair_order:
-        a, b = key.split("&", 1)
-        classifiers.extend((a, b))
-        pairwise[(a, b)] = raw["pairwise"][key]
-    return AgreementStats(
-        classifiers=_ordered_unique(classifiers, ()),
-        scopes=_ordered_unique(list(raw.get("overall", {})), scopes),
-        pairwise=pairwise,
-        overall=raw.get("overall", {}),
-    )
-
-
-def _ratios_from_bundle(
-    raw: dict | None, scopes: tuple[str, ...], pair_order: tuple[str, ...] = ()
-) -> DisagreementRatios | None:
-    if not raw:
-        return None
-    cells = {}
-    models: list[str] = []
-    found_scopes: list[str] = []
-    for key, cell in raw.items():
-        model, scope = key.split("|", 1)
-        models.append(model)
-        found_scopes.append(scope)
-        cells[(model, scope)] = RatioCell(
-            n_yes=cell["n_yes"],
-            n_no=cell["n_no"],
-            n_malformed_self=cell["n_malformed_self"],
-            n_disagreements=cell["n_disagreements"],
-        )
-    pair = _ordered_unique(models, pair_order)
-    result = DisagreementRatios(
-        pair=(pair[0], pair[1]), scopes=_ordered_unique(found_scopes, scopes)
-    )
-    result.cells = cells
-    return result
 
 
 def stats_bundle(
@@ -405,7 +280,7 @@ def stats_bundle(
             },
         },
         "terms": {
-            r.phrase: {"n_sentences": r.n_sentences, "counts": r.counts}
+            r.phrase: {"n_sentences": r.n_sentences, "counts": r.counts, "samples": r.samples}
             for r in term_reports
         },
         "consistency": [

@@ -141,21 +141,17 @@ def batch_build(ctx):
 @main.command()
 @click.option("--model", default=None, help="Classify with this model only.")
 @click.option("--provider", default=None, help="Override the configured provider.")
-@click.option("--template", default=None, help="Override the prompt template id.")
 @click.option("--stub", "stub_flag", is_flag=True, help="Use the deterministic stub provider.")
 @click.option("--strict-json", is_flag=True, help="Require whole-message JSON responses.")
 @click.pass_context
-def classify(ctx, model, provider, template, stub_flag, strict_json):
-    """Run the LLM judges (or the stub) over the batch files."""
-    config = _load_config(ctx)
-    if template:
-        from .config import TEMPLATE_IDS
+def classify(ctx, model, provider, stub_flag, strict_json):
+    """Run the LLM judges (or the stub) over the batch files.
 
-        if template not in TEMPLATE_IDS:
-            raise ConfigError(f"--template: {template!r} is not one of {TEMPLATE_IDS}")
-        config.prompt_template = template
+    The prompt template is a batch-build input: to change it, edit the
+    config and re-run batch-build.
+    """
     stages.run_classify(
-        config,
+        _load_config(ctx),
         stub=stub_flag or ctx.obj["stub"],
         only_model=model,
         provider_override=provider,

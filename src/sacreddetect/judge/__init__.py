@@ -2,7 +2,7 @@
 
 from .batch import build_batch_file
 from .prompts import TEMPLATE_IDS, prompt_hash, render_prompt
-from .providers import StubProvider, classify, get_provider
+from .providers import StubProvider, get_provider
 from .verdicts import Verdict, parse_verdict, serialize_verdict
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "TEMPLATE_IDS",
     "Verdict",
     "build_batch_file",
-    "classify",
     "get_provider",
     "parse_verdict",
     "prompt_hash",

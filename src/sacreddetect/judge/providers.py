@@ -25,7 +25,6 @@ import requests
 
 from ..errors import ProviderError
 from ..textpipe.corpus import SentenceRecord
-from .batch import build_batch_file
 from .verdicts import Verdict, parse_verdict
 
 log = logging.getLogger(__name__)
@@ -251,22 +250,3 @@ def join_verdicts(
         else:
             verdicts.append(parse_verdict(rec.sentence_id, model_id, raw, strict=strict_json))
     return verdicts
-
-
-def classify(
-    corpus: list[SentenceRecord],
-    template_id: str,
-    model_id: str,
-    provider: BatchProvider,
-    state: dict | None = None,
-    strict_json: bool = False,
-) -> tuple[list[Verdict], list[str]]:
-    """Classify a corpus with one model; returns (verdicts, raw result lines).
-
-    |verdicts| == |corpus| holds for every run, including partial provider
-    results.
-    """
-    lines = build_batch_file(corpus, template_id, model_id)
-    raw_lines = provider.run_batch(lines, state=state)
-    results = parse_result_lines(raw_lines)
-    return join_verdicts(corpus, results, model_id, strict_json=strict_json), raw_lines

@@ -5,7 +5,9 @@ stage name, tool version, a hash per input, and the parameters that shape
 the output (splitter version, lexicon/prompt hashes, provider settings).
 The manifest is written last, so a directory without one is a partial
 result and the stage re-runs; a directory whose manifest matches the
-current input hashes is up to date and the stage short-circuits.
+current input hashes is up to date and the stage short-circuits. (The
+derived stages write it into a sibling directory that then replaces theirs
+whole; see stages._produce.)
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 batch-build, classify, analyze, report.
 
 Stages communicate only through files under the output root, each stage
-directory carrying a manifest (see manifest.py). Re-running a stage whose
-inputs are unchanged is a no-op; running a stage before its prerequisites
-raises PrerequisiteError naming the command to run. One stage executes per
-output root at a time, enforced with a lock file.
+directory carrying a manifest (see manifest.py). Every derived directory is
+produced by _produce: re-running a stage whose inputs are unchanged is a
+no-op, and otherwise the stage builds a fresh sibling directory and swaps
+it in whole, so no file of an earlier run survives and a crash leaves the
+previous complete output. Running a stage before its prerequisites raises
+PrerequisiteError naming the command to run. One stage executes per output
+root at a time, enforced with a lock file.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 import logging
 import os
+import shutil
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -52,7 +56,7 @@ from .lexicon.matcher import (
     yes_rate_summary,
 )
 from .lexicon.tree import lexicon_to_json, load_lexicon
-from .manifest import is_current, read_manifest, write_manifest
+from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
 from .textpipe.corpus import (
     CleanDocument,
     SentenceRecord,
@@ -129,7 +133,10 @@ def stage_lock(root: Path):
             raise StageLockedError(
                 f"another stage (pid {pid}) is running on this output root"
             )
-    fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:  # another process created it since the check
+        raise StageLockedError(f"another stage took the lock {lock_path} first") from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -144,11 +151,44 @@ def _hash_dir_files(directory: Path, pattern: str = "*.jsonl") -> dict[str, str]
     }
 
 
-def _require_manifest(directory: Path, producing_command: str) -> None:
-    if read_manifest(directory) is None:
+def _require_manifest(directory: Path, producing_command: str) -> RunManifest:
+    manifest = read_manifest(directory)
+    if manifest is None:
         raise PrerequisiteError(
             f"missing outputs under {directory}; run `sacreddetect {producing_command}` first"
         )
+    return manifest
+
+
+def _produce(stage: str, out_dir: Path, inputs: dict[str, str], build, adopt: bool = True) -> None:
+    """Produce out_dir unless its manifest already matches inputs.
+
+    build(tmp) writes the outputs into an empty sibling directory and
+    returns the manifest params; the manifest goes in last and the sibling
+    replaces out_dir whole. A build that raises leaves out_dir untouched.
+    A non-empty out_dir without a manifest is replaced only with adopt (a
+    stage directory under the output root); otherwise it may be a user's
+    directory, and it is refused.
+    """
+    if is_current(out_dir, inputs):
+        log.info("%s: %s is up to date", stage, out_dir)
+        return
+    if not adopt and read_manifest(out_dir) is None and any(out_dir.glob("*")):
+        raise ConfigError(f"{out_dir} is not empty and has no {MANIFEST_NAME}; not replacing it")
+    started = datetime.now(timezone.utc).isoformat()
+    tmp, old = (out_dir.with_name(f".{out_dir.name}.{suffix}") for suffix in ("tmp", "old"))
+    for leftover in (tmp, old):  # left by a killed run
+        shutil.rmtree(leftover, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        write_manifest(tmp, stage, inputs, build(tmp), started)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if out_dir.exists():
+        out_dir.rename(old)
+    tmp.rename(out_dir)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _sources_fingerprint(config: PipelineConfig) -> str:
@@ -264,66 +304,55 @@ def run_extract(config: PipelineConfig) -> None:
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         _require_manifest(layout.raw, "harvest")
-        started = datetime.now(timezone.utc).isoformat()
-        inputs = _hash_dir_files(layout.raw)
+        # only the configured sources: a dropped source's raw file stays in
+        # the append-only store but must leave the corpus
+        ngo_ids = sorted(
+            s.ngo_id for s in config.sources if (layout.raw / f"{s.ngo_id}.jsonl").is_file()
+        )
+        inputs = {f"{n}.jsonl": sha256_file(layout.raw / f"{n}.jsonl") for n in ngo_ids}
+        inputs.update({f"group/{s.ngo_id}": sha256_text(s.group) for s in config.sources})
         inputs["splitter_version"] = sha256_text(SPLITTER_VERSION)
-        if is_current(layout.corpus, inputs):
-            log.info("extract: up to date")
-            return
 
-        store = DocumentStore(layout.raw)
-        counters: Counter = Counter()
-        docs: list[CleanDocument] = []
-        for ngo_id in store.ngo_ids():
-            for raw_doc in store.iter_ngo(ngo_id):
-                if not raw_doc.ok or not raw_doc.body:
-                    counters["skipped_failed_fetch"] += 1
-                    continue
-                ctype = raw_doc.content_type.lower()
-                if "pdf" in ctype or raw_doc.body.startswith(b"%PDF"):
-                    # Stored for a future extractor; not text-extracted here.
-                    counters["skipped_pdf"] += 1
-                    continue
-                text = extract_main_text(raw_doc.body, counters)
-                if text:
-                    lang, confidence = detect_language(text)
-                else:
-                    lang, confidence = "en", 0.0
-                docs.append(
-                    CleanDocument(
-                        doc_id=raw_doc.doc_id,
-                        ngo_id=raw_doc.ngo_id,
-                        text=text,
-                        lang=lang,
-                        lang_confidence=confidence,
+        def build(out: Path) -> dict:
+            store = DocumentStore(layout.raw)
+            counters: Counter = Counter()
+            docs: list[CleanDocument] = []
+            for ngo_id in ngo_ids:
+                for raw_doc in store.iter_ngo(ngo_id):
+                    if not raw_doc.ok or not raw_doc.body:
+                        counters["skipped_failed_fetch"] += 1
+                        continue
+                    ctype = raw_doc.content_type.lower()
+                    if "pdf" in ctype or raw_doc.body.startswith(b"%PDF"):
+                        # Stored for a future extractor; not text-extracted here.
+                        counters["skipped_pdf"] += 1
+                        continue
+                    text = extract_main_text(raw_doc.body, counters)
+                    if text:
+                        lang, confidence = detect_language(text)
+                    else:
+                        lang, confidence = "en", 0.0
+                    docs.append(
+                        CleanDocument(
+                            doc_id=raw_doc.doc_id, ngo_id=raw_doc.ngo_id, text=text,
+                            lang=lang, lang_confidence=confidence,
+                        )
                     )
-                )
 
-        kept = filter_corpus(docs, counters)
-        records = build_sentence_corpus(kept)
-        by_ngo: dict[str, list[SentenceRecord]] = {}
-        for rec in records:
-            by_ngo.setdefault(rec.ngo_id, []).append(rec)
-        for ngo_id in sorted({d.ngo_id for d in kept}):
-            write_jsonl(
-                layout.corpus / f"{ngo_id}.jsonl",
-                (r.to_dict() for r in by_ngo.get(ngo_id, [])),
-            )
-        summary = corpus_summary(kept, records, config.groups())
-        _write_summary_csv(layout.corpus / "summary.csv", summary)
-        write_manifest(
-            layout.corpus,
-            "extract",
-            inputs,
-            {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)},
-            started,
-        )
-        log.info(
-            "extract: %d documents -> %d sentences (%s)",
-            len(kept),
-            len(records),
-            dict(counters),
-        )
+            kept = filter_corpus(docs, counters)
+            records = build_sentence_corpus(kept)
+            by_ngo: dict[str, list[SentenceRecord]] = {}
+            for rec in records:
+                by_ngo.setdefault(rec.ngo_id, []).append(rec)
+            for ngo_id in sorted({d.ngo_id for d in kept}):
+                write_jsonl(out / f"{ngo_id}.jsonl", (r.to_dict() for r in by_ngo.get(ngo_id, [])))
+            summary = corpus_summary(kept, records, config.groups())
+            _write_summary_csv(out / "summary.csv", summary)
+            log.info("extract: %d documents -> %d sentences (%s)",
+                     len(kept), len(records), dict(counters))
+            return {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)}
+
+        _produce("extract", layout.corpus, inputs, build)
 
 
 def _write_summary_csv(path: Path, summary: list[dict]) -> None:
@@ -364,36 +393,26 @@ def run_match(
             _require_manifest(layout.corpus, "extract")
         elif not any(src.glob("*.jsonl")):
             raise PrerequisiteError(f"no corpus files (*.jsonl) under {src}")
-        started = datetime.now(timezone.utc).isoformat()
         lexicon_file = lexicon_path or config.lexicon_path
         inputs = _hash_dir_files(src)
         inputs["lexicon"] = sha256_file(lexicon_file)
-        if is_current(dst, inputs):
-            log.info("match: up to date")
-            return
 
-        lexicon = load_lexicon(lexicon_file)
-        matcher = compile_matcher(lexicon)
-        write_text(dst / "lexicon.json", lexicon_to_json(lexicon))  # canonical export
-        for path in sorted(src.glob("*.jsonl")):
-            corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
-            results = classify_corpus(matcher, corpus)
-            write_jsonl(dst / path.name, (r.to_dict() for r in results))
-            for ngo_id, entry in yes_rate_summary(corpus, results).items():
-                log.info(
-                    "match %s: %d/%d yes (%.1f%%)",
-                    ngo_id,
-                    entry["yes"],
-                    entry["n"],
-                    entry["pct_yes"],
-                )
-        write_manifest(
-            dst,
-            "match",
-            inputs,
-            {"lexicon": str(lexicon_file), "patterns": matcher.pattern_count},
-            started,
-        )
+        def build(out: Path) -> dict:
+            lexicon = load_lexicon(lexicon_file)
+            matcher = compile_matcher(lexicon)
+            write_text(out / "lexicon.json", lexicon_to_json(lexicon))  # canonical export
+            for path in sorted(src.glob("*.jsonl")):
+                corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
+                results = classify_corpus(matcher, corpus)
+                write_jsonl(out / path.name, (r.to_dict() for r in results))
+                for ngo_id, entry in yes_rate_summary(corpus, results).items():
+                    log.info(
+                        "match %s: %d/%d yes (%.1f%%)",
+                        ngo_id, entry["yes"], entry["n"], entry["pct_yes"],
+                    )
+            return {"lexicon": str(lexicon_file), "patterns": matcher.pattern_count}
+
+        _produce("match", dst, inputs, build, adopt=out_dir is None)
 
 
 # --- batch-build ------------------------------------------------------------
@@ -403,35 +422,27 @@ def run_batch_build(config: PipelineConfig) -> None:
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         _require_manifest(layout.corpus, "extract")
+        corpus_inputs = _hash_dir_files(layout.corpus)
         for model in config.models:
-            started = datetime.now(timezone.utc).isoformat()
-            out_dir = layout.batches(model.model_id)
-            inputs = _hash_dir_files(layout.corpus)
+            inputs = dict(corpus_inputs)
             inputs["prompt"] = prompt_hash(config.prompt_template)
             inputs["model"] = sha256_text(f"{model.model_id}|{model.provider}")
-            if is_current(out_dir, inputs):
-                log.info("batch-build %s: up to date", model.model_id)
-                continue
             shape = "groq-batch" if model.provider == "groq-batch" else "openai-batch"
-            counters: Counter = Counter()
-            for path in sorted(layout.corpus.glob("*.jsonl")):
-                corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
-                lines = batch_mod.build_batch_file(
-                    corpus, config.prompt_template, model.model_id, shape, counters
-                )
-                write_text(out_dir / path.name, "\n".join(lines) + ("\n" if lines else ""))
-            write_manifest(
-                out_dir,
-                "batch-build",
-                inputs,
-                {
-                    "template": config.prompt_template,
-                    "shape": shape,
-                    "counters": dict(counters),
-                },
-                started,
-            )
-            log.info("batch-build %s: done", model.model_id)
+
+            def build(out: Path) -> dict:
+                counters: Counter = Counter()
+                for path in sorted(layout.corpus.glob("*.jsonl")):
+                    corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
+                    lines = batch_mod.build_batch_file(
+                        corpus, config.prompt_template, model.model_id, shape, counters
+                    )
+                    write_text(out / path.name, "\n".join(lines) + ("\n" if lines else ""))
+                log.info("batch-build %s: done", model.model_id)
+                return {
+                    "template": config.prompt_template, "shape": shape, "counters": dict(counters)
+                }
+
+            _produce("batch-build", layout.batches(model.model_id), inputs, build)
 
 
 # --- classify ---------------------------------------------------------------
@@ -451,11 +462,9 @@ def run_classify(
             raise ConfigError(f"no configured model matches {only_model!r}")
         for model in models:
             batch_dir = layout.batches(model.model_id)
-            _require_manifest(batch_dir, "batch-build")
+            batch_manifest = _require_manifest(batch_dir, "batch-build")
             provider_name = "stub" if stub else (provider_override or model.provider)
             provider = providers_mod.get_provider(provider_name)
-            started = datetime.now(timezone.utc).isoformat()
-            out_dir = layout.labels_model(model.model_id)
             inputs = {
                 name: digest
                 for name, digest in _hash_dir_files(batch_dir).items()
@@ -463,69 +472,60 @@ def run_classify(
             }
             inputs["provider"] = sha256_text(provider_name)
             inputs["strict_json"] = sha256_text(str(strict_json))
-            if is_current(out_dir, inputs):
-                log.info("classify %s: up to date", model.model_id)
-                continue
 
-            for path in sorted(batch_dir.glob("*.jsonl")):
-                if path.name.endswith(".results.jsonl"):
-                    continue
-                ngo_id = path.stem
-                corpus = load_corpus(layout, ngo_id)
-                lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln]
-                state_path = batch_dir / f"{ngo_id}.state.json"
-                state = (
-                    json.loads(state_path.read_text(encoding="utf-8"))
-                    if state_path.is_file()
-                    else {}
-                )
-                save_state = lambda s: write_text(state_path, json.dumps(s))  # noqa: E731
-                try:
-                    raw_lines = provider.run_batch(lines, state=state, state_save=save_state)
-                except ProviderError:
-                    if state:
-                        save_state(state)
-                        log.error(
-                            "classify %s/%s: provider failed; submission state saved, "
-                            "re-run to resume",
-                            model.model_id,
-                            ngo_id,
-                        )
-                    raise
-                state_path.unlink(missing_ok=True)
-                results = providers_mod.parse_result_lines(raw_lines)
-                verdicts = providers_mod.join_verdicts(
-                    corpus, results, model.model_id, strict_json=strict_json
-                )
-                write_text(
-                    batch_dir / f"{ngo_id}.results.jsonl",
-                    "\n".join(raw_lines) + ("\n" if raw_lines else ""),
-                )
-                write_jsonl(out_dir / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
-                n_malformed = sum(v.label == "malformed" for v in verdicts)
-                log.info(
-                    "classify %s/%s: %d verdicts, %d malformed",
-                    model.model_id,
-                    ngo_id,
-                    len(verdicts),
-                    n_malformed,
-                )
-            write_manifest(
-                out_dir,
-                "classify",
-                inputs,
-                {
+            def build(out: Path) -> dict:
+                # Submission state and raw results live beside the batch
+                # files they belong to; re-running batch-build discards them.
+                for path in sorted(batch_dir.glob("*.jsonl")):
+                    if path.name.endswith(".results.jsonl"):
+                        continue
+                    ngo_id = path.stem
+                    corpus = load_corpus(layout, ngo_id)
+                    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln]
+                    state_path = batch_dir / f"{ngo_id}.state.json"
+                    state = (
+                        json.loads(state_path.read_text(encoding="utf-8"))
+                        if state_path.is_file()
+                        else {}
+                    )
+                    save_state = lambda s: write_text(state_path, json.dumps(s))  # noqa: E731
+                    try:
+                        raw_lines = provider.run_batch(lines, state=state, state_save=save_state)
+                    except ProviderError:
+                        if state:
+                            save_state(state)
+                            log.error(
+                                "classify %s/%s: provider failed; submission state saved, "
+                                "re-run to resume", model.model_id, ngo_id,
+                            )
+                        raise
+                    state_path.unlink(missing_ok=True)
+                    results = providers_mod.parse_result_lines(raw_lines)
+                    verdicts = providers_mod.join_verdicts(
+                        corpus, results, model.model_id, strict_json=strict_json
+                    )
+                    write_text(
+                        batch_dir / f"{ngo_id}.results.jsonl",
+                        "\n".join(raw_lines) + ("\n" if raw_lines else ""),
+                    )
+                    write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
+                    log.info(
+                        "classify %s/%s: %d verdicts, %d malformed", model.model_id, ngo_id,
+                        len(verdicts), sum(v.label == "malformed" for v in verdicts),
+                    )
+                return {
                     "provider": provider_name,
                     "model_id": model.model_id,
-                    "template": config.prompt_template,
-                    "prompt_sha256": prompt_hash(config.prompt_template),
+                    # the prompt the batch lines carry, as batch-build recorded it
+                    "template": batch_manifest.params["template"],
+                    "prompt_sha256": batch_manifest.inputs["prompt"],
                     "strict_json": strict_json,
                     # No decoding parameters are sent; the provider's own
                     # defaults apply and that fact is the record.
                     "decoding": "provider-defaults",
-                },
-                started,
-            )
+                }
+
+            _produce("classify", layout.labels_model(model.model_id), inputs, build)
 
 
 # --- analyze ----------------------------------------------------------------
@@ -567,7 +567,6 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                     f"no verdicts for model {model_id!r}; run `sacreddetect classify` "
                     "first (or pass --tree-only)"
                 )
-        started = datetime.now(timezone.utc).isoformat()
         inputs = {f"tree/{k}": v for k, v in _hash_dir_files(layout.labels_tree).items()}
         inputs.update(
             {f"corpus/{k}": v for k, v in _hash_dir_files(layout.corpus).items()}
@@ -579,40 +578,40 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                     for k, v in _hash_dir_files(layout.labels_model(model_id)).items()
                 }
             )
-        if is_current(layout.analysis, inputs):
-            log.info("analyze: up to date")
-            return
 
-        corpus = load_corpus(layout)
-        tree_results = _load_tree_results(layout)
-        verdict_sets = {}
-        argumentation: dict[str, dict[str, str]] = {}
-        for model_id in model_ids:
-            verdicts = _load_verdicts(layout, model_id)
-            verdict_sets[model_id] = {v.sentence_id: v.label for v in verdicts}
-            argumentation[model_id] = {
-                v.sentence_id: v.argumentation
-                for v in verdicts
-                if v.argumentation is not None
-            }
+        def build(out: Path) -> dict:
+            corpus = load_corpus(layout)
+            tree_results = _load_tree_results(layout)
+            verdict_sets = {}
+            argumentation: dict[str, dict[str, str]] = {}
+            for model_id in model_ids:
+                verdicts = _load_verdicts(layout, model_id)
+                verdict_sets[model_id] = {v.sentence_id: v.label for v in verdicts}
+                argumentation[model_id] = {
+                    v.sentence_id: v.argumentation
+                    for v in verdicts
+                    if v.argumentation is not None
+                }
 
-        matrix = matrix_mod.tabulate(corpus, tree_results, verdict_sets, config.groups())
-        rates = group_rates(matrix)
-        agreement = pairwise_agreement(matrix)
-        ratios = disagreement_ratios(matrix) if len(model_ids) >= 2 else None
-        terms = [
-            term_report(corpus, matrix, phrase, argumentation)
-            for phrase in config.report_phrases
-        ]
-        consistency = duplicate_consistency(corpus, matrix)
-        summary = _read_summary_csv(layout.corpus / "summary.csv")
+            matrix = matrix_mod.tabulate(corpus, tree_results, verdict_sets, config.groups())
+            rates = group_rates(matrix)
+            agreement = pairwise_agreement(matrix)
+            ratios = disagreement_ratios(matrix) if len(model_ids) >= 2 else None
+            terms = [
+                term_report(corpus, matrix, phrase, argumentation)
+                for phrase in config.report_phrases
+            ]
+            consistency = duplicate_consistency(corpus, matrix)
+            summary = _read_summary_csv(layout.corpus / "summary.csv")
 
-        bundle = reports_mod.stats_bundle(
-            summary, rates, agreement, ratios, terms, consistency, provenance=inputs
-        )
-        write_json(layout.analysis / "stats.json", bundle)
-        write_manifest(layout.analysis, "analyze", inputs, {"models": model_ids}, started)
-        log.info("analyze: %d rows, %d classifiers", len(matrix.rows), len(matrix.classifiers))
+            bundle = reports_mod.stats_bundle(
+                summary, rates, agreement, ratios, terms, consistency, provenance=inputs
+            )
+            write_json(out / "stats.json", bundle)
+            log.info("analyze: %d rows, %d classifiers", len(matrix.rows), len(matrix.classifiers))
+            return {"models": model_ids}
+
+        _produce("analyze", layout.analysis, inputs, build)
 
 
 def _read_summary_csv(path: Path) -> list[dict]:
@@ -637,13 +636,12 @@ def run_report(config: PipelineConfig) -> None:
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         _require_manifest(layout.analysis, "analyze")
-        started = datetime.now(timezone.utc).isoformat()
         stats_path = layout.analysis / "stats.json"
-        inputs = {"stats.json": sha256_file(stats_path)}
-        if is_current(layout.reports, inputs):
-            log.info("report: up to date")
-            return
-        bundle = json.loads(stats_path.read_text(encoding="utf-8"))
-        written = reports_mod.render_from_bundle(layout.reports, bundle)
-        write_manifest(layout.reports, "report", inputs, {}, started)
-        log.info("report: wrote %d files", len(written))
+
+        def build(out: Path) -> dict:
+            bundle = json.loads(stats_path.read_text(encoding="utf-8"))
+            written = reports_mod.render_from_bundle(out, bundle)
+            log.info("report: wrote %d files", len(written))
+            return {}
+
+        _produce("report", layout.reports, {"stats.json": sha256_file(stats_path)}, build)

@@ -100,8 +100,8 @@ def test_criterion_1_weighted_totals():
     for group, table in TREE_FIXTURE.items():
         for ngo, n, pct in table:
             n_yes = round(n * pct / 100)
-            yes_row = MatrixRow("s", ngo, group, "h", "yes", ())
-            no_row = MatrixRow("s", ngo, group, "h", "no", ())
+            yes_row = MatrixRow("s", ngo, group, "yes", ())
+            no_row = MatrixRow("s", ngo, group, "no", ())
             rows += [yes_row] * n_yes + [no_row] * (n - n_yes)
     matrix = LabelMatrix(model_ids=(), rows=rows)
 
@@ -156,13 +156,13 @@ def test_criterion_2_malformed_accounting():
     rows = []
     i = 0
     for _ in range(5_660):  # llama malformed, gpt answered
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "h", "no", ("yes", "malformed"))); i += 1
+        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("yes", "malformed"))); i += 1
     for _ in range(704):  # gpt malformed, llama answered
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "h", "no", ("malformed", "yes"))); i += 1
+        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("malformed", "yes"))); i += 1
     for _ in range(21_310 - 5_660 - 704):  # valid but unequal
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "h", "no", ("yes", "no"))); i += 1
+        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("yes", "no"))); i += 1
     for _ in range(2_000):  # agreements, outside the disagreement subset
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "h", "no", ("no", "no"))); i += 1
+        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("no", "no"))); i += 1
     matrix = LabelMatrix(model_ids=("gpt", "llama"), rows=rows)
     ratios = disagreement_ratios(matrix)
     llama = ratios.cell("llama", "total")
@@ -187,7 +187,7 @@ def _phrase_matrix(phrase: str, n: int, gpt_yes: int, llama_yes: int):
         corpus.append(rec)
         rows.append(
             MatrixRow(
-                rec.sentence_id, "ngo", "religious", f"h{i}", "yes",
+                rec.sentence_id, "ngo", "religious", "yes",
                 ("yes" if i < gpt_yes else "no", "yes" if i < llama_yes else "no"),
             )
         )
@@ -284,7 +284,7 @@ def _random_label_matrix(rng: random.Random, n_rows: int) -> LabelMatrix:
         ngo, group = rng.choice(ngos)
         rows.append(
             MatrixRow(
-                f"s{i}", ngo, group, f"h{i}",
+                f"s{i}", ngo, group,
                 rng.choice(("yes", "no")),
                 (rng.choice(labels), rng.choice(labels)),
             )
@@ -343,7 +343,7 @@ def test_criterion_5_stats_oracle_100_matrices():
         for i in range(rng.randint(100, 2_000)):
             rows.append(
                 MatrixRow(
-                    f"s{i}", "a", "secular", f"h{i}",
+                    f"s{i}", "a", "secular",
                     rng.choice(("yes", "no")),
                     (rng.choice(("yes", "no")), rng.choice(("yes", "no"))),
                 )

@@ -67,18 +67,6 @@ def test_provider_failure_exit_code(monkeypatch, tmp_path):
     assert code == 4
 
 
-def test_bad_template_rejected(monkeypatch, tmp_path):
-    code = run_cli(
-        [
-            "--config", str(sample_config_path()),
-            "--output-root", str(tmp_path / "r"),
-            "classify", "--template", "v3",
-        ],
-        monkeypatch,
-    )
-    assert code == 2
-
-
 def test_global_stub_flag(monkeypatch, tmp_path):
     root = str(tmp_path / "run")
     config = ["--config", str(sample_config_path()), "--output-root", root, "--stub"]

@@ -40,17 +40,6 @@ def test_missing_tree_result_is_an_error():
         tabulate(corpus, tree[:1], verdicts, groups)
 
 
-def test_text_hash_groups_whitespace_variants():
-    corpus = [
-        SentenceRecord.make("d1", "a", 0, "Mother  Earth rises."),
-        SentenceRecord.make("d2", "a", 0, "Mother Earth rises."),
-    ]
-    tree = [MatchResult(r.sentence_id, (), 1, "yes") for r in corpus]
-    verdicts = {"m": {r.sentence_id: "yes" for r in corpus}}
-    matrix = tabulate(corpus, tree, verdicts, {"a": "religious"})
-    assert matrix.rows[0].text_hash == matrix.rows[1].text_hash
-
-
 def test_scopes_include_group_totals():
     corpus = [
         SentenceRecord.make("d1", "a", 0, "One."),

@@ -7,7 +7,6 @@ from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import (
     MISSING_RAW_TEXT,
     StubProvider,
-    classify,
     get_provider,
     join_verdicts,
     parse_result_lines,
@@ -17,6 +16,14 @@ from sacreddetect.textpipe.corpus import SentenceRecord
 
 def corpus(*texts):
     return [SentenceRecord.make("d", "n", i, t) for i, t in enumerate(texts)]
+
+
+def classify(corpus, template_id, model_id, provider):
+    """The batch -> provider -> verdict chain that run_classify applies to
+    each NGO file; returns (verdicts, raw result lines)."""
+    raw_lines = provider.run_batch(build_batch_file(corpus, template_id, model_id))
+    results = parse_result_lines(raw_lines)
+    return join_verdicts(corpus, results, model_id), raw_lines
 
 
 class DropsSomeProvider:

@@ -3,11 +3,12 @@ import math
 
 from sacreddetect.analytics import (
     AgreementStats,
+    ConsistencyGroup,
     DisagreementRatios,
     GroupRates,
     RateCell,
     RatioCell,
-    render_reports,
+    TermReport,
 )
 from sacreddetect.analytics.reports import (
     fmt_pct,
@@ -48,8 +49,15 @@ def small_ratios():
     return DisagreementRatios(pair=("gpt", "llama"), scopes=("a", "total"), cells=cells)
 
 
+def small_bundle(summary=(), terms=(), consistency=(), provenance=None):
+    return stats_bundle(
+        list(summary), small_rates(), small_agreement(), small_ratios(),
+        list(terms), list(consistency), provenance or {},
+    )
+
+
 def test_rates_csv_header():
-    csv_text, _ = render_rates_table(small_rates())
+    csv_text, _ = render_rates_table(small_bundle())
     assert csv_text.splitlines()[0] == "classifier,scope,pct_yes,pct_no"
 
 
@@ -62,6 +70,9 @@ def test_ratio_rounding_two_decimals():
 def test_ratio_sentinels():
     assert fmt_ratio(math.inf) == "∞"
     assert fmt_ratio(math.nan) == "n/a"
+    # stats.json's spellings of the same two cases
+    assert fmt_ratio("inf") == "∞"
+    assert fmt_ratio(None) == "n/a"
 
 
 def test_phrase_slug():
@@ -71,15 +82,8 @@ def test_phrase_slug():
 
 def test_render_reports_bundle(tmp_path):
     summary = [{"ngo_id": "a", "group": "secular", "n_documents": 2, "n_sentences": 4}]
-    written = render_reports(
-        tmp_path,
-        summary,
-        small_rates(),
-        small_agreement(),
-        small_ratios(),
-        [],
-        [],
-        provenance={"corpus/a.jsonl": "abc123"},
+    written = render_from_bundle(
+        tmp_path, small_bundle(summary, provenance={"corpus/a.jsonl": "abc123"})
     )
     names = {p.relative_to(tmp_path).as_posix() for p in written}
     assert {
@@ -96,10 +100,7 @@ def test_render_reports_bundle(tmp_path):
 
 
 def test_stats_json_full_precision(tmp_path):
-    render_reports(
-        tmp_path, [], small_rates(), small_agreement(), small_ratios(), [], [],
-        provenance={},
-    )
+    render_from_bundle(tmp_path, small_bundle())
     bundle = json.loads((tmp_path / "stats.json").read_text())
     assert bundle["rates"]["gpt|a"]["pct_yes"] == 50.0
     assert bundle["disagreement_ratios"]["gpt|a"]["ratio"] == 27 / 14
@@ -107,19 +108,41 @@ def test_stats_json_full_precision(tmp_path):
 
 
 def test_render_from_bundle_round_trips_tables(tmp_path):
-    direct = tmp_path / "direct"
-    via_bundle = tmp_path / "bundle"
     summary = [{"ngo_id": "a", "group": "secular", "n_documents": 2, "n_sentences": 4}]
-    render_reports(
-        direct, summary, small_rates(), small_agreement(), small_ratios(), [], [],
-        provenance={"x": "y"},
+    term = TermReport(
+        phrase="Mother Earth",
+        n_sentences=1,
+        counts={"tree": {"n_yes": 1, "pct_yes": 100.0}, "gpt": {"n_yes": 0, "pct_yes": 0.0}},
+        samples=[
+            {
+                "sentence_id": "s1",
+                "ngo_id": "a",
+                "text": "We honor Mother Earth.",
+                "argumentation:gpt": "No religious terms.",
+                "labels": {"tree": "yes", "gpt": "no"},
+            }
+        ],
     )
-    bundle = stats_bundle(
-        summary, small_rates(), small_agreement(), small_ratios(), [], [], {"x": "y"}
+    group = ConsistencyGroup(
+        text="Same line.",
+        n_occurrences=2,
+        per_classifier={
+            "tree": {"n_yes": 2, "n_no": 0, "n_malformed": 0, "consistency": 1.0},
+            "gpt": {"n_yes": 1, "n_no": 0, "n_malformed": 1, "consistency": None},
+        },
     )
+    bundle = small_bundle(summary, [term], [group], {"x": "y"})
     # through real serialization: key order is normalized on disk, so the
     # bundle's explicit ordering fields must carry presentation order
     reloaded = json.loads(json.dumps(bundle, sort_keys=True))
-    render_from_bundle(via_bundle, reloaded)
-    for name in ("table1.csv", "table2.csv", "table2.md", "table3.csv", "table4.csv", "table4.md"):
-        assert (direct / name).read_bytes() == (via_bundle / name).read_bytes(), name
+    direct = render_from_bundle(tmp_path / "direct", bundle)
+    via_disk = render_from_bundle(tmp_path / "disk", reloaded)
+    names = [p.relative_to(tmp_path / "direct") for p in direct]
+    assert names == [p.relative_to(tmp_path / "disk") for p in via_disk]
+    assert "terms/mother-earth.md" in {n.as_posix() for n in names}
+    for name in names:
+        assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "disk" / name).read_bytes(), name
+    samples = (tmp_path / "direct" / "terms" / "mother-earth.md").read_text()
+    assert "## Samples" in samples
+    assert "- (a; gpt=no, tree=yes) We honor Mother Earth." in samples
+    assert "  - gpt: No religious terms." in samples

@@ -4,7 +4,8 @@ import os
 import pytest
 
 from sacreddetect.config import sample_config_path, validate_config
-from sacreddetect.errors import PrerequisiteError, StageLockedError
+from sacreddetect import stages
+from sacreddetect.errors import ConfigError, PrerequisiteError, StageLockedError
 from sacreddetect.manifest import read_manifest
 from sacreddetect.stages import (
     Layout,
@@ -76,6 +77,10 @@ def test_full_sample_pipeline(sample_config):
 
     bundle = json.loads((layout.analysis / "stats.json").read_text())
     assert bundle["rates"]["tree|total"]["n"] == 10
+    # term samples quote the models' argumentation
+    mother_earth = (layout.reports / "terms" / "mother-earth.md").read_text()
+    assert "## Samples" in mother_earth
+    assert "  - gpt-4o-mini: " in mother_earth
 
 
 def test_tree_only_analysis(sample_config):
@@ -147,3 +152,105 @@ def test_adhoc_match_directories(sample_config, tmp_path):
     run_match(sample_config, corpus_dir=layout.corpus, out_dir=out)
     assert (out / "cca.jsonl").is_file()
     assert read_manifest(out) is not None
+
+
+def test_stage_lock_race_raises_locked_error(monkeypatch, tmp_path):
+    root = tmp_path / "race"
+    real_open = os.open
+
+    def open_after_rival(path, flags, *args):
+        # another process creates the lock between the check and the open
+        (root / ".lock").write_text("12345")
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(stages.os, "open", open_after_rival)
+    with pytest.raises(StageLockedError):
+        with stage_lock(root):
+            pass
+    assert (root / ".lock").read_text() == "12345"  # the rival's lock stays
+
+
+def _write(name, text="x"):
+    def build(out):
+        (out / name).write_text(text)
+        return {"wrote": name}
+    return build
+
+
+def test_produce_failed_build_keeps_previous_output(tmp_path):
+    out = tmp_path / "stage"
+    stages._produce("demo", out, {"in": "1"}, _write("a.txt"))
+    manifest = (out / "manifest.json").read_bytes()
+
+    def failing(tmp):
+        (tmp / "a.txt").write_text("half")
+        raise RuntimeError("crash mid-build")
+
+    with pytest.raises(RuntimeError):
+        stages._produce("demo", out, {"in": "2"}, failing)
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert (out / "a.txt").read_text() == "x"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stage"]  # no partial sibling
+
+
+def test_produce_rerun_removes_files_it_no_longer_writes(tmp_path):
+    out = tmp_path / "stage"
+
+    def both(tmp):
+        (tmp / "a.txt").write_text("a")
+        (tmp / "b.txt").write_text("b")
+        return {}
+
+    stages._produce("demo", out, {"in": "1"}, both)
+    stages._produce("demo", out, {"in": "2"}, _write("a.txt"))
+    assert sorted(p.name for p in out.iterdir()) == ["a.txt", "manifest.json"]
+    assert read_manifest(out).inputs == {"in": "2"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stage"]
+
+
+def test_produce_refuses_unmanaged_directory(sample_config, tmp_path):
+    user_dir = tmp_path / "mine"
+    user_dir.mkdir()
+    (user_dir / "notes.txt").write_text("keep me")
+    with pytest.raises(ConfigError, match="manifest.json"):
+        stages._produce("demo", user_dir, {"in": "1"}, _write("a.txt"), adopt=False)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    layout = Layout(sample_config.output_root)
+    with pytest.raises(ConfigError):  # `match --out` onto a user's directory
+        run_match(sample_config, corpus_dir=layout.corpus, out_dir=user_dir)
+    assert sorted(p.name for p in user_dir.iterdir()) == ["notes.txt"]
+    assert (user_dir / "notes.txt").read_text() == "keep me"
+
+
+def test_dropped_source_leaves_corpus_and_labels(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_analyze(sample_config, tree_only=True)
+    sample_config.sources = [s for s in sample_config.sources if s.ngo_id != "ien"]
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_analyze(sample_config, tree_only=True)
+
+    assert (layout.raw / "ien.jsonl").is_file()  # the raw store is append-only
+    assert not (layout.corpus / "ien.jsonl").exists()
+    assert not (layout.labels_tree / "ien.jsonl").exists()
+    bundle = json.loads((layout.analysis / "stats.json").read_text())
+    assert "ien" not in bundle["scopes"]
+    assert "ien" not in (layout.corpus / "summary.csv").read_text()
+    assert bundle["rates"]["tree|total"]["n"] < 10
+
+
+def test_classify_records_the_template_the_batches_carry(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)  # the sample config uses "revised"
+    built = read_manifest(layout.batches("gpt-4o-mini"))
+    sample_config.prompt_template = "general"
+    run_classify(sample_config, stub=True)
+    params = read_manifest(layout.labels_model("gpt-4o-mini")).params
+    assert params["template"] == "revised"
+    assert params["prompt_sha256"] == built.inputs["prompt"]

@@ -21,7 +21,6 @@ def row(i, tree, gpt, llama, ngo="a", group="secular"):
         sentence_id=f"s{i}",
         ngo_id=ngo,
         group=group,
-        text_hash=f"h{i}",
         tree=tree,
         model_labels=(gpt, llama),
     )
@@ -247,7 +246,7 @@ def test_malformed_share_fixture():
 
 def test_ratio_needs_two_models():
     m = LabelMatrix(model_ids=("solo",), rows=[
-        MatrixRow("s0", "a", "secular", "h", "yes", ("yes",))
+        MatrixRow("s0", "a", "secular", "yes", ("yes",))
     ])
     with pytest.raises(ValueError):
         disagreement_ratios(m)

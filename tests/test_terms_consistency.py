@@ -19,7 +19,7 @@ def build(rows_spec):
         rec = SentenceRecord.make(f"d{i}", "ngo", 0, text)
         corpus.append(rec)
         rows.append(
-            MatrixRow(rec.sentence_id, "ngo", "religious", f"h{i}", tree, (gpt, llama))
+            MatrixRow(rec.sentence_id, "ngo", "religious", tree, (gpt, llama))
         )
     return corpus, LabelMatrix(model_ids=MODELS, rows=rows)
 
