@@ -10,53 +10,33 @@ occurrences: consistency is the largest single-label share over the valid
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
-from ..textpipe.corpus import SentenceRecord
 from .matrix import LabelMatrix, normalize_sentence_text
 
 
-@dataclass
-class ConsistencyGroup:
-    text: str
-    n_occurrences: int
-    per_classifier: dict[str, dict]  # classifier -> counts + consistency
-
-
-def duplicate_consistency(
-    corpus: list[SentenceRecord], matrix: LabelMatrix
-) -> list[ConsistencyGroup]:
-    """Label splits for duplicate texts, sorted by occurrence count (desc)."""
-    rows_by_id = {row.sentence_id: row for row in matrix.rows}
-    groups: dict[str, list] = {}
-    for rec in corpus:
-        if rec.sentence_id not in rows_by_id:
-            continue
-        groups.setdefault(normalize_sentence_text(rec.text), []).append(
-            rows_by_id[rec.sentence_id]
-        )
+def duplicate_consistency(matrix: LabelMatrix) -> list[dict]:
+    """Label splits for duplicate texts, sorted by occurrence count (desc),
+    as stats.json's "consistency" list."""
+    groups: dict[str, list[int]] = {}
+    for i, text in enumerate(matrix.texts):
+        groups.setdefault(normalize_sentence_text(text), []).append(i)
 
     out = []
     for text, rows in groups.items():
         if len(rows) < 2:
             continue
         per_classifier = {}
-        for classifier in matrix.classifiers:
-            labels = [row.label(classifier, matrix.model_ids) for row in rows]
-            n_yes = sum(lbl == "yes" for lbl in labels)
-            n_no = sum(lbl == "no" for lbl in labels)
-            n_malformed = sum(lbl == "malformed" for lbl in labels)
+        for classifier, column in matrix.labels.items():
+            tally = Counter(column[i] for i in rows)
+            n_yes, n_no = tally["yes"], tally["no"]
             valid = n_yes + n_no
             per_classifier[classifier] = {
                 "n_yes": n_yes,
                 "n_no": n_no,
-                "n_malformed": n_malformed,
+                "n_malformed": tally["malformed"],
                 "consistency": max(n_yes, n_no) / valid if valid else None,
             }
-        out.append(
-            ConsistencyGroup(
-                text=text, n_occurrences=len(rows), per_classifier=per_classifier
-            )
-        )
-    out.sort(key=lambda g: (-g.n_occurrences, g.text))
+        out.append({"text": text, "n_occurrences": len(rows), "per_classifier": per_classifier})
+    out.sort(key=lambda g: (-g["n_occurrences"], g["text"]))
     return out

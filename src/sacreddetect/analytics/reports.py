@@ -1,5 +1,5 @@
-"""Report rendering: the stats bundle, and the CSV and Markdown tables read
-straight from it.
+"""Report rendering: the CSV and Markdown tables, read straight from the
+stats bundle.
 
 Numbers are formatted only here -- percentages to one decimal, ratios to
 two -- while stats.json keeps full precision. Undefined ratios render as
@@ -17,9 +17,6 @@ import re
 from pathlib import Path
 
 from ..jsonlio import write_json, write_text
-from .consistency import ConsistencyGroup
-from .stats import AgreementStats, DisagreementRatios, GroupRates
-from .terms import TermReport
 
 FOOTNOTES = (
     "Malformed responses count as disagreement in every classifier pair, "
@@ -214,7 +211,7 @@ def render_consistency(groups: list[dict], classifiers: list[str]) -> str:
 
 def render_from_bundle(out_dir: str | Path, bundle: dict) -> list[Path]:
     """Write every report file, and a copy of the bundle, from a stats
-    bundle (see stats_bundle); returns the files written.
+    bundle (analysis/stats.json); returns the files written.
 
     The bundle stores raw counts and full-precision values, and its
     "classifiers", "scopes", "agreement.pairs" and "ratio_pair" lists carry
@@ -243,67 +240,3 @@ def render_from_bundle(out_dir: str | Path, bundle: dict) -> list[Path]:
     write_json(out_dir / "stats.json", bundle)
     written.append(out_dir / "stats.json")
     return written
-
-
-def stats_bundle(
-    corpus_summary: list[dict],
-    rates: GroupRates,
-    agreement: AgreementStats,
-    ratios: DisagreementRatios | None,
-    term_reports: list[TermReport],
-    consistency: list[ConsistencyGroup],
-    provenance: dict[str, str],
-) -> dict:
-    """Full-precision, JSON-serializable view of every computed statistic."""
-    bundle: dict = {
-        "corpus": corpus_summary,
-        # explicit presentation order: stats.json is written with sorted
-        # keys, so key order cannot carry it
-        "classifiers": list(rates.classifiers),
-        "scopes": list(rates.scopes),
-        "rates": {
-            f"{classifier}|{scope}": {
-                "n": cell.n,
-                "n_yes": cell.n_yes,
-                "n_no": cell.n_no,
-                "n_malformed": cell.n_malformed,
-                "pct_yes": cell.pct_yes,
-                "pct_no": cell.pct_no,
-            }
-            for (classifier, scope), cell in rates.cells.items()
-        },
-        "agreement": {
-            "overall": agreement.overall,
-            "pairs": [f"{a}&{b}" for a, b in agreement.pairwise],
-            "pairwise": {
-                f"{a}&{b}": scoped for (a, b), scoped in agreement.pairwise.items()
-            },
-        },
-        "terms": {
-            r.phrase: {"n_sentences": r.n_sentences, "counts": r.counts, "samples": r.samples}
-            for r in term_reports
-        },
-        "consistency": [
-            {
-                "text": g.text,
-                "n_occurrences": g.n_occurrences,
-                "per_classifier": g.per_classifier,
-            }
-            for g in consistency
-        ],
-        "provenance": provenance,
-    }
-    if ratios is not None:
-        bundle["ratio_pair"] = list(ratios.pair)
-        bundle["disagreement_ratios"] = {
-            f"{model}|{scope}": {
-                "n_yes": cell.n_yes,
-                "n_no": cell.n_no,
-                "n_malformed_self": cell.n_malformed_self,
-                "n_disagreements": cell.n_disagreements,
-                "ratio": None if math.isnan(cell.ratio) else ("inf" if math.isinf(cell.ratio) else cell.ratio),
-                "pct_malformed": cell.pct_malformed,
-            }
-            for (model, scope), cell in ratios.cells.items()
-        }
-    return bundle

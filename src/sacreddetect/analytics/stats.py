@@ -14,210 +14,109 @@ Conventions, applied uniformly:
     own valid labels inside that subset; with no malformed rows the two
     models' ratios are exact reciprocals.
 
-All values are stored at full precision; rounding happens at render time.
+Each statistic is counted from the matrix's joint label counts, pooled per
+scope as integers, and returned as its stats.json section: full-precision
+values keyed "<classifier>|<scope>" or "<a>&<b>"; rounding happens at render
+time.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from itertools import combinations
 
-from .matrix import RELIGIOUS_TOTAL, SECULAR_TOTAL, TOTAL, LabelMatrix, MatrixRow
-
-log = logging.getLogger(__name__)
+from .matrix import LabelMatrix
 
 VALID = ("yes", "no")
 
 
-@dataclass(frozen=True)
-class RateCell:
-    n: int
-    n_yes: int
-    n_no: int
-    n_malformed: int
-
-    @property
-    def pct_yes(self) -> float:
-        return 100.0 * self.n_yes / self.n
-
-    @property
-    def pct_no(self) -> float:
-        return 100.0 * self.n_no / self.n
-
-    @property
-    def pct_malformed(self) -> float:
-        return 100.0 * self.n_malformed / self.n
-
-
-@dataclass
-class GroupRates:
-    classifiers: tuple[str, ...]
-    scopes: tuple[str, ...]
-    cells: dict[tuple[str, str], RateCell]  # (classifier, scope) -> cell
-
-    def cell(self, classifier: str, scope: str) -> RateCell:
-        return self.cells[(classifier, scope)]
-
-
-def group_rates(matrix: LabelMatrix) -> GroupRates:
-    """Per-(classifier, scope) yes/no percentages over pooled sentences.
-
-    Counts one pass per classifier, then pools the per-NGO integer counts
-    into the group and grand totals -- pooling sentences and weighting NGO
-    percentages by sentence count are the same arithmetic, and on integer
-    counts the identity is exact.
-    """
-    rows = matrix.rows
-    group_of: dict[str, str] = {}
-    for row in rows:
-        group_of.setdefault(row.ngo_id, row.group)
-    ngo_order = list(group_of)
-
-    per_classifier: dict[str, Counter] = {
-        "tree": Counter((row.ngo_id, row.tree) for row in rows)
+def _scope_counts(matrix: LabelMatrix) -> dict[str, Counter]:
+    """Scope -> label tuple (one label per classifier) -> rows, summed over
+    the NGOs the scope pools."""
+    by_ngo: dict[str, Counter] = {}
+    for (ngo, *labels), n in matrix.joint_counts.items():
+        by_ngo.setdefault(ngo, Counter())[tuple(labels)] += n
+    return {
+        scope: sum((by_ngo[ngo] for ngo in members), Counter())
+        for scope, members in matrix.scopes().items()
     }
-    for i, model_id in enumerate(matrix.model_ids):
-        per_classifier[model_id] = Counter(
-            (row.ngo_id, row.model_labels[i]) for row in rows
-        )
-
-    def cell_for(counts: Counter, ngo_ids: list[str]) -> RateCell:
-        n_yes = sum(counts[(ngo, "yes")] for ngo in ngo_ids)
-        n_no = sum(counts[(ngo, "no")] for ngo in ngo_ids)
-        n_malformed = sum(counts[(ngo, "malformed")] for ngo in ngo_ids)
-        return RateCell(n=n_yes + n_no + n_malformed, n_yes=n_yes, n_no=n_no, n_malformed=n_malformed)
-
-    scope_members = {ngo: [ngo] for ngo in ngo_order}
-    secular = [n for n in ngo_order if group_of[n] == "secular"]
-    religious = [n for n in ngo_order if group_of[n] == "religious"]
-    if secular:
-        scope_members[SECULAR_TOTAL] = secular
-    if religious:
-        scope_members[RELIGIOUS_TOTAL] = religious
-    if ngo_order:
-        scope_members[TOTAL] = ngo_order
-
-    cells: dict[tuple[str, str], RateCell] = {}
-    for scope, members in scope_members.items():
-        for classifier in matrix.classifiers:
-            cells[(classifier, scope)] = cell_for(per_classifier[classifier], members)
-    return GroupRates(
-        classifiers=matrix.classifiers, scopes=tuple(scope_members), cells=cells
-    )
 
 
-@dataclass
-class AgreementStats:
-    classifiers: tuple[str, ...]
-    scopes: tuple[str, ...]
-    pairwise: dict[tuple[str, str], dict[str, float]]  # (a, b) -> scope -> pct
-    overall: dict[str, float]  # scope -> pct
-
-    def pair(self, a: str, b: str) -> dict[str, float]:
-        return self.pairwise[(a, b) if (a, b) in self.pairwise else (b, a)]
+def _tally(counts: Counter, i: int) -> Counter:
+    """Label -> rows, for the classifier at position i of the label tuples."""
+    out: Counter = Counter()
+    for labels, n in counts.items():
+        out[labels[i]] += n
+    return out
 
 
-def _agrees(a: str, b: str) -> bool:
-    return a in VALID and b in VALID and a == b
+def group_rates(matrix: LabelMatrix) -> dict[str, dict]:
+    """Per-(classifier, scope) yes/no counts and percentages over pooled
+    sentences -- pooling sentences and weighting NGO percentages by
+    sentence count are the same arithmetic, and on integer counts the
+    identity is exact."""
+    out = {}
+    for scope, counts in _scope_counts(matrix).items():
+        for i, classifier in enumerate(matrix.classifiers):
+            tally = _tally(counts, i)
+            n = tally["yes"] + tally["no"] + tally["malformed"]
+            out[f"{classifier}|{scope}"] = {
+                "n": n,
+                "n_yes": tally["yes"],
+                "n_no": tally["no"],
+                "n_malformed": tally["malformed"],
+                "pct_yes": 100.0 * tally["yes"] / n,
+                "pct_no": 100.0 * tally["no"] / n,
+            }
+    return out
 
 
-def pairwise_agreement(matrix: LabelMatrix) -> AgreementStats:
+def pairwise_agreement(matrix: LabelMatrix) -> dict:
     """Exact-label agreement percentages per scope, for every classifier
-    pair and for all classifiers jointly."""
+    pair ("pairwise", in "pairs" order) and for all classifiers jointly
+    ("overall")."""
     classifiers = matrix.classifiers
-    pairs = [
-        (classifiers[i], classifiers[j])
-        for i in range(len(classifiers))
-        for j in range(i + 1, len(classifiers))
-    ]
-    scopes = matrix.scopes()
-    pairwise: dict[tuple[str, str], dict[str, float]] = {p: {} for p in pairs}
+    pairs = {
+        f"{classifiers[i]}&{classifiers[j]}": (i, j)
+        for i, j in combinations(range(len(classifiers)), 2)
+    }
+    pairwise: dict[str, dict[str, float]] = {name: {} for name in pairs}
     overall: dict[str, float] = {}
-    for scope, rows in scopes.items():
-        if not rows:
-            continue
-        n = len(rows)
-        for a, b in pairs:
-            hits = sum(
-                _agrees(row.label(a, matrix.model_ids), row.label(b, matrix.model_ids))
-                for row in rows
-            )
-            pairwise[(a, b)][scope] = 100.0 * hits / n
-        all_agree = 0
-        for row in rows:
-            labels = [row.label(c, matrix.model_ids) for c in classifiers]
-            if labels[0] in VALID and all(lbl == labels[0] for lbl in labels):
-                all_agree += 1
+    for scope, counts in _scope_counts(matrix).items():
+        n = sum(counts.values())
+        for name, (i, j) in pairs.items():
+            hits = sum(k for labels, k in counts.items() if labels[i] in VALID and labels[i] == labels[j])
+            pairwise[name][scope] = 100.0 * hits / n
+        all_agree = sum(k for labels, k in counts.items() if labels[0] in VALID and len(set(labels)) == 1)
         overall[scope] = 100.0 * all_agree / n
-    return AgreementStats(
-        classifiers=classifiers,
-        scopes=tuple(s for s, rows in scopes.items() if rows),
-        pairwise=pairwise,
-        overall=overall,
-    )
+    return {"overall": overall, "pairs": list(pairs), "pairwise": pairwise}
 
 
-@dataclass(frozen=True)
-class RatioCell:
-    n_yes: int
-    n_no: int
-    n_malformed_self: int
-    n_disagreements: int
-
-    @property
-    def ratio(self) -> float:
-        """yes:no ratio; inf when no 'no' answers exist, nan when neither."""
-        if self.n_no == 0:
-            return math.nan if self.n_yes == 0 else math.inf
-        return self.n_yes / self.n_no
-
-    @property
-    def pct_malformed(self) -> float:
-        if self.n_disagreements == 0:
-            return 0.0
-        return 100.0 * self.n_malformed_self / self.n_disagreements
-
-
-@dataclass
-class DisagreementRatios:
-    pair: tuple[str, str]
-    scopes: tuple[str, ...]
-    cells: dict[tuple[str, str], RatioCell] = field(default_factory=dict)
-
-    def cell(self, model_id: str, scope: str) -> RatioCell:
-        return self.cells[(model_id, scope)]
-
-
-def disagreement_ratios(
-    matrix: LabelMatrix, pair: tuple[str, str] | None = None
-) -> DisagreementRatios:
-    """Yes/no tendencies of each model within their mutual disagreements.
-
-    pair defaults to the matrix's first two models.
-    """
-    if pair is None:
-        if len(matrix.model_ids) < 2:
-            raise ValueError("disagreement ratios need two models")
-        pair = (matrix.model_ids[0], matrix.model_ids[1])
-    a, b = pair
-
-    def in_disagreement(row: MatrixRow) -> bool:
-        la = row.label(a, matrix.model_ids)
-        lb = row.label(b, matrix.model_ids)
-        return la != lb or la not in VALID or lb not in VALID
-
-    scopes = matrix.scopes()
-    result = DisagreementRatios(pair=pair, scopes=tuple(scopes))
-    for scope, rows in scopes.items():
-        subset = [row for row in rows if in_disagreement(row)]
-        for model_id in pair:
-            labels = [row.label(model_id, matrix.model_ids) for row in subset]
-            result.cells[(model_id, scope)] = RatioCell(
-                n_yes=sum(lbl == "yes" for lbl in labels),
-                n_no=sum(lbl == "no" for lbl in labels),
-                n_malformed_self=sum(lbl == "malformed" for lbl in labels),
-                n_disagreements=len(subset),
-            )
-    return result
+def disagreement_ratios(matrix: LabelMatrix) -> dict[str, dict]:
+    """Yes/no tendencies of the first two models within their mutual
+    disagreements, per (model, scope). The ratio is stored as None when
+    the model answered neither yes nor no there, and "inf" when it never
+    answered no."""
+    if len(matrix.model_ids) < 2:
+        raise ValueError("disagreement ratios need two models")
+    out = {}
+    for scope, counts in _scope_counts(matrix).items():
+        # labels[1] and labels[2] are the first two models; labels[0] is the tree
+        subset = Counter({
+            labels: k
+            for labels, k in counts.items()
+            if labels[1] != labels[2] or labels[1] not in VALID or labels[2] not in VALID
+        })
+        n_disagreements = sum(subset.values())
+        for i, model_id in enumerate(matrix.model_ids[:2], start=1):
+            tally = _tally(subset, i)
+            n_yes, n_no, n_malformed = tally["yes"], tally["no"], tally["malformed"]
+            out[f"{model_id}|{scope}"] = {
+                "n_yes": n_yes,
+                "n_no": n_no,
+                "n_malformed_self": n_malformed,
+                "n_disagreements": n_disagreements,
+                "ratio": (None if n_yes == 0 else "inf") if n_no == 0 else n_yes / n_no,
+                "pct_malformed": 100.0 * n_malformed / n_disagreements if n_disagreements else 0.0,
+            }
+    return out

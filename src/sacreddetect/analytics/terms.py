@@ -7,9 +7,6 @@ not "sacredearthy".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..textpipe.corpus import SentenceRecord
 from .matrix import LabelMatrix
 
 
@@ -31,54 +28,38 @@ def phrase_in_text(text: str, phrase: str) -> bool:
         start = i + 1
 
 
-@dataclass
-class TermReport:
-    phrase: str
-    n_sentences: int
-    counts: dict[str, dict]  # classifier -> {n_yes, pct_yes}
-    samples: list[dict]  # sentence text plus per-model argumentation excerpts
-
-
 def term_report(
-    corpus: list[SentenceRecord],
     matrix: LabelMatrix,
     phrase: str,
     argumentation: dict[str, dict[str, str]] | None = None,
     max_samples: int = 10,
-) -> TermReport:
-    """Counts and per-classifier yes-rates over sentences containing phrase.
+) -> dict:
+    """Counts and per-classifier yes-rates over sentences containing phrase,
+    as its stats.json "terms" entry.
 
     argumentation optionally maps model_id -> {sentence_id -> argumentation}
     so sample rows can quote the models' stated reasoning.
     """
     if not phrase.strip():
         raise ValueError("phrase must be non-empty")
-    rows_by_id = {row.sentence_id: row for row in matrix.rows}
-    hits = [
-        (rec, rows_by_id[rec.sentence_id])
-        for rec in corpus
-        if rec.sentence_id in rows_by_id and phrase_in_text(rec.text, phrase)
-    ]
+    hits = [i for i, text in enumerate(matrix.texts) if phrase_in_text(text, phrase)]
 
     counts: dict[str, dict] = {}
-    for classifier in matrix.classifiers:
-        n_yes = sum(row.label(classifier, matrix.model_ids) == "yes" for _, row in hits)
+    for classifier, column in matrix.labels.items():
+        n_yes = sum(column[i] == "yes" for i in hits)
         counts[classifier] = {
             "n_yes": n_yes,
             "pct_yes": 100.0 * n_yes / len(hits) if hits else 0.0,
         }
 
     samples = []
-    for rec, row in hits[:max_samples]:
-        sample = {"sentence_id": rec.sentence_id, "ngo_id": rec.ngo_id, "text": rec.text}
-        labels = {"tree": row.tree}
+    for i in hits[:max_samples]:
+        sentence_id = matrix.sentence_ids[i]
+        sample = {"sentence_id": sentence_id, "ngo_id": matrix.ngo_ids[i], "text": matrix.texts[i]}
         for model_id in matrix.model_ids:
-            labels[model_id] = row.label(model_id, matrix.model_ids)
-            if argumentation and rec.sentence_id in argumentation.get(model_id, {}):
-                sample[f"argumentation:{model_id}"] = argumentation[model_id][rec.sentence_id]
-        sample["labels"] = labels
+            if argumentation and sentence_id in argumentation.get(model_id, {}):
+                sample[f"argumentation:{model_id}"] = argumentation[model_id][sentence_id]
+        sample["labels"] = {classifier: column[i] for classifier, column in matrix.labels.items()}
         samples.append(sample)
 
-    return TermReport(
-        phrase=phrase, n_sentences=len(hits), counts=counts, samples=samples
-    )
+    return {"n_sentences": len(hits), "counts": counts, "samples": samples}

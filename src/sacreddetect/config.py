@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import tomlcfg
+from .analytics.reports import phrase_slug
 from .errors import ConfigError
 
 GROUPS = ("religious", "secular")
@@ -196,9 +197,18 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
 
     report = raw.get("report", {}) or {}
     phrases = tuple(report.get("phrases", DEFAULT_REPORT_PHRASES))
+    slugs: dict[str, str] = {}
     for p in phrases:
         if not str(p).strip():
             raise ConfigError("report.phrases: phrases must be non-empty")
+        # each phrase's report is reports/terms/<slug>.md, so two phrases
+        # with one slug would silently share, and overwrite, one file
+        slug = phrase_slug(str(p))
+        if slug in slugs:
+            raise ConfigError(
+                f"report.phrases: {slugs[slug]!r} and {p!r} both write reports/terms/{slug}.md"
+            )
+        slugs[slug] = str(p)
 
     return PipelineConfig(
         sources=sources,

@@ -48,13 +48,7 @@ from .judge import batch as batch_mod
 from .judge import providers as providers_mod
 from .judge.prompts import prompt_hash
 from .judge.verdicts import Verdict
-from .lexicon.matcher import (
-    Match,
-    MatchResult,
-    classify_corpus,
-    compile_matcher,
-    yes_rate_summary,
-)
+from .lexicon.matcher import classify_corpus, compile_matcher, yes_rate_summary
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
 from .textpipe.corpus import (
@@ -318,7 +312,14 @@ def run_extract(config: PipelineConfig) -> None:
             counters: Counter = Counter()
             docs: list[CleanDocument] = []
             for ngo_id in ngo_ids:
+                seen: set[str] = set()
                 for raw_doc in store.iter_ngo(ngo_id):
+                    if raw_doc.doc_id in seen:
+                        # the same (url, body) appended twice, as by a harvest
+                        # resumed before its index was flushed
+                        counters["skipped_duplicate_doc"] += 1
+                        continue
+                    seen.add(raw_doc.doc_id)
                     if not raw_doc.ok or not raw_doc.body:
                         counters["skipped_failed_fetch"] += 1
                         continue
@@ -483,30 +484,36 @@ def run_classify(
                     corpus = load_corpus(layout, ngo_id)
                     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln]
                     state_path = batch_dir / f"{ngo_id}.state.json"
+                    results_path = batch_dir / f"{ngo_id}.results.jsonl"
                     state = (
                         json.loads(state_path.read_text(encoding="utf-8"))
                         if state_path.is_file()
                         else {}
                     )
+                    done = {"provider": provider_name, "done": True}
                     save_state = lambda s: write_text(state_path, json.dumps(s))  # noqa: E731
-                    try:
-                        raw_lines = provider.run_batch(lines, state=state, state_save=save_state)
-                    except ProviderError:
-                        if state:
-                            save_state(state)
-                            log.error(
-                                "classify %s/%s: provider failed; submission state saved, "
-                                "re-run to resume", model.model_id, ngo_id,
-                            )
-                        raise
-                    state_path.unlink(missing_ok=True)
+                    if state == done and results_path.is_file():
+                        # finished by this provider in a run that failed on a
+                        # later file: read back, not sent (and paid for) again
+                        raw_lines = results_path.read_text(encoding="utf-8").splitlines()
+                    else:
+                        if state.get("done"):  # finished by another provider
+                            state = {}
+                        try:
+                            raw_lines = provider.run_batch(lines, state=state, state_save=save_state)
+                        except ProviderError:
+                            if state:
+                                save_state(state)
+                                log.error(
+                                    "classify %s/%s: provider failed; submission state saved, "
+                                    "re-run to resume", model.model_id, ngo_id,
+                                )
+                            raise
+                        write_text(results_path, "\n".join(raw_lines) + ("\n" if raw_lines else ""))
+                        save_state(done)
                     results = providers_mod.parse_result_lines(raw_lines)
                     verdicts = providers_mod.join_verdicts(
                         corpus, results, model.model_id, strict_json=strict_json
-                    )
-                    write_text(
-                        batch_dir / f"{ngo_id}.results.jsonl",
-                        "\n".join(raw_lines) + ("\n" if raw_lines else ""),
                     )
                     write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
                     log.info(
@@ -531,22 +538,13 @@ def run_classify(
 # --- analyze ----------------------------------------------------------------
 
 
-def _load_tree_results(layout: Layout) -> list[MatchResult]:
-    results = []
-    for path in sorted(layout.labels_tree.glob("*.jsonl")):
-        for row in read_jsonl(path):
-            results.append(
-                MatchResult(
-                    sentence_id=row["sentence_id"],
-                    matches=tuple(
-                        Match(m["variant"], tuple(m["path"]), tuple(m["span"]))
-                        for m in row.get("matches", [])
-                    ),
-                    match_count=int(row["match_count"]),
-                    label=row["label"],
-                )
-            )
-    return results
+def _load_tree_results(layout: Layout) -> dict[str, str]:
+    """sentence_id -> tree label, over every labels/tree file."""
+    return {
+        row["sentence_id"]: row["label"]
+        for path in sorted(layout.labels_tree.glob("*.jsonl"))
+        for row in read_jsonl(path)
+    }
 
 
 def _load_verdicts(layout: Layout, model_id: str) -> list[Verdict]:
@@ -580,8 +578,6 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
             )
 
         def build(out: Path) -> dict:
-            corpus = load_corpus(layout)
-            tree_results = _load_tree_results(layout)
             verdict_sets = {}
             argumentation: dict[str, dict[str, str]] = {}
             for model_id in model_ids:
@@ -593,22 +589,29 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                     if v.argumentation is not None
                 }
 
-            matrix = matrix_mod.tabulate(corpus, tree_results, verdict_sets, config.groups())
-            rates = group_rates(matrix)
-            agreement = pairwise_agreement(matrix)
-            ratios = disagreement_ratios(matrix) if len(model_ids) >= 2 else None
-            terms = [
-                term_report(corpus, matrix, phrase, argumentation)
-                for phrase in config.report_phrases
-            ]
-            consistency = duplicate_consistency(corpus, matrix)
-            summary = _read_summary_csv(layout.corpus / "summary.csv")
-
-            bundle = reports_mod.stats_bundle(
-                summary, rates, agreement, ratios, terms, consistency, provenance=inputs
+            matrix = matrix_mod.tabulate(
+                load_corpus(layout), _load_tree_results(layout), verdict_sets, config.groups()
             )
+            bundle = {
+                "corpus": _read_summary_csv(layout.corpus / "summary.csv"),
+                # explicit presentation order: stats.json is written with
+                # sorted keys, so key order cannot carry it
+                "classifiers": list(matrix.classifiers),
+                "scopes": list(matrix.scopes()),
+                "rates": group_rates(matrix),
+                "agreement": pairwise_agreement(matrix),
+                "terms": {
+                    phrase: term_report(matrix, phrase, argumentation)
+                    for phrase in config.report_phrases
+                },
+                "consistency": duplicate_consistency(matrix),
+                "provenance": inputs,
+            }
+            if len(model_ids) >= 2:
+                bundle["ratio_pair"] = model_ids[:2]
+                bundle["disagreement_ratios"] = disagreement_ratios(matrix)
             write_json(out / "stats.json", bundle)
-            log.info("analyze: %d rows, %d classifiers", len(matrix.rows), len(matrix.classifiers))
+            log.info("analyze: %d rows, %d classifiers", len(matrix.sentence_ids), len(matrix.classifiers))
             return {"models": model_ids}
 
         _produce("analyze", layout.analysis, inputs, build)

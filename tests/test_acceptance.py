@@ -9,6 +9,7 @@ wherever the fixture's printed per-NGO figures can reach it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import shutil
@@ -19,11 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from builders import label_matrix, oracle_rows
 from oracles import naive_agreement, naive_match_spans, naive_rates, naive_ratios
 from sacreddetect import cli
 from sacreddetect.analytics import (
-    LabelMatrix,
-    MatrixRow,
     disagreement_ratios,
     group_rates,
     pairwise_agreement,
@@ -34,7 +34,6 @@ from sacreddetect.harvest import build_cdx_query
 from sacreddetect.judge import parse_verdict, prompt_hash
 from sacreddetect.judge.verdicts import LABELS
 from sacreddetect.lexicon import Lexicon, LexiconNode, compile_matcher, match_sentence
-from sacreddetect.textpipe.corpus import SentenceRecord
 
 
 def report_line(name: str, ok: bool, detail: str = "") -> None:
@@ -96,36 +95,34 @@ def _reachable_pct(members: list[tuple[int, float]]) -> tuple[Fraction, Fraction
 
 
 def test_criterion_1_weighted_totals():
-    rows: list[MatrixRow] = []
+    rows: list[tuple] = []
     for group, table in TREE_FIXTURE.items():
         for ngo, n, pct in table:
             n_yes = round(n * pct / 100)
-            yes_row = MatrixRow("s", ngo, group, "yes", ())
-            no_row = MatrixRow("s", ngo, group, "no", ())
-            rows += [yes_row] * n_yes + [no_row] * (n - n_yes)
-    matrix = LabelMatrix(model_ids=(), rows=rows)
+            rows += [(ngo, group, "yes")] * n_yes + [(ngo, group, "no")] * (n - n_yes)
+    matrix = label_matrix(rows, models=())
 
     start = time.perf_counter()
     rates = group_rates(matrix)
     elapsed = time.perf_counter() - start
 
     scopes = _fixture_scopes()
-    assert set(rates.scopes) == set(scopes)
+    assert set(rates) == {f"tree|{scope}" for scope in scopes}
     for scope, members in scopes.items():
         n = sum(m_n for m_n, _ in members)
         n_yes = sum(round(m_n * pct / 100) for m_n, pct in members)
-        cell = rates.cell("tree", scope)
-        counts = (cell.n, cell.n_yes, cell.n_no, cell.n_malformed)
+        cell = rates[f"tree|{scope}"]
+        counts = (cell["n"], cell["n_yes"], cell["n_no"], cell["n_malformed"])
         assert counts == (n, n_yes, n - n_yes, 0), scope
-        assert cell.pct_yes == 100 * n_yes / n, scope
+        assert cell["pct_yes"] == 100 * n_yes / n, scope
     for table in TREE_FIXTURE.values():
         for ngo, _, pct in table:
-            assert f"{rates.cell('tree', ngo).pct_yes:.1f}" == f"{pct:.1f}", ngo
+            assert f"{rates[f'tree|{ngo}']['pct_yes']:.1f}" == f"{pct:.1f}", ngo
     report_line("1 pooled-counts exact", True, f"{len(scopes)} scopes")
 
     failures, unreachable = [], set()
     for scope, target in WEIGHTED_TARGETS.items():
-        got = rates.cell("tree", scope).pct_yes
+        got = rates[f"tree|{scope}"]["pct_yes"]
         low, high = _reachable_pct(scopes[scope])
         wanted, tolerance = Fraction(str(target)), Fraction(str(TOLERANCE_PP))
         if high < wanted - tolerance or low > wanted + tolerance:
@@ -154,26 +151,25 @@ def test_criterion_1_weighted_totals():
 
 def test_criterion_2_malformed_accounting():
     rows = []
-    i = 0
     for _ in range(5_660):  # llama malformed, gpt answered
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("yes", "malformed"))); i += 1
+        rows.append(("x", "secular", "no", "yes", "malformed"))
     for _ in range(704):  # gpt malformed, llama answered
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("malformed", "yes"))); i += 1
+        rows.append(("x", "secular", "no", "malformed", "yes"))
     for _ in range(21_310 - 5_660 - 704):  # valid but unequal
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("yes", "no"))); i += 1
+        rows.append(("x", "secular", "no", "yes", "no"))
     for _ in range(2_000):  # agreements, outside the disagreement subset
-        rows.append(MatrixRow(f"s{i}", "x", "secular", "no", ("no", "no"))); i += 1
-    matrix = LabelMatrix(model_ids=("gpt", "llama"), rows=rows)
+        rows.append(("x", "secular", "no", "no", "no"))
+    matrix = label_matrix(rows, models=("gpt", "llama"))
     ratios = disagreement_ratios(matrix)
-    llama = ratios.cell("llama", "total")
-    gpt = ratios.cell("gpt", "total")
+    llama = ratios["llama|total"]
+    gpt = ratios["gpt|total"]
 
-    ok_n = llama.n_disagreements == 21_310
-    ok_llama = abs(llama.pct_malformed - 26.6) <= 0.05
-    ok_gpt = abs(gpt.pct_malformed - 3.3) <= 0.05
-    report_line("2 disagreement-count", ok_n, f"{llama.n_disagreements}")
-    report_line("2 llama-malformed-share", ok_llama, f"{llama.pct_malformed:.4f}% vs 26.6% ±0.05pp")
-    report_line("2 gpt-malformed-share", ok_gpt, f"{gpt.pct_malformed:.4f}% vs 3.3% ±0.05pp")
+    ok_n = llama["n_disagreements"] == 21_310
+    ok_llama = abs(llama["pct_malformed"] - 26.6) <= 0.05
+    ok_gpt = abs(gpt["pct_malformed"] - 3.3) <= 0.05
+    report_line("2 disagreement-count", ok_n, f"{llama['n_disagreements']}")
+    report_line("2 llama-malformed-share", ok_llama, f"{llama['pct_malformed']:.4f}% vs 26.6% ±0.05pp")
+    report_line("2 gpt-malformed-share", ok_gpt, f"{gpt['pct_malformed']:.4f}% vs 3.3% ±0.05pp")
     assert ok_n and ok_llama and ok_gpt
 
 
@@ -181,41 +177,36 @@ def test_criterion_2_malformed_accounting():
 
 
 def _phrase_matrix(phrase: str, n: int, gpt_yes: int, llama_yes: int):
-    corpus, rows = [], []
-    for i in range(n):
-        rec = SentenceRecord.make(f"d{i}", "ngo", 0, f"Case {i} mentions {phrase} plainly.")
-        corpus.append(rec)
-        rows.append(
-            MatrixRow(
-                rec.sentence_id, "ngo", "religious", "yes",
-                ("yes" if i < gpt_yes else "no", "yes" if i < llama_yes else "no"),
-            )
-        )
-    return corpus, LabelMatrix(model_ids=("gpt", "llama"), rows=rows)
+    rows = [
+        ("ngo", "religious", "yes", "yes" if i < gpt_yes else "no", "yes" if i < llama_yes else "no")
+        for i in range(n)
+    ]
+    texts = [f"Case {i} mentions {phrase} plainly." for i in range(n)]
+    return label_matrix(rows, models=("gpt", "llama"), texts=texts)
 
 
 def test_criterion_3_term_reports():
     checks = []
-    corpus, matrix = _phrase_matrix("Mother Earth", 1_229, 415, 457)
-    report = term_report(corpus, matrix, "mother earth")
-    checks.append(("mother-earth n", report.n_sentences == 1_229, str(report.n_sentences)))
+    matrix = _phrase_matrix("Mother Earth", 1_229, 415, 457)
+    report = term_report(matrix, "mother earth")
+    checks.append(("mother-earth n", report["n_sentences"] == 1_229, str(report["n_sentences"])))
     checks.append(
-        ("mother-earth gpt 33.8", abs(report.counts["gpt"]["pct_yes"] - 33.8) <= 0.05,
-         f"{report.counts['gpt']['pct_yes']:.4f}%")
+        ("mother-earth gpt 33.8", abs(report["counts"]["gpt"]["pct_yes"] - 33.8) <= 0.05,
+         f"{report['counts']['gpt']['pct_yes']:.4f}%")
     )
     checks.append(
-        ("mother-earth llama 37.2", abs(report.counts["llama"]["pct_yes"] - 37.2) <= 0.05,
-         f"{report.counts['llama']['pct_yes']:.4f}%")
+        ("mother-earth llama 37.2", abs(report["counts"]["llama"]["pct_yes"] - 37.2) <= 0.05,
+         f"{report['counts']['llama']['pct_yes']:.4f}%")
     )
-    corpus, matrix = _phrase_matrix("sacred earth", 52, 6, 39)
-    report = term_report(corpus, matrix, "sacred earth")
+    matrix = _phrase_matrix("sacred earth", 52, 6, 39)
+    report = term_report(matrix, "sacred earth")
     checks.append(
-        ("sacred-earth gpt 11.5", abs(report.counts["gpt"]["pct_yes"] - 11.5) <= 0.05,
-         f"{report.counts['gpt']['pct_yes']:.4f}%")
+        ("sacred-earth gpt 11.5", abs(report["counts"]["gpt"]["pct_yes"] - 11.5) <= 0.05,
+         f"{report['counts']['gpt']['pct_yes']:.4f}%")
     )
     checks.append(
-        ("sacred-earth llama 75.0", abs(report.counts["llama"]["pct_yes"] - 75.0) <= 0.05,
-         f"{report.counts['llama']['pct_yes']:.4f}%")
+        ("sacred-earth llama 75.0", abs(report["counts"]["llama"]["pct_yes"] - 75.0) <= 0.05,
+         f"{report['counts']['llama']['pct_yes']:.4f}%")
     )
     for name, ok, detail in checks:
         report_line(f"3 {name}", ok, detail)
@@ -276,31 +267,16 @@ def test_criterion_4_matcher_oracle_1000_cases():
 # --- 5. agreement/ratio oracle equivalence ---------------------------------------
 
 
-def _random_label_matrix(rng: random.Random, n_rows: int) -> LabelMatrix:
+def _random_label_matrix(rng: random.Random, n_rows: int):
     ngos = [("a", "secular"), ("b", "secular"), ("c", "religious"), ("d", "religious")]
     labels = ("yes", "no", "malformed")
     rows = []
-    for i in range(n_rows):
+    for _ in range(n_rows):
         ngo, group = rng.choice(ngos)
         rows.append(
-            MatrixRow(
-                f"s{i}", ngo, group,
-                rng.choice(("yes", "no")),
-                (rng.choice(labels), rng.choice(labels)),
-            )
+            (ngo, group, rng.choice(("yes", "no")), rng.choice(labels), rng.choice(labels))
         )
-    return LabelMatrix(model_ids=("gpt", "llama"), rows=rows)
-
-
-def _as_dicts(matrix: LabelMatrix):
-    return [
-        {
-            "ngo": r.ngo_id,
-            "group": r.group,
-            "labels": {"tree": r.tree, "gpt": r.model_labels[0], "llama": r.model_labels[1]},
-        }
-        for r in matrix.rows
-    ]
+    return label_matrix(rows, models=("gpt", "llama"))
 
 
 def test_criterion_5_stats_oracle_100_matrices():
@@ -309,29 +285,30 @@ def test_criterion_5_stats_oracle_100_matrices():
     classifiers = ["tree", "gpt", "llama"]
     for size in sizes:
         matrix = _random_label_matrix(rng, size)
-        dicts = _as_dicts(matrix)
+        dicts = oracle_rows(matrix)
 
         rates = group_rates(matrix)
         for (classifier, scope), expected in naive_rates(dicts, classifiers).items():
-            cell = rates.cell(classifier, scope)
-            assert (cell.n, cell.n_yes, cell.n_no, cell.n_malformed) == (
+            cell = rates[f"{classifier}|{scope}"]
+            assert (cell["n"], cell["n_yes"], cell["n_no"], cell["n_malformed"]) == (
                 expected["n"], expected["n_yes"], expected["n_no"], expected["n_malformed"]
             )
-            assert cell.pct_yes == expected["pct_yes"]
-            assert cell.pct_no == expected["pct_no"]
+            assert cell["pct_yes"] == expected["pct_yes"]
+            assert cell["pct_no"] == expected["pct_no"]
 
         agreement = pairwise_agreement(matrix)
         want = naive_agreement(dicts, classifiers)
-        for (a, b), scoped in agreement.pairwise.items():
+        for pair, scoped in agreement["pairwise"].items():
+            a, b = pair.split("&")
             for scope, value in scoped.items():
                 assert value == want["pairwise"][(a, b, scope)]
-        assert agreement.overall == want["overall"]
+        assert agreement["overall"] == want["overall"]
 
         ratios = disagreement_ratios(matrix)
         want_ratios = naive_ratios(dicts, "gpt", "llama")
-        for key, cell in ratios.cells.items():
-            expected = want_ratios[key]
-            assert (cell.n_yes, cell.n_no, cell.n_malformed_self, cell.n_disagreements) == (
+        for key, cell in ratios.items():
+            expected = want_ratios[tuple(key.split("|"))]
+            assert (cell["n_yes"], cell["n_no"], cell["n_malformed_self"], cell["n_disagreements"]) == (
                 expected["n_yes"], expected["n_no"],
                 expected["n_malformed_self"], expected["n_disagreements"]
             )
@@ -340,19 +317,20 @@ def test_criterion_5_stats_oracle_100_matrices():
     # exact reciprocity on malformed-free matrices
     for _ in range(10):
         rows = []
-        for i in range(rng.randint(100, 2_000)):
+        for _ in range(rng.randint(100, 2_000)):
             rows.append(
-                MatrixRow(
-                    f"s{i}", "a", "secular",
+                (
+                    "a", "secular",
                     rng.choice(("yes", "no")),
-                    (rng.choice(("yes", "no")), rng.choice(("yes", "no"))),
+                    rng.choice(("yes", "no")), rng.choice(("yes", "no")),
                 )
             )
-        ratios = disagreement_ratios(LabelMatrix(model_ids=("gpt", "llama"), rows=rows))
-        for scope in ratios.scopes:
-            a, b = ratios.cell("gpt", scope), ratios.cell("llama", scope)
-            if a.n_no and b.n_no:
-                assert Fraction(a.n_yes, a.n_no) * Fraction(b.n_yes, b.n_no) == 1
+        matrix = label_matrix(rows, models=("gpt", "llama"))
+        ratios = disagreement_ratios(matrix)
+        for scope in matrix.scopes():
+            a, b = ratios[f"gpt|{scope}"], ratios[f"llama|{scope}"]
+            if a["n_no"] and b["n_no"]:
+                assert Fraction(a["n_yes"], a["n_no"]) * Fraction(b["n_yes"], b["n_no"]) == 1
     report_line("5 ratio-reciprocity exact", True)
 
 
@@ -439,6 +417,20 @@ def _tree_snapshot(root: Path) -> dict[str, bytes]:
     return out
 
 
+# sha256 of every analysis/ and reports/ file (manifests aside) of the
+# sample stub run, recorded from a known-good run; a change that alters any
+# report byte must update this file on purpose.
+REPORT_DIGESTS = Path(__file__).parent / "data" / "sample_report_digests.json"
+
+
+def _report_digests(snapshot: dict[str, bytes]) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in snapshot.items()
+        if name.startswith(("analysis/", "reports/"))
+    }
+
+
 def test_criterion_9_end_to_end_stub(tmp_path, monkeypatch):
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     start = time.perf_counter()
@@ -450,6 +442,14 @@ def test_criterion_9_end_to_end_stub(tmp_path, monkeypatch):
     deterministic = snap_a == snap_b
     report_line("9 deterministic-across-runs", deterministic, f"{len(snap_a)} files")
     assert deterministic
+
+    digests = _report_digests(snap_a)
+    expected = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))
+    differing = sorted(set(digests) ^ set(expected) | {
+        name for name in digests.keys() & expected.keys() if digests[name] != expected[name]
+    })
+    report_line("9 report-digests", not differing, ", ".join(differing) or f"{len(digests)} files")
+    assert not differing
 
     # every sentence holding a starter-lexicon term is tree-labeled yes
     corpus = []

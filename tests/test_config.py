@@ -67,6 +67,12 @@ to_year = 2024
         validate_config(write_config(tmp_path, body))
 
 
+def test_phrases_sharing_a_report_file_rejected(tmp_path):
+    body = MINIMAL + '[report]\nphrases = ["sacred earth", "Sacred-Earth"]\n'
+    with pytest.raises(ConfigError, match=r"'sacred earth' and 'Sacred-Earth'.*sacred-earth\.md"):
+        validate_config(write_config(tmp_path, body))
+
+
 def test_missing_lexicon_path_rejected(tmp_path):
     body = 'lexicon = "nowhere.tree"\n' + MINIMAL
     with pytest.raises(ConfigError, match="lexicon"):

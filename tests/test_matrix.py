@@ -2,16 +2,12 @@ import pytest
 
 from sacreddetect.analytics import tabulate
 from sacreddetect.errors import CoverageError
-from sacreddetect.lexicon.matcher import MatchResult
 from sacreddetect.textpipe.corpus import SentenceRecord
 
 
 def make_inputs(n=3):
     corpus = [SentenceRecord.make("d", "ngo_a", i, f"Sentence number {i}.") for i in range(n)]
-    tree = [
-        MatchResult(rec.sentence_id, (), 0, "no")
-        for rec in corpus
-    ]
+    tree = {rec.sentence_id: "no" for rec in corpus}
     verdicts = {"model-x": {rec.sentence_id: "yes" for rec in corpus}}
     groups = {"ngo_a": "secular"}
     return corpus, tree, verdicts, groups
@@ -20,10 +16,10 @@ def make_inputs(n=3):
 def test_full_coverage_joins_all_rows():
     corpus, tree, verdicts, groups = make_inputs(3)
     matrix = tabulate(corpus, tree, verdicts, groups)
-    assert len(matrix.rows) == 3
+    assert len(matrix.sentence_ids) == 3
     assert matrix.model_ids == ("model-x",)
     assert matrix.classifiers == ("tree", "model-x")
-    assert all(row.group == "secular" for row in matrix.rows)
+    assert matrix.groups == {"ngo_a": "secular"}
 
 
 def test_missing_verdict_names_the_id():
@@ -37,7 +33,13 @@ def test_missing_verdict_names_the_id():
 def test_missing_tree_result_is_an_error():
     corpus, tree, verdicts, groups = make_inputs(2)
     with pytest.raises(CoverageError, match="tree"):
-        tabulate(corpus, tree[:1], verdicts, groups)
+        tabulate(corpus, dict(list(tree.items())[:1]), verdicts, groups)
+
+
+def test_repeated_sentence_id_is_an_error():
+    corpus, tree, verdicts, groups = make_inputs(3)
+    with pytest.raises(CoverageError, match=corpus[2].sentence_id):
+        tabulate(corpus + corpus[2:], tree, verdicts, groups)
 
 
 def test_scopes_include_group_totals():
@@ -45,7 +47,7 @@ def test_scopes_include_group_totals():
         SentenceRecord.make("d1", "a", 0, "One."),
         SentenceRecord.make("d2", "b", 0, "Two."),
     ]
-    tree = [MatchResult(r.sentence_id, (), 0, "no") for r in corpus]
+    tree = {r.sentence_id: "no" for r in corpus}
     verdicts = {"m": {r.sentence_id: "no" for r in corpus}}
     matrix = tabulate(corpus, tree, verdicts, {"a": "secular", "b": "religious"})
     scopes = matrix.scopes()

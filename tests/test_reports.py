@@ -1,59 +1,58 @@
 import json
 import math
 
-from sacreddetect.analytics import (
-    AgreementStats,
-    ConsistencyGroup,
-    DisagreementRatios,
-    GroupRates,
-    RateCell,
-    RatioCell,
-    TermReport,
-)
 from sacreddetect.analytics.reports import (
     fmt_pct,
     fmt_ratio,
     phrase_slug,
     render_from_bundle,
     render_rates_table,
-    stats_bundle,
 )
 
 
-def small_rates():
-    cells = {
-        ("tree", "a"): RateCell(n=4, n_yes=1, n_no=3, n_malformed=0),
-        ("tree", "total"): RateCell(n=4, n_yes=1, n_no=3, n_malformed=0),
-        ("gpt", "a"): RateCell(n=4, n_yes=2, n_no=1, n_malformed=1),
-        ("gpt", "total"): RateCell(n=4, n_yes=2, n_no=1, n_malformed=1),
+def rate(n, n_yes, n_no, n_malformed):
+    return {
+        "n": n, "n_yes": n_yes, "n_no": n_no, "n_malformed": n_malformed,
+        "pct_yes": 100.0 * n_yes / n, "pct_no": 100.0 * n_no / n,
     }
-    return GroupRates(classifiers=("tree", "gpt"), scopes=("a", "total"), cells=cells)
 
 
-def small_agreement():
-    return AgreementStats(
-        classifiers=("tree", "gpt"),
-        scopes=("a", "total"),
-        pairwise={("tree", "gpt"): {"a": 50.0, "total": 50.0}},
-        overall={"a": 50.0, "total": 50.0},
-    )
-
-
-def small_ratios():
-    cells = {
-        ("gpt", "a"): RatioCell(n_yes=27, n_no=14, n_malformed_self=0, n_disagreements=41),
-        ("llama", "a"): RatioCell(n_yes=14, n_no=27, n_malformed_self=0, n_disagreements=41),
-        ("gpt", "total"): RatioCell(n_yes=3, n_no=0, n_malformed_self=1, n_disagreements=4),
-        ("llama", "total"): RatioCell(n_yes=0, n_no=0, n_malformed_self=4, n_disagreements=4),
+def ratio(n_yes, n_no, n_malformed_self, n_disagreements, value):
+    return {
+        "n_yes": n_yes, "n_no": n_no, "n_malformed_self": n_malformed_self,
+        "n_disagreements": n_disagreements, "ratio": value,
+        "pct_malformed": 100.0 * n_malformed_self / n_disagreements,
     }
-    return DisagreementRatios(pair=("gpt", "llama"), scopes=("a", "total"), cells=cells)
 
 
-def small_bundle(summary=(), terms=(), consistency=(), provenance=None):
-    return stats_bundle(
-        list(summary), small_rates(), small_agreement(), small_ratios(),
-        list(terms), list(consistency), provenance or {},
-    )
+def small_bundle(summary=(), terms=None, consistency=(), provenance=None):
+    """A stats.json bundle in the layout analyze writes."""
+    return {
+        "corpus": list(summary),
+        "classifiers": ["tree", "gpt"],
+        "scopes": ["a", "total"],
+        "rates": {
+            "tree|a": rate(4, 1, 3, 0),
+            "tree|total": rate(4, 1, 3, 0),
+            "gpt|a": rate(4, 2, 1, 1),
+            "gpt|total": rate(4, 2, 1, 1),
+        },
+        "agreement": {
+            "overall": {"a": 50.0, "total": 50.0},
+            "pairs": ["tree&gpt"],
+            "pairwise": {"tree&gpt": {"a": 50.0, "total": 50.0}},
+        },
+        "ratio_pair": ["gpt", "llama"],
+        "disagreement_ratios": {
+            "gpt|a": ratio(27, 14, 0, 41, 27 / 14),
+            "llama|a": ratio(14, 27, 0, 41, 14 / 27),
+            "gpt|total": ratio(3, 0, 1, 4, "inf"),
+            "llama|total": ratio(0, 0, 4, 4, None),
+        },
+        "terms": terms or {},
+        "consistency": list(consistency),
+        "provenance": provenance or {},
+    }
 
 
 def test_rates_csv_header():
@@ -109,11 +108,10 @@ def test_stats_json_full_precision(tmp_path):
 
 def test_render_from_bundle_round_trips_tables(tmp_path):
     summary = [{"ngo_id": "a", "group": "secular", "n_documents": 2, "n_sentences": 4}]
-    term = TermReport(
-        phrase="Mother Earth",
-        n_sentences=1,
-        counts={"tree": {"n_yes": 1, "pct_yes": 100.0}, "gpt": {"n_yes": 0, "pct_yes": 0.0}},
-        samples=[
+    term = {
+        "n_sentences": 1,
+        "counts": {"tree": {"n_yes": 1, "pct_yes": 100.0}, "gpt": {"n_yes": 0, "pct_yes": 0.0}},
+        "samples": [
             {
                 "sentence_id": "s1",
                 "ngo_id": "a",
@@ -122,16 +120,16 @@ def test_render_from_bundle_round_trips_tables(tmp_path):
                 "labels": {"tree": "yes", "gpt": "no"},
             }
         ],
-    )
-    group = ConsistencyGroup(
-        text="Same line.",
-        n_occurrences=2,
-        per_classifier={
+    }
+    group = {
+        "text": "Same line.",
+        "n_occurrences": 2,
+        "per_classifier": {
             "tree": {"n_yes": 2, "n_no": 0, "n_malformed": 0, "consistency": 1.0},
             "gpt": {"n_yes": 1, "n_no": 0, "n_malformed": 1, "consistency": None},
         },
-    )
-    bundle = small_bundle(summary, [term], [group], {"x": "y"})
+    }
+    bundle = small_bundle(summary, {"Mother Earth": term}, [group], {"x": "y"})
     # through real serialization: key order is normalized on disk, so the
     # bundle's explicit ordering fields must carry presentation order
     reloaded = json.loads(json.dumps(bundle, sort_keys=True))

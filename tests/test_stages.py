@@ -5,7 +5,8 @@ import pytest
 
 from sacreddetect.config import sample_config_path, validate_config
 from sacreddetect import stages
-from sacreddetect.errors import ConfigError, PrerequisiteError, StageLockedError
+from sacreddetect.errors import ConfigError, PrerequisiteError, ProviderError, StageLockedError
+from sacreddetect.judge.providers import StubProvider
 from sacreddetect.manifest import read_manifest
 from sacreddetect.stages import (
     Layout,
@@ -254,3 +255,56 @@ def test_classify_records_the_template_the_batches_carry(sample_config):
     params = read_manifest(layout.labels_model("gpt-4o-mini")).params
     assert params["template"] == "revised"
     assert params["prompt_sha256"] == built.inputs["prompt"]
+
+
+def test_extract_skips_a_document_stored_twice(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    raw = layout.raw / "cca.jsonl"
+    raw.write_text(raw.read_text() * 2)  # the one cca document, appended again
+    run_extract(sample_config)
+
+    rows = [json.loads(line) for line in (layout.corpus / "cca.jsonl").read_text().splitlines()]
+    ids = [row["sentence_id"] for row in rows]
+    assert len(ids) == len(set(ids)) == 5
+    assert read_manifest(layout.corpus).params["counters"]["skipped_duplicate_doc"] == 1
+
+
+class FlakyProvider:
+    """Stub answers, with a provider failure on one call."""
+
+    def __init__(self, fail_on_call=None):
+        self.sent: list[list[str]] = []
+        self.fail_on_call = fail_on_call
+
+    def run_batch(self, lines, state=None, state_save=None):
+        self.sent.append(lines)
+        if len(self.sent) == self.fail_on_call:
+            raise ProviderError("quota exceeded")
+        return StubProvider().run_batch(lines)
+
+
+def test_classify_resume_does_not_resend_finished_files(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    cca_lines = (layout.batches(model) / "cca.jsonl").read_text().splitlines()
+
+    def classify_with(provider, **kwargs):
+        monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+        run_classify(sample_config, only_model=model, **kwargs)
+
+    with pytest.raises(ProviderError):  # cca done, greenfaith fails
+        classify_with(FlakyProvider(fail_on_call=2))
+    resumed = FlakyProvider()
+    classify_with(resumed)
+    assert len(resumed.sent) == 3
+    assert cca_lines not in resumed.sent
+    labels = (layout.labels_model(model) / "cca.jsonl").read_text().splitlines()
+    assert len(labels) == len(cca_lines)
+
+    other = FlakyProvider()  # another provider's results are not reused
+    classify_with(other, provider_override="openai-batch")
+    assert len(other.sent) == 4

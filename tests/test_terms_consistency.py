@@ -1,27 +1,16 @@
 import pytest
 
-from sacreddetect.analytics import (
-    LabelMatrix,
-    MatrixRow,
-    duplicate_consistency,
-    term_report,
-)
+from builders import label_matrix
+from sacreddetect.analytics import duplicate_consistency, term_report
 from sacreddetect.analytics.terms import phrase_in_text
-from sacreddetect.textpipe.corpus import SentenceRecord
-
-MODELS = ("gpt", "llama")
 
 
 def build(rows_spec):
     """rows_spec: list of (text, tree, gpt, llama)."""
-    corpus, rows = [], []
-    for i, (text, tree, gpt, llama) in enumerate(rows_spec):
-        rec = SentenceRecord.make(f"d{i}", "ngo", 0, text)
-        corpus.append(rec)
-        rows.append(
-            MatrixRow(rec.sentence_id, "ngo", "religious", tree, (gpt, llama))
-        )
-    return corpus, LabelMatrix(model_ids=MODELS, rows=rows)
+    return label_matrix(
+        [("ngo", "religious", *labels) for _, *labels in rows_spec],
+        texts=[text for text, *_ in rows_spec],
+    )
 
 
 def test_phrase_matching_rules():
@@ -39,12 +28,12 @@ def test_mother_earth_fixture_percentages():
         gpt = "yes" if i < 415 else "no"
         llama = "yes" if i < 457 else "no"
         spec.append((f"Sentence {i} about Mother Earth.", "yes", gpt, llama))
-    corpus, matrix = build(spec)
-    report = term_report(corpus, matrix, "mother earth")
-    assert report.n_sentences == 1229
-    assert report.counts["tree"]["pct_yes"] == 100.0
-    assert abs(report.counts["gpt"]["pct_yes"] - 33.8) <= 0.05
-    assert abs(report.counts["llama"]["pct_yes"] - 37.2) <= 0.05
+    matrix = build(spec)
+    report = term_report(matrix, "mother earth")
+    assert report["n_sentences"] == 1229
+    assert report["counts"]["tree"]["pct_yes"] == 100.0
+    assert abs(report["counts"]["gpt"]["pct_yes"] - 33.8) <= 0.05
+    assert abs(report["counts"]["llama"]["pct_yes"] - 37.2) <= 0.05
 
 
 def test_sacred_earth_fixture_percentages():
@@ -53,33 +42,33 @@ def test_sacred_earth_fixture_percentages():
         gpt = "yes" if i < 6 else "no"
         llama = "yes" if i < 39 else "no"
         spec.append((f"For our sacred earth, case {i}.", "yes", gpt, llama))
-    corpus, matrix = build(spec)
-    report = term_report(corpus, matrix, "sacred earth")
-    assert report.n_sentences == 52
-    assert abs(report.counts["gpt"]["pct_yes"] - 11.5) <= 0.05
-    assert abs(report.counts["llama"]["pct_yes"] - 75.0) <= 0.05
+    matrix = build(spec)
+    report = term_report(matrix, "sacred earth")
+    assert report["n_sentences"] == 52
+    assert abs(report["counts"]["gpt"]["pct_yes"] - 11.5) <= 0.05
+    assert abs(report["counts"]["llama"]["pct_yes"] - 75.0) <= 0.05
 
 
 def test_absent_phrase_yields_empty_report():
-    corpus, matrix = build([("Nothing here.", "no", "no", "no")])
-    report = term_report(corpus, matrix, "ubuntu")
-    assert report.n_sentences == 0
-    assert report.samples == []
-    assert report.counts["tree"]["n_yes"] == 0
+    matrix = build([("Nothing here.", "no", "no", "no")])
+    report = term_report(matrix, "ubuntu")
+    assert report["n_sentences"] == 0
+    assert report["samples"] == []
+    assert report["counts"]["tree"]["n_yes"] == 0
 
 
 def test_empty_phrase_rejected():
-    corpus, matrix = build([("Text.", "no", "no", "no")])
+    matrix = build([("Text.", "no", "no", "no")])
     with pytest.raises(ValueError):
-        term_report(corpus, matrix, "   ")
+        term_report(matrix, "   ")
 
 
 def test_samples_carry_argumentation():
-    corpus, matrix = build([("Mother Earth calls.", "yes", "yes", "no")])
-    argumentation = {"gpt": {corpus[0].sentence_id: "Spiritual concept of the Earth."}}
-    report = term_report(corpus, matrix, "mother earth", argumentation)
-    assert report.samples[0]["argumentation:gpt"] == "Spiritual concept of the Earth."
-    assert report.samples[0]["labels"]["llama"] == "no"
+    matrix = build([("Mother Earth calls.", "yes", "yes", "no")])
+    argumentation = {"gpt": {matrix.sentence_ids[0]: "Spiritual concept of the Earth."}}
+    report = term_report(matrix, "mother earth", argumentation)
+    assert report["samples"][0]["argumentation:gpt"] == "Spiritual concept of the Earth."
+    assert report["samples"][0]["labels"]["llama"] == "no"
 
 
 def test_duplicate_consistency_seven_of_twelve():
@@ -89,54 +78,54 @@ def test_duplicate_consistency_seven_of_twelve():
         llama = "yes" if i < 7 else "no"
         gpt = "yes" if i < 2 else "no"
         spec.append((text, "yes", gpt, llama))
-    corpus, matrix = build(spec)
-    [group] = duplicate_consistency(corpus, matrix)
-    assert group.n_occurrences == 12
-    llama = group.per_classifier["llama"]
+    matrix = build(spec)
+    [group] = duplicate_consistency(matrix)
+    assert group["n_occurrences"] == 12
+    llama = group["per_classifier"]["llama"]
     assert llama["n_yes"] == 7 and llama["n_no"] == 5
     assert llama["consistency"] == pytest.approx(7 / 12)
-    gpt = group.per_classifier["gpt"]
+    gpt = group["per_classifier"]["gpt"]
     assert gpt["consistency"] == pytest.approx(10 / 12)
-    assert group.per_classifier["tree"]["consistency"] == 1.0
+    assert group["per_classifier"]["tree"]["consistency"] == 1.0
 
 
 def test_consistency_all_labels_equal():
-    corpus, matrix = build([("Same line.", "no", "no", "no")] * 5)
-    [group] = duplicate_consistency(corpus, matrix)
-    for entry in group.per_classifier.values():
+    matrix = build([("Same line.", "no", "no", "no")] * 5)
+    [group] = duplicate_consistency(matrix)
+    for entry in group["per_classifier"].values():
         assert entry["consistency"] == 1.0
 
 
 def test_no_duplicates_empty_report():
-    corpus, matrix = build([("One.", "no", "no", "no"), ("Two.", "no", "no", "no")])
-    assert duplicate_consistency(corpus, matrix) == []
+    matrix = build([("One.", "no", "no", "no"), ("Two.", "no", "no", "no")])
+    assert duplicate_consistency(matrix) == []
 
 
 def test_grouping_ignores_whitespace_only_differences():
-    corpus, matrix = build(
+    matrix = build(
         [("Mother Earth  rises.", "yes", "yes", "yes"), ("Mother Earth rises.", "yes", "no", "yes")]
     )
-    [group] = duplicate_consistency(corpus, matrix)
-    assert group.n_occurrences == 2
-    assert group.per_classifier["gpt"]["consistency"] == pytest.approx(0.5)
+    [group] = duplicate_consistency(matrix)
+    assert group["n_occurrences"] == 2
+    assert group["per_classifier"]["gpt"]["consistency"] == pytest.approx(0.5)
 
 
 def test_consistency_over_valid_labels_only():
-    corpus, matrix = build(
+    matrix = build(
         [("Line.", "no", "yes", "malformed"), ("Line.", "no", "yes", "malformed"),
          ("Line.", "no", "no", "yes")]
     )
-    [group] = duplicate_consistency(corpus, matrix)
-    llama = group.per_classifier["llama"]
+    [group] = duplicate_consistency(matrix)
+    llama = group["per_classifier"]["llama"]
     assert llama["n_malformed"] == 2
     assert llama["consistency"] == 1.0  # one valid label, unanimous with itself
-    gpt = group.per_classifier["gpt"]
+    gpt = group["per_classifier"]["gpt"]
     assert gpt["consistency"] == pytest.approx(2 / 3)
 
 
 def test_sorted_by_occurrences_desc():
-    corpus, matrix = build(
+    matrix = build(
         [("Twice.", "no", "no", "no")] * 2 + [("Thrice.", "no", "no", "no")] * 3
     )
-    groups = duplicate_consistency(corpus, matrix)
-    assert [g.n_occurrences for g in groups] == [3, 2]
+    groups = duplicate_consistency(matrix)
+    assert [g["n_occurrences"] for g in groups] == [3, 2]
