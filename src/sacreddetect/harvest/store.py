@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -102,22 +103,33 @@ class DocumentStore:
         return url in self._index
 
     def append(self, doc: RawDocument) -> None:
-        line = json.dumps(doc.to_dict(), ensure_ascii=False)
+        # ASCII, so that a write torn by a crash cannot split a character
+        # and leave the file undecodable past the tear
+        line = json.dumps(doc.to_dict()).encode("ascii")
         with self._lock:
-            with open(self.root / f"{doc.ngo_id}.jsonl", "a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.write("\n")
+            with open(self.root / f"{doc.ngo_id}.jsonl", "a+b") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                if size:
+                    fh.seek(size - 1)
+                    if fh.read(1) != b"\n":
+                        # a write torn by a crash left the last line
+                        # unterminated: end it, so this document gets a
+                        # line of its own
+                        fh.write(b"\n")
+                fh.write(line + b"\n")
             self._index[doc.url] = doc.doc_id
 
     def flush_index(self) -> None:
         with self._lock:
             write_json(self.root / "index.json", self._index)
 
-    def iter_ngo(self, ngo_id: str) -> Iterator[RawDocument]:
+    def iter_ngo(self, ngo_id: str, on_bad_line=None) -> Iterator[RawDocument]:
+        """The NGO's documents in append order; on_bad_line as for
+        read_jsonl, for the remains of a write torn by a crash."""
         path = self.root / f"{ngo_id}.jsonl"
         if not path.is_file():
             return
-        for row in read_jsonl(path):
+        for row in read_jsonl(path, on_bad_line):
             yield RawDocument.from_dict(row)
 
     def ngo_ids(self) -> list[str]:

@@ -10,12 +10,23 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
+    """Rows of a JSONL file. A line that is not valid JSON raises, unless
+    on_bad_line is given: it is then called with the path and the 1-based
+    line number, and the line is skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                if on_bad_line is None:
+                    raise
+                on_bad_line(path, lineno)
+                continue
+            yield row
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:

@@ -311,9 +311,16 @@ def run_extract(config: PipelineConfig) -> None:
             store = DocumentStore(layout.raw)
             counters: Counter = Counter()
             docs: list[CleanDocument] = []
+
+            def torn_line(path: Path, lineno: int) -> None:
+                # the remains of a crashed append; its document was fetched
+                # again and stored on a later line
+                counters["skipped_torn_line"] += 1
+                log.warning("extract: skipped undecodable line %d of %s", lineno, path)
+
             for ngo_id in ngo_ids:
                 seen: set[str] = set()
-                for raw_doc in store.iter_ngo(ngo_id):
+                for raw_doc in store.iter_ngo(ngo_id, torn_line):
                     if raw_doc.doc_id in seen:
                         # the same (url, body) appended twice, as by a harvest
                         # resumed before its index was flushed
@@ -490,14 +497,23 @@ def run_classify(
                         if state_path.is_file()
                         else {}
                     )
-                    done = {"provider": provider_name, "done": True}
-                    save_state = lambda s: write_text(state_path, json.dumps(s))  # noqa: E731
-                    if state == done and results_path.is_file():
+                    owner = state.pop("provider", None)
+                    if state and owner != provider_name:
+                        # a batch id means nothing to another provider
+                        log.warning(
+                            "classify %s/%s: ignoring submission state of provider %r",
+                            model.model_id, ngo_id, owner,
+                        )
+                        state = {}
+                    save_state = lambda s: write_text(  # noqa: E731
+                        state_path, json.dumps({"provider": provider_name, **s})
+                    )
+                    if state == {"done": True} and results_path.is_file():
                         # finished by this provider in a run that failed on a
                         # later file: read back, not sent (and paid for) again
                         raw_lines = results_path.read_text(encoding="utf-8").splitlines()
                     else:
-                        if state.get("done"):  # finished by another provider
+                        if state.get("done"):  # its results file is gone
                             state = {}
                         try:
                             raw_lines = provider.run_batch(lines, state=state, state_save=save_state)
@@ -510,7 +526,7 @@ def run_classify(
                                 )
                             raise
                         write_text(results_path, "\n".join(raw_lines) + ("\n" if raw_lines else ""))
-                        save_state(done)
+                        save_state({"done": True})
                     results = providers_mod.parse_result_lines(raw_lines)
                     verdicts = providers_mod.join_verdicts(
                         corpus, results, model.model_id, strict_json=strict_json

@@ -111,22 +111,27 @@ LANGUAGES = tuple(_SEEDS)
 
 
 def _trigram_bag(text: str) -> Counter:
-    bag: Counter = Counter()
-    for word in _WORD_RE.findall(text.lower()):
-        padded = f" {word} "
-        for i in range(len(padded) - 2):
-            bag[padded[i : i + 3]] += 1
-    return bag
+    return Counter(
+        padded[i : i + 3]
+        for padded in (f" {word} " for word in _WORD_RE.findall(text.lower()))
+        for i in range(len(padded) - 2)
+    )
 
 
-_PROFILES = {lang: _trigram_bag(seed) for lang, seed in _SEEDS.items()}
-_TOTALS = {lang: sum(bag.values()) for lang, bag in _PROFILES.items()}
-_VOCAB = {lang: len(bag) for lang, bag in _PROFILES.items()}
+def _log_table(seed: str) -> tuple[dict[str, float], float]:
+    """Add-one-smoothed log-probability of each profile trigram, and of an
+    unseen one."""
+    profile = _trigram_bag(seed)
+    denom = sum(profile.values()) + len(profile) + 1
+    return {g: math.log((n + 1) / denom) for g, n in profile.items()}, math.log(1 / denom)
+
+
+_TABLES = {lang: _log_table(seed) for lang, seed in _SEEDS.items()}
 
 
 def _log_likelihood(bag: Counter, lang: str) -> float:
-    profile, denom = _PROFILES[lang], _TOTALS[lang] + _VOCAB[lang] + 1
-    return sum(n * math.log((profile.get(g, 0) + 1) / denom) for g, n in bag.items())
+    table, unseen = _TABLES[lang]
+    return sum(n * table.get(g, unseen) for g, n in bag.items())
 
 
 def detect_language(text: str) -> tuple[str, float]:

@@ -31,15 +31,23 @@ ABBREVIATIONS = frozenset(
 # Terminator run, optional closing quotes/brackets, then whitespace or EOS.
 _BOUNDARY_RE = re.compile(r"([.!?]+)[\"'’”)\]]*(?=\s|$)")
 _NEWLINE_RE = re.compile(r"\n+")
-_LAST_TOKEN_RE = re.compile(r"(\S+)$")
 
 
 def _is_abbreviation(text: str, dot_index: int) -> bool:
-    """True when the period at dot_index terminates a known abbreviation."""
-    m = _LAST_TOKEN_RE.search(text, 0, dot_index)
-    if not m:
-        return False
-    token = m.group(1).strip("\"'‘’“”([{")
+    """True when the period at dot_index terminates a known abbreviation.
+
+    The word is the whitespace-free run ending at dot_index, or, when a
+    single newline precedes the period, the run ending before it. The
+    look-back stops at the run's start, so a page costs time linear in
+    its length.
+    """
+    end = dot_index
+    if end and text[end - 1] == "\n":
+        end -= 1
+    start = end
+    while start and not text[start - 1].isspace():
+        start -= 1
+    token = text[start:end].strip("\"'‘’“”([{")
     if not token:
         return False
     word = token.rstrip(".").lower()

@@ -1,8 +1,10 @@
 """Independent reference implementations used to check the real ones.
 
 These deliberately use different mechanisms than the package: per-variant
-regex scans instead of the multi-pattern automaton, and plain row-by-row
-recounts instead of the vectorized-ish stats code. They must stay dumb.
+regex scans instead of the multi-pattern automaton, plain row-by-row
+recounts instead of the vectorized-ish stats code, a regex look-back from
+the start of the text instead of the splitter's bounded one, and log-odds
+recomputed per trigram instead of precomputed tables. They must stay dumb.
 """
 
 from __future__ import annotations
@@ -10,6 +12,14 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+
+from sacreddetect.textpipe.langid import _SEEDS, LANGUAGES
+from sacreddetect.textpipe.sentences import (
+    _BOUNDARY_RE,
+    _NEWLINE_RE,
+    ABBREVIATIONS,
+    MIN_SEGMENT_CHARS,
+)
 
 VALID = ("yes", "no")
 
@@ -42,6 +52,69 @@ def naive_match_spans(text: str, variants: list[str], exclusions: list[str]) -> 
 
 def naive_label(text: str, variants: list[str], exclusions: list[str]) -> str:
     return "yes" if naive_match_spans(text, variants, exclusions) else "no"
+
+
+# --- splitter oracle --------------------------------------------------------
+# The splitter's first abbreviation test: the word before a period is the
+# `(\S+)$` match searched from offset 0, so each period costs its offset.
+
+_LAST_TOKEN_RE = re.compile(r"(\S+)$")
+
+
+def _naive_is_abbreviation(text: str, dot_index: int) -> bool:
+    m = _LAST_TOKEN_RE.search(text, 0, dot_index)
+    if not m:
+        return False
+    token = m.group(1).strip("\"'‘’“”([{")
+    if not token:
+        return False
+    word = token.rstrip(".").lower()
+    return word in ABBREVIATIONS or (len(word) == 1 and word.isalpha())
+
+
+def naive_segment_sentences(text: str) -> list[str]:
+    ends = {len(text)} if text else set()
+    for m in _BOUNDARY_RE.finditer(text):
+        if m.group(1) != "." or not _naive_is_abbreviation(text, m.start(1)):
+            ends.add(m.end())
+    ends.update(m.start() for m in _NEWLINE_RE.finditer(text))
+    segments, start = [], 0
+    for end in sorted(ends):
+        piece = text[start:end].strip()
+        if len(piece) >= MIN_SEGMENT_CHARS:
+            segments.append(piece)
+        start = end
+    return segments
+
+
+# --- language-ID oracle -----------------------------------------------------
+
+_WORD_RE = re.compile(r"[^\W\d_]+")
+
+
+def _naive_trigram_bag(text: str) -> Counter:
+    bag: Counter = Counter()
+    for word in _WORD_RE.findall(text.lower()):
+        padded = f" {word} "
+        for i in range(len(padded) - 2):
+            bag[padded[i : i + 3]] += 1
+    return bag
+
+
+def naive_detect_language(text: str) -> tuple[str, float]:
+    """detect_language with each trigram's smoothed log-probability
+    computed from the seed counts at every use."""
+    bag = _naive_trigram_bag(text)
+    if not bag:
+        return "en", 0.0
+    scores = {}
+    for lang in LANGUAGES:
+        profile = _naive_trigram_bag(_SEEDS[lang])
+        denom = sum(profile.values()) + len(profile) + 1
+        scores[lang] = sum(n * math.log((profile.get(g, 0) + 1) / denom) for g, n in bag.items())
+    best = max(scores, key=lambda lang: (scores[lang], lang))
+    posterior = 1.0 / sum(math.exp(s - scores[best]) for s in scores.values())
+    return best, posterior * min(1.0, len(text.strip()) / 80.0)
 
 
 # --- stats oracles ----------------------------------------------------------

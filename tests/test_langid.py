@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from oracles import naive_detect_language
 
 from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.textpipe import detect_language
+from sacreddetect.textpipe.langid import _SEEDS
 
 DUTCH_PARAGRAPH = (
     "De aarde warmt op en de zeespiegel stijgt, maar er is nog steeds hoop "
@@ -65,3 +67,20 @@ def test_confidence_in_unit_interval():
     for text in ("hello there my friend", DUTCH_PARAGRAPH, "a", "zzz qqq xxx"):
         _, confidence = detect_language(text)
         assert 0.0 <= confidence <= 1.0
+
+
+def test_scores_equal_per_trigram_formula(sample_documents):
+    # Seed paragraphs, the bundled sample pages, and each non-English seed
+    # as a harvested foreign page carries it (sentences split, two
+    # paragraphs), each whole and cut to its first 1, 3 and 12 words.
+    texts = list(_SEEDS.values())
+    texts += [doc.text for doc in sample_documents]
+    for lang, seed in _SEEDS.items():
+        if lang != "en":
+            sentences = [s.strip() for s in seed.split(". ") if s.strip()]
+            half = len(sentences) // 2
+            texts.append(". ".join(sentences[:half]) + ".\n" + ". ".join(sentences[half:]) + ".")
+    texts += [DUTCH_PARAGRAPH, render_prompt("revised"), render_prompt("general")]
+    texts += [" ".join(t.split()[:k]) for t in list(texts) for k in (1, 3, 12)]
+    for text in texts:
+        assert detect_language(text) == naive_detect_language(text), text[:60]

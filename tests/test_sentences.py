@@ -1,5 +1,9 @@
-from hypothesis import given
+import itertools
+import time
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_segment_sentences
 
 from sacreddetect.textpipe import segment_sentences
 
@@ -116,3 +120,46 @@ def test_segments_are_ordered_substrings(text):
         assert found >= 0
         cursor = found + len(seg)
         assert len(seg.strip()) >= 2
+
+
+# Pieces that put every kind of character next to a period: newlines
+# ("\n." makes the look-back skip one), Unicode whitespace, quotes,
+# brackets, abbreviations and initials.
+_pieces = st.lists(
+    st.sampled_from(
+        [
+            "Dr", "e.g", "i.e", "Rev", "F", "M", "a", "word", "3.14", "x.y",
+            ".", ".", ".", "!", "?", "\n", "\n", " ", " ", "\t", "\r", "\x0b",
+            "\x1c", "\x85", "\xa0", "\u2028", "\u3000", '"', "'", "’", "”",
+            "“", "‘", "(", ")", "[", "]", "{",
+        ]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(_pieces)
+def test_matches_regex_lookback_oracle(text):
+    assert segment_sentences(text) == naive_segment_sentences(text)
+
+
+def test_matches_regex_lookback_oracle_on_every_short_text():
+    # Every string of up to five pieces: each way an abbreviation, an
+    # initial, a newline, a no-break space or a quote can meet a period.
+    pieces = ["Dr", "F", "x", ".", "\n", " ", "\xa0", '"', ")"]
+    for k in range(1, 6):
+        for combo in itertools.product(pieces, repeat=k):
+            text = "".join(combo)
+            assert segment_sentences(text) == naive_segment_sentences(text), repr(text)
+
+
+def test_long_page_segments_in_linear_time():
+    sentence = "Dr. F. M. Okafor met Rev. Hale, e.g. on Sept. {i}."
+    text = " ".join(sentence.format(i=i) for i in range(2000))
+    assert len(text) > 100_000
+    start = time.perf_counter()
+    segments = segment_sentences(text)
+    elapsed = time.perf_counter() - start
+    assert len(segments) == 2000
+    assert elapsed < 1.0, f"{elapsed:.2f}s for 2,000 sentences"

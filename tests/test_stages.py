@@ -6,6 +6,7 @@ import pytest
 from sacreddetect.config import sample_config_path, validate_config
 from sacreddetect import stages
 from sacreddetect.errors import ConfigError, PrerequisiteError, ProviderError, StageLockedError
+from sacreddetect.harvest.store import DocumentStore
 from sacreddetect.judge.providers import StubProvider
 from sacreddetect.manifest import read_manifest
 from sacreddetect.stages import (
@@ -270,15 +271,34 @@ def test_extract_skips_a_document_stored_twice(sample_config):
     assert read_manifest(layout.corpus).params["counters"]["skipped_duplicate_doc"] == 1
 
 
+def test_extract_skips_a_torn_line_and_keeps_the_reappended_document(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    raw = layout.raw / "cca.jsonl"
+    [doc] = DocumentStore(layout.raw).iter_ngo("cca")
+    line = raw.read_bytes()
+    raw.write_bytes(line[: len(line) // 2])  # the append torn mid-line
+    DocumentStore(layout.raw).append(doc)  # the resumed harvest stores it again
+    run_extract(sample_config)
+
+    rows = (layout.corpus / "cca.jsonl").read_text().splitlines()
+    assert len(rows) == 5
+    counters = read_manifest(layout.corpus).params["counters"]
+    assert counters["skipped_torn_line"] == 1
+    assert "skipped_duplicate_doc" not in counters
+
+
 class FlakyProvider:
     """Stub answers, with a provider failure on one call."""
 
     def __init__(self, fail_on_call=None):
         self.sent: list[list[str]] = []
+        self.states: list[dict] = []
         self.fail_on_call = fail_on_call
 
     def run_batch(self, lines, state=None, state_save=None):
         self.sent.append(lines)
+        self.states.append(dict(state or {}))
         if len(self.sent) == self.fail_on_call:
             raise ProviderError("quota exceeded")
         return StubProvider().run_batch(lines)
@@ -308,3 +328,54 @@ def test_classify_resume_does_not_resend_finished_files(sample_config, monkeypat
     other = FlakyProvider()  # another provider's results are not reused
     classify_with(other, provider_override="openai-batch")
     assert len(other.sent) == 4
+
+
+def test_classify_ignores_another_providers_pending_state(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    state_path = layout.batches(model) / "cca.state.json"
+    state_path.write_text(json.dumps({"batch_id": "batch_from_openai"}))  # no provider named
+    provider = FlakyProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    run_classify(sample_config, only_model=model, provider_override="groq-batch")
+    assert len(provider.states) == 4
+    assert not any("batch_id" in state for state in provider.states)
+    assert json.loads(state_path.read_text()) == {"provider": "groq-batch", "done": True}
+
+
+class SubmittingProvider:
+    """Saves a batch id on submission, then fails while polling."""
+
+    def __init__(self):
+        self.states: list[dict] = []
+
+    def run_batch(self, lines, state=None, state_save=None):
+        self.states.append(dict(state))
+        state["batch_id"] = "batch_1"
+        state_save(state)
+        raise ProviderError("poll timed out")
+
+
+def test_classify_pending_state_names_its_provider(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    provider = SubmittingProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+
+    def classify(provider_name):
+        with pytest.raises(ProviderError):
+            run_classify(sample_config, only_model=model, provider_override=provider_name)
+        return provider.states[-1]
+
+    assert classify("openai-batch") == {}
+    state_path = layout.batches(model) / "cca.state.json"
+    saved = {"provider": "openai-batch", "batch_id": "batch_1"}
+    assert json.loads(state_path.read_text()) == saved
+    assert classify("openai-batch") == {"batch_id": "batch_1"}  # resumed
+    assert classify("groq-batch") == {}  # not handed to another provider

@@ -46,3 +46,13 @@ def test_store_keeps_failures(tmp_path):
     [doc] = list(store.iter_ngo("ngo"))
     assert doc.status == 404
     assert doc.body == b""
+
+
+def test_raw_lines_are_ascii(tmp_path):
+    # a tear inside a multi-byte character would make the text reader fail
+    # on the whole file, not on the torn line alone
+    store = DocumentStore(tmp_path)
+    doc = make_doc(url="https://a.com/près")
+    store.append(doc)
+    assert (tmp_path / "ngo.jsonl").read_bytes().isascii()
+    assert list(store.iter_ngo("ngo")) == [doc]
