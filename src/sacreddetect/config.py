@@ -1,24 +1,25 @@
 """Pipeline configuration: sources, models, fetch policy and paths.
 
-The configuration file is TOML (see tomlcfg for the supported subset).
-Relative paths are resolved against the config file's directory. The
-bundled default configuration covers the nine NGOs of the study corpus
-with the 2014-2024 harvest range.
+The configuration file is standard TOML, read with the standard
+library's tomllib. Each value is type-checked here, and an error names
+the field. Relative paths are resolved against the config file's
+directory. The bundled default configuration covers the nine NGOs of the
+study corpus with the 2014-2024 harvest range.
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import tomlcfg
 from .analytics.reports import phrase_slug
 from .errors import ConfigError
+from .judge.prompts import TEMPLATE_IDS
 
 GROUPS = ("religious", "secular")
 PROVIDERS = ("openai-batch", "groq-batch", "stub")
-TEMPLATE_IDS = ("general", "revised")
 
 DEFAULT_REPORT_PHRASES = ("mother earth", "sacred earth", "ubuntu")
 
@@ -125,8 +126,9 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = tomlcfg.load(str(path))
-    except ConfigError as exc:
+        with open(path, "rb") as fh:
+            raw = tomllib.load(fh)
+    except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     base = path.parent
 
@@ -151,7 +153,7 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
         seen.add(s.ngo_id)
 
     models = []
-    for i, entry in enumerate(raw.get("models", []) or []):
+    for i, entry in enumerate(_expect_list(raw, "models")):
         where = f"models[{i}]"
         spec = ModelSpec(
             model_id=_expect(entry, "model_id", str, where),
@@ -168,16 +170,16 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
     if len(set(model_ids)) != len(model_ids):
         raise ConfigError("models: duplicate model_id")
 
-    pol = raw.get("policy", {}) or {}
+    pol = _expect(raw, "policy", dict, default={})
     policy = FetchPolicy(
-        rate_per_host=float(pol.get("rate_per_host", 1.0)),
-        retries=int(pol.get("retries", 3)),
-        timeout=float(pol.get("timeout", 20.0)),
-        backoff=float(pol.get("backoff", 2.0)),
+        rate_per_host=float(_expect(pol, "rate_per_host", _NUMBER, "policy", 1.0)),
+        retries=_expect(pol, "retries", int, "policy", 3),
+        timeout=float(_expect(pol, "timeout", _NUMBER, "policy", 20.0)),
+        backoff=float(_expect(pol, "backoff", _NUMBER, "policy", 2.0)),
     )
     policy.validate()
 
-    lexicon_raw = raw.get("lexicon", "starter")
+    lexicon_raw = _expect(raw, "lexicon", str, default="starter")
     if lexicon_raw == "starter":
         lexicon_path = bundled_path("starter.tree")
     else:
@@ -185,30 +187,30 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
     if not lexicon_path.is_file():
         raise ConfigError(f"lexicon: file not found: {lexicon_path}")
 
-    template = raw.get("prompt_template", "revised")
+    template = _expect(raw, "prompt_template", str, default="revised")
     if template not in TEMPLATE_IDS:
         raise ConfigError(
             f"prompt_template: {template!r} is not one of {'/'.join(TEMPLATE_IDS)}"
         )
 
-    output_root = Path(raw.get("output_root", "runs/default"))
+    output_root = Path(_expect(raw, "output_root", str, default="runs/default"))
     if not output_root.is_absolute():
         output_root = (base / output_root).resolve()
 
-    report = raw.get("report", {}) or {}
-    phrases = tuple(report.get("phrases", DEFAULT_REPORT_PHRASES))
+    report = _expect(raw, "report", dict, default={})
+    phrases = tuple(_expect_list(report, "phrases", str, "report", DEFAULT_REPORT_PHRASES))
     slugs: dict[str, str] = {}
     for p in phrases:
-        if not str(p).strip():
+        if not p.strip():
             raise ConfigError("report.phrases: phrases must be non-empty")
         # each phrase's report is reports/terms/<slug>.md, so two phrases
         # with one slug would silently share, and overwrite, one file
-        slug = phrase_slug(str(p))
+        slug = phrase_slug(p)
         if slug in slugs:
             raise ConfigError(
                 f"report.phrases: {slugs[slug]!r} and {p!r} both write reports/terms/{slug}.md"
             )
-        slugs[slug] = str(p)
+        slugs[slug] = p
 
     return PipelineConfig(
         sources=sources,
@@ -221,17 +223,32 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
     )
 
 
-def _expect_list(raw: dict, key: str) -> list:
-    value = raw.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected an array of tables")
+_NUMBER = (int, float)
+_TYPE_NAMES = {
+    str: "a string", int: "an integer", _NUMBER: "a number", dict: "a table", list: "an array"
+}
+_MISSING = object()
+
+
+def _expect_list(table: dict, key: str, item_type: type = dict, where: str = "", default=()):
+    """table[key], checked to be an array of item_type (tables by default)."""
+    value = _expect(table, key, list, where, default)
+    if not all(isinstance(v, item_type) for v in value):
+        noun = "tables" if item_type is dict else "strings"
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name}: expected an array of {noun}, got {value!r}")
     return value
 
 
-def _expect(entry: dict, key: str, typ: type, where: str):
-    if key not in entry:
-        raise ConfigError(f"{where}.{key}: missing")
-    value = entry[key]
-    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-        raise ConfigError(f"{where}.{key}: expected {typ.__name__}, got {value!r}")
+def _expect(table: dict, key: str, typ, where: str = "", default=_MISSING):
+    """table[key], checked to be typ; default when the key is absent, or a
+    ConfigError naming the field when no default is given."""
+    name = f"{where}.{key}" if where else key
+    if key not in table:
+        if default is _MISSING:
+            raise ConfigError(f"{name}: missing")
+        return default
+    value = table[key]
+    if not isinstance(value, typ) or isinstance(value, bool):
+        raise ConfigError(f"{name}: expected {_TYPE_NAMES[typ]}, got {value!r}")
     return value

@@ -11,19 +11,20 @@ from typing import Any, Iterable, Iterator
 
 
 def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
-    """Rows of a JSONL file. A line that is not valid JSON raises, unless
-    on_bad_line is given: it is then called with the path and the 1-based
-    line number, and the line is skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Rows of a JSONL file, each line decoded from UTF-8 on its own, so a
+    line torn inside a character spoils only that line. A line that is not
+    valid UTF-8 or not valid JSON raises a ValueError naming the path and
+    the line, unless on_bad_line is given: it is then called with the path
+    and the 1-based line number, and the line is skipped."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
+                row = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 if on_bad_line is None:
-                    raise
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
                 on_bad_line(path, lineno)
                 continue
             yield row

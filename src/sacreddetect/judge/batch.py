@@ -1,10 +1,9 @@
 """Batch-inference request files: one JSONL line per sentence.
 
-Both supported providers accept the OpenAI-style batch line -- custom_id,
-method, url, body with chat messages -- so the emitters share a skeleton
-and differ only in the endpoint constants they validate against. Line
-order is fixed to (ngo_id, doc_id, position), which makes the emitted file
-byte-deterministic for a given corpus, template and model.
+Both supported providers accept the same OpenAI-style batch line --
+custom_id, method, url, body with chat messages -- so one emitter serves
+both. Line order is fixed to (ngo_id, doc_id, position), which makes the
+emitted file byte-deterministic for a given corpus, template and model.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from .prompts import render_prompt
 log = logging.getLogger(__name__)
 
 CHAT_COMPLETIONS_URL = "/v1/chat/completions"
-BATCH_SHAPES = ("openai-batch", "groq-batch")
 
 
 def build_batch_file(
     corpus: list[SentenceRecord],
     template_id: str,
     model_id: str,
-    shape: str = "openai-batch",
     counters: Counter | None = None,
 ) -> list[str]:
     """Request lines for a corpus; custom_id is the sentence_id.
@@ -35,8 +32,6 @@ def build_batch_file(
     judge exactly what the corpus holds. Sentences with empty text are
     skipped and counted under ``batch_skipped_empty``.
     """
-    if shape not in BATCH_SHAPES:
-        raise ValueError(f"unknown batch shape {shape!r}; known: {BATCH_SHAPES}")
     counters = counters if counters is not None else Counter()
     system_text = render_prompt(template_id)
 

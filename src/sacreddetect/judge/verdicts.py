@@ -7,9 +7,10 @@ the argumentation is a string. Everything else is the ``malformed`` label
 with the raw text preserved for audit -- malformed output is a finding
 about the model, not an error condition, so nothing here ever raises.
 
-By default the first balanced ``{...}`` block in the response is parsed,
-because models routinely wrap their JSON in prose; strict mode requires
-the whole message to be the JSON object.
+By default the response is decoded as one JSON value starting at its
+first ``{``, and any text before or after that value is ignored, because
+models routinely wrap their JSON in prose or code fences; strict mode
+requires the whole message to be the JSON object.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 from dataclasses import dataclass
 
 LABELS = ("yes", "no", "malformed")
+
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -51,37 +54,6 @@ class Verdict:
         )
 
 
-def _first_balanced_object(text: str) -> str | None:
-    """The first balanced {...} block, honoring JSON string semantics."""
-    start = -1
-    depth = 0
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(text):
-        if start < 0:
-            if ch == "{":
-                start = i
-                depth = 1
-            continue
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start : i + 1]
-    return None
-
-
 def _parse_certainty(value) -> int | None:
     if isinstance(value, bool):
         return None
@@ -110,14 +82,14 @@ def parse_verdict(
 
     if not isinstance(raw_text, str):
         return malformed()
-    if strict:
-        candidate = raw_text.strip()
-    else:
-        candidate = _first_balanced_object(raw_text)
-        if candidate is None:
-            return malformed()
     try:
-        obj = json.loads(candidate)
+        if strict:
+            obj = json.loads(raw_text.strip())
+        else:
+            start = raw_text.find("{")
+            if start < 0:
+                return malformed()
+            obj, _ = _DECODER.raw_decode(raw_text, start)
     except (json.JSONDecodeError, RecursionError):
         return malformed()
     if not isinstance(obj, dict):

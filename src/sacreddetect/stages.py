@@ -435,20 +435,17 @@ def run_batch_build(config: PipelineConfig) -> None:
             inputs = dict(corpus_inputs)
             inputs["prompt"] = prompt_hash(config.prompt_template)
             inputs["model"] = sha256_text(f"{model.model_id}|{model.provider}")
-            shape = "groq-batch" if model.provider == "groq-batch" else "openai-batch"
 
             def build(out: Path) -> dict:
                 counters: Counter = Counter()
                 for path in sorted(layout.corpus.glob("*.jsonl")):
                     corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
                     lines = batch_mod.build_batch_file(
-                        corpus, config.prompt_template, model.model_id, shape, counters
+                        corpus, config.prompt_template, model.model_id, counters
                     )
                     write_text(out / path.name, "\n".join(lines) + ("\n" if lines else ""))
                 log.info("batch-build %s: done", model.model_id)
-                return {
-                    "template": config.prompt_template, "shape": shape, "counters": dict(counters)
-                }
+                return {"template": config.prompt_template, "counters": dict(counters)}
 
             _produce("batch-build", layout.batches(model.model_id), inputs, build)
 

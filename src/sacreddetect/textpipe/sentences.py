@@ -29,7 +29,12 @@ ABBREVIATIONS = frozenset(
 )
 
 # Terminator run, optional closing quotes/brackets, then whitespace or EOS.
-_BOUNDARY_RE = re.compile(r"([.!?]+)[\"'’”)\]]*(?=\s|$)")
+# A match starts only where a run starts (the look-behind after the first
+# terminator rejects one that follows another): a retry from inside a run
+# would end where the first try did, after rescanning the run, so a long run
+# would cost time quadratic in its length. Opening with the terminator
+# class, not the look-behind, keeps the regex engine's fast scan for it.
+_BOUNDARY_RE = re.compile(r"([.!?](?<![.!?]{2})[.!?]*)[\"'’”)\]]*(?=\s|$)")
 _NEWLINE_RE = re.compile(r"\n+")
 
 

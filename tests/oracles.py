@@ -3,19 +3,22 @@
 These deliberately use different mechanisms than the package: per-variant
 regex scans instead of the multi-pattern automaton, plain row-by-row
 recounts instead of the vectorized-ish stats code, a regex look-back from
-the start of the text instead of the splitter's bounded one, and log-odds
-recomputed per trigram instead of precomputed tables. They must stay dumb.
+the start of the text instead of the splitter's bounded one, log-odds
+recomputed per trigram instead of precomputed tables, and a char-by-char
+brace scan instead of decoding JSON from the first brace. They must stay
+dumb.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from collections import Counter
 
+from sacreddetect.judge.verdicts import Verdict, parse_verdict
 from sacreddetect.textpipe.langid import _SEEDS, LANGUAGES
 from sacreddetect.textpipe.sentences import (
-    _BOUNDARY_RE,
     _NEWLINE_RE,
     ABBREVIATIONS,
     MIN_SEGMENT_CHARS,
@@ -57,6 +60,11 @@ def naive_label(text: str, variants: list[str], exclusions: list[str]) -> str:
 # --- splitter oracle --------------------------------------------------------
 # The splitter's first abbreviation test: the word before a period is the
 # `(\S+)$` match searched from offset 0, so each period costs its offset.
+# Its boundary regex may start a match anywhere inside a run of
+# terminators, which is quadratic in the run's length but finds the same
+# boundaries as the splitter's, which starts matches only at a run's start.
+
+_BOUNDARY_RE = re.compile(r"([.!?]+)[\"'’”)\]]*(?=\s|$)")
 
 _LAST_TOKEN_RE = re.compile(r"(\S+)$")
 
@@ -85,6 +93,50 @@ def naive_segment_sentences(text: str) -> list[str]:
             segments.append(piece)
         start = end
     return segments
+
+
+# --- verdict oracle ---------------------------------------------------------
+
+
+def first_balanced_object(text: str) -> str | None:
+    """The first balanced {...} block, honoring JSON string semantics."""
+    start = -1
+    depth = 0
+    in_string = False
+    escaped = False
+    for i, ch in enumerate(text):
+        if start < 0:
+            if ch == "{":
+                start = i
+                depth = 1
+            continue
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start : i + 1]
+    return None
+
+
+def naive_parse_verdict(sentence_id: str, model_id: str, raw_text: str) -> Verdict:
+    """parse_verdict by scanning for the first balanced block, then parsing
+    that block alone in strict mode."""
+    block = first_balanced_object(raw_text)
+    if block is None:
+        return Verdict(sentence_id, model_id, "malformed", None, None, raw_text)
+    verdict = parse_verdict(sentence_id, model_id, block, strict=True)
+    return dataclasses.replace(verdict, raw_text=raw_text)
 
 
 # --- language-ID oracle -----------------------------------------------------

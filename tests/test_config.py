@@ -1,6 +1,7 @@
+import re
+
 import pytest
 
-from sacreddetect import tomlcfg
 from sacreddetect.config import (
     default_config_path,
     sample_config_path,
@@ -123,42 +124,84 @@ def test_missing_file_is_config_error(tmp_path):
         validate_config(tmp_path / "nope.toml")
 
 
-# --- the TOML subset reader ---------------------------------------------------
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        pytest.param(MINIMAL + '[report]\nphrases = "sacred"\n', "report.phrases", id="phrases-string"),
+        pytest.param(MINIMAL + "[report]\nphrases = [1]\n", "report.phrases", id="phrases-number"),
+        pytest.param("report = 5\n" + MINIMAL, "report", id="report-number"),
+        pytest.param("lexicon = 5\n" + MINIMAL, "lexicon", id="lexicon-number"),
+        pytest.param(MINIMAL.replace('output_root = "out"', "output_root = 3"), "output_root", id="output-root-number"),
+        pytest.param("prompt_template = true\n" + MINIMAL, "prompt_template", id="template-bool"),
+        pytest.param(MINIMAL + '[policy]\nrate_per_host = "fast"\n', "policy.rate_per_host", id="rate-string"),
+        pytest.param(MINIMAL + "[policy]\ntimeout = false\n", "policy.timeout", id="timeout-bool"),
+        pytest.param(MINIMAL + "[policy]\nretries = 2.5\n", "policy.retries", id="retries-float"),
+        pytest.param("policy = 5\n" + MINIMAL, "policy", id="policy-number"),
+        pytest.param(MINIMAL.replace("[[models]]", "[models]"), "models", id="models-table"),
+        pytest.param('models = ["m"]\n' + MINIMAL.replace('[[models]]\nmodel_id = "m"\nprovider = "stub"\n', ""), "models", id="models-strings"),
+        pytest.param(MINIMAL.replace("from_year = 2014", 'from_year = "2014"'), r"sources\[0\]\.from_year", id="year-string"),
+    ],
+)
+def test_wrong_value_type_names_the_field(tmp_path, body, field):
+    with pytest.raises(ConfigError, match=rf"^{field}: expected "):
+        validate_config(write_config(tmp_path, body))
 
 
-def test_toml_scalars_and_comments():
-    doc = tomlcfg.loads(
-        's = "a # not comment"  # real comment\n'
-        "i = 42\nf = 2.5\nb = true\nneg = -3\n"
-    )
-    assert doc == {"s": "a # not comment", "i": 42, "f": 2.5, "b": True, "neg": -3}
+# --- the TOML reader, through validate_config ----------------------------------
 
 
-def test_toml_arrays():
-    doc = tomlcfg.loads('xs = ["a", "b,c", 3]\nempty = []\n')
-    assert doc["xs"] == ["a", "b,c", 3]
-    assert doc["empty"] == []
+def test_toml_scalars_and_comments(tmp_path):
+    body = MINIMAL.replace('output_root = "out"', 'output_root = "out # not comment"  # real comment')
+    body += "[policy]\nretries = 42\ntimeout = 5\nbackoff = 1_0.5\n"
+    config = validate_config(write_config(tmp_path, body))
+    assert config.output_root.name == "out # not comment"
+    assert (config.policy.retries, config.policy.timeout, config.policy.backoff) == (42, 5.0, 10.5)
+    assert isinstance(config.policy.timeout, float)  # an integer is a number too
 
 
-def test_toml_tables_and_array_tables():
-    doc = tomlcfg.loads("[t]\nx = 1\n[[rows]]\na = 1\n[[rows]]\na = 2\n")
-    assert doc["t"] == {"x": 1}
-    assert [r["a"] for r in doc["rows"]] == [1, 2]
+def test_toml_arrays(tmp_path):
+    body = MINIMAL + """
+[report]
+phrases = [
+    'mother earth',  # literal string, array over several lines
+    \"\"\"ubuntu\"\"\", "b,c",
+]
+"""
+    config = validate_config(write_config(tmp_path, body))
+    assert config.report_phrases == ("mother earth", "ubuntu", "b,c")
 
 
-def test_toml_string_escapes():
-    assert tomlcfg.loads(r's = "a\"b\\c\nd"')["s"] == 'a"b\\c\nd'
+def test_toml_tables_and_array_tables(tmp_path):
+    body = "[policy]\nrate_per_host = 0.5\n" + MINIMAL.replace('output_root = "out"\n', "")
+    body += MINIMAL[MINIMAL.index("[[sources]]"):].replace('"a"', '"b"')
+    config = validate_config(write_config(tmp_path, body))
+    assert config.policy.rate_per_host == 0.5
+    assert [s.ngo_id for s in config.sources] == ["a", "b"]
+    assert [m.model_id for m in config.models] == ["m"]
 
 
-def test_toml_errors_name_lines():
-    with pytest.raises(ConfigError, match="line 2"):
-        tomlcfg.loads("a = 1\nbad line\n")
-    with pytest.raises(ConfigError, match="line 1"):
-        tomlcfg.loads('a = "unterminated\n')
-    with pytest.raises(ConfigError, match="line 3"):
-        tomlcfg.loads("a = 1\nb = 2\nc = @nope\n")
+def test_toml_string_escapes(tmp_path):
+    body = MINIMAL + '[report]\nphrases = ["a\\"b\\\\c\\td", "caf\\u00e9"]\n'
+    config = validate_config(write_config(tmp_path, body))
+    assert config.report_phrases == ('a"b\\c\td', "café")
 
 
-def test_toml_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="duplicate key"):
-        tomlcfg.loads("a = 1\na = 2\n")
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("a = 1\nbad line\n", 2),  # a statement that is not key = value
+        ('a = "unterminated\n', 1),
+        ("a = 1\nb = 2\nc = @nope\n", 3),
+    ],
+    ids=["bad-statement", "unterminated-string", "bad-value"],
+)
+def test_toml_errors_name_lines(tmp_path, body, line):
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\bline {line}\b"):
+        validate_config(path)
+
+
+def test_toml_duplicate_key_rejected(tmp_path):
+    path = write_config(tmp_path, MINIMAL.replace('output_root = "out"', 'output_root = "out"\noutput_root = "x"'))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\bline 3\b"):
+        validate_config(path)

@@ -163,3 +163,16 @@ def test_long_page_segments_in_linear_time():
     elapsed = time.perf_counter() - start
     assert len(segments) == 2000
     assert elapsed < 1.0, f"{elapsed:.2f}s for 2,000 sentences"
+
+
+
+def test_long_terminator_run_segments_in_linear_time():
+    for tail in ("x", " x"):
+        short = "a" + "." * 200 + tail
+        assert segment_sentences(short) == naive_segment_sentences(short)
+        text = "a" + "." * 20_000 + tail
+        start = time.perf_counter()
+        segments = segment_sentences(text)
+        elapsed = time.perf_counter() - start
+        assert segments == [piece.replace("." * 200, "." * 20_000) for piece in segment_sentences(short)]
+        assert elapsed < 0.5, f"{elapsed:.2f}s for a run of 20,000 periods"

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 
 import pytest
 
 from sacreddetect.config import sample_config_path, validate_config
 from sacreddetect import stages
 from sacreddetect.errors import ConfigError, PrerequisiteError, ProviderError, StageLockedError
-from sacreddetect.harvest.store import DocumentStore
+from sacreddetect.harvest.store import DocumentStore, RawDocument
+from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.providers import StubProvider
 from sacreddetect.manifest import read_manifest
 from sacreddetect.stages import (
@@ -286,6 +288,34 @@ def test_extract_skips_a_torn_line_and_keeps_the_reappended_document(sample_conf
     counters = read_manifest(layout.corpus).params["counters"]
     assert counters["skipped_torn_line"] == 1
     assert "skipped_duplicate_doc" not in counters
+
+
+def test_extract_skips_a_line_torn_inside_a_character(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    raw = layout.raw / "cca.jsonl"
+    [doc] = DocumentStore(layout.raw).iter_ngo("cca")
+    doc = RawDocument.make(
+        doc.ngo_id, doc.url + "/caf\u00e8", doc.status, doc.content_type, doc.body, doc.fetched_at
+    )
+    # a line holding raw UTF-8, torn by a crash after the first byte of "è"
+    line = json.dumps(doc.to_dict(), ensure_ascii=False).encode("utf-8")
+    raw.write_bytes(line[: line.index("\u00e8".encode("utf-8")) + 1])
+    DocumentStore(layout.raw).append(doc)  # the resumed harvest stores it again
+    run_extract(sample_config)
+
+    assert len((layout.corpus / "cca.jsonl").read_text().splitlines()) == 5
+    assert read_manifest(layout.corpus).params["counters"]["skipped_torn_line"] == 1
+
+
+def test_read_jsonl_names_the_path_and_line_of_a_bad_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n{"b": "caf\xc3')
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 3: "):
+        list(read_jsonl(path))
+    bad = []
+    assert list(read_jsonl(path, lambda *where: bad.append(where))) == [{"a": 1}]
+    assert bad == [(path, 3)]
 
 
 class FlakyProvider:

@@ -3,8 +3,9 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_parse_verdict
 
 from sacreddetect.judge import parse_verdict, serialize_verdict
 from sacreddetect.judge.verdicts import LABELS, Verdict
@@ -82,3 +83,44 @@ def test_serialize_rejects_malformed():
 def test_dict_round_trip():
     verdict = parse_verdict("s1", "m1", CASES[0]["raw_text"])
     assert Verdict.from_dict(verdict.to_dict()) == verdict
+
+
+# Pieces of replies: JSON punctuation, escapes and control characters,
+# well-formed verdicts with varied key case and values, code fences and prose.
+_keys = st.sampled_from(["Religious", "religious", "CERTAINTY", "Certainty", "Argumentation", "x"])
+_values = st.one_of(
+    st.sampled_from(["Yes", "no", " YES ", "maybe", "90%", "", "100 %"]),
+    st.integers(-5, 150),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=10),
+)
+_objects = st.dictionaries(_keys, _values, max_size=4).map(json.dumps)
+_pieces = st.one_of(
+    st.text(alphabet='{}[]":,\\/ntu0123456789abef\n\t\x00\x1f', max_size=12),
+    _objects,
+    _objects.map(lambda obj: obj[:-1]),  # cut before its closing brace
+    st.sampled_from(["```json\n", "\n```", "Sure! ", " Hope this helps.", "{", "}", '"', "\\"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_pieces, max_size=6).map("".join))
+def test_matches_the_balanced_block_oracle(text):
+    assert parse_verdict("s", "m", text) == naive_parse_verdict("s", "m", text)
+
+
+def test_fenced_and_wrapped_replies_match_the_oracle():
+    body = '{"Religious": "Yes", "Certainty": "85%", "Argumentation": "a {brace} \\"q\\""}'
+    for text in (
+        f"```json\n{body}\n```",
+        f"Here is my verdict: {body} Hope this helps.",
+        f"{{not json}} {body}",  # the first block decides
+        body[:-1],
+        '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}",  # nested too deep to decode
+    ):
+        assert parse_verdict("s", "m", text) == naive_parse_verdict("s", "m", text)
+    assert parse_verdict("s", "m", f"```json\n{body}\n```").label == "yes"
+    assert parse_verdict("s", "m", f"{{not json}} {body}").label == "malformed"
