@@ -16,6 +16,7 @@ requires the whole message to be the JSON object.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 LABELS = ("yes", "no", "malformed")
@@ -68,6 +69,8 @@ def _parse_certainty(value) -> int | None:
         except ValueError:
             return None
     else:
+        return None
+    if not math.isfinite(number):  # JSON's Infinity and NaN, or "inf%"
         return None
     return max(0, min(100, round(number)))
 

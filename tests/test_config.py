@@ -186,19 +186,15 @@ def test_toml_string_escapes(tmp_path):
     assert config.report_phrases == ('a"b\\c\td', "café")
 
 
-@pytest.mark.parametrize(
-    "body, line",
-    [
+def test_toml_errors_name_lines(tmp_path):
+    for body, line in [
         ("a = 1\nbad line\n", 2),  # a statement that is not key = value
         ('a = "unterminated\n', 1),
         ("a = 1\nb = 2\nc = @nope\n", 3),
-    ],
-    ids=["bad-statement", "unterminated-string", "bad-value"],
-)
-def test_toml_errors_name_lines(tmp_path, body, line):
-    path = write_config(tmp_path, body)
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\bline {line}\b"):
-        validate_config(path)
+    ]:
+        path = write_config(tmp_path, body)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\bline {line}\b"):
+            validate_config(path)
 
 
 def test_toml_duplicate_key_rejected(tmp_path):

@@ -52,6 +52,13 @@ def test_never_raises_on_arbitrary_text(text):
     assert verdict.label in LABELS
 
 
+@pytest.mark.parametrize("certainty", ["Infinity", "-Infinity", "NaN", "1e999", '"inf%"', '"nan"'])
+def test_non_finite_certainty_is_malformed(certainty):
+    text = f'{{"Religious": "Yes", "Certainty": {certainty}, "Argumentation": "a"}}'
+    assert parse_verdict("s", "m", text).label == "malformed"
+    assert parse_verdict("s", "m", text, strict=True).label == "malformed"
+
+
 def test_never_raises_on_random_bytes_seeded():
     rng = random.Random(99)
     for _ in range(2000):
