@@ -2,15 +2,17 @@
 
 The configuration file is standard TOML, read with the standard
 library's tomllib. Each value is type-checked here, and an error names
-the field. Relative paths are resolved against the config file's
-directory. The bundled default configuration covers the nine NGOs of the
-study corpus with the 2014-2024 harvest range.
+the field. A key no table knows is an error too, so a misspelt setting
+cannot fall back to its default unnoticed. Relative paths are resolved
+against the config file's directory. The bundled default configuration
+covers the nine NGOs of the study corpus with the 2014-2024 harvest range.
 """
 
 from __future__ import annotations
 
+import difflib
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -131,10 +133,12 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     base = path.parent
+    _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "", "the top level")
 
     sources = []
     for i, entry in enumerate(_expect_list(raw, "sources")):
         where = f"sources[{i}]"
+        _reject_unknown_keys(entry, _field_names(SourceSpec), where, "[[sources]]")
         spec = SourceSpec(
             ngo_id=_expect(entry, "ngo_id", str, where),
             group=_expect(entry, "group", str, where),
@@ -155,6 +159,7 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
     models = []
     for i, entry in enumerate(_expect_list(raw, "models")):
         where = f"models[{i}]"
+        _reject_unknown_keys(entry, _field_names(ModelSpec), where, "[[models]]")
         spec = ModelSpec(
             model_id=_expect(entry, "model_id", str, where),
             provider=_expect(entry, "provider", str, where),
@@ -171,6 +176,7 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
         raise ConfigError("models: duplicate model_id")
 
     pol = _expect(raw, "policy", dict, default={})
+    _reject_unknown_keys(pol, _field_names(FetchPolicy), "policy", "[policy]")
     policy = FetchPolicy(
         rate_per_host=float(_expect(pol, "rate_per_host", _NUMBER, "policy", 1.0)),
         retries=_expect(pol, "retries", int, "policy", 3),
@@ -198,6 +204,7 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
         output_root = (base / output_root).resolve()
 
     report = _expect(raw, "report", dict, default={})
+    _reject_unknown_keys(report, ("phrases",), "report", "[report]")
     phrases = tuple(_expect_list(report, "phrases", str, "report", DEFAULT_REPORT_PHRASES))
     slugs: dict[str, str] = {}
     for p in phrases:
@@ -221,6 +228,30 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
         output_root=output_root,
         report_phrases=phrases,
     )
+
+
+_TOP_LEVEL_KEYS = (
+    "output_root", "lexicon", "prompt_template", "policy", "report", "models", "sources"
+)
+
+
+def _field_names(spec: type) -> tuple[str, ...]:
+    """The keys of a table that maps field for field onto spec."""
+    return tuple(f.name for f in fields(spec))
+
+
+def _reject_unknown_keys(table: dict, known: tuple[str, ...], where: str, table_name: str) -> None:
+    """ConfigError naming the first key of table that is not in known, with
+    the closest known key as a suggestion."""
+    for key in table:
+        if key in known:
+            continue
+        name = f"{where}.{key}" if where else key
+        message = f"{name}: unknown key in {table_name}"
+        close = difflib.get_close_matches(key, known, n=1)
+        if close:
+            message += f" (did you mean {close[0]!r}?)"
+        raise ConfigError(message)
 
 
 _NUMBER = (int, float)

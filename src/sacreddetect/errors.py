@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
-Exit-code mapping (see cli.main): ConfigError -> 2, PrerequisiteError -> 3,
-ProviderError -> 4. Everything else is a bug and surfaces as a traceback.
+Exit-code mapping (see cli.run): ConfigError -> 2, PrerequisiteError -> 3,
+ProviderError -> 4, any other SacredDetectError -> 1. Everything else is a
+bug and surfaces as a traceback.
 """
 
 
@@ -35,3 +36,7 @@ class CoverageError(SacredDetectError):
 
 class StageLockedError(SacredDetectError):
     """Another stage execution holds the output-root lock."""
+
+
+class CorruptLineError(SacredDetectError, ValueError):
+    """A JSONL line is not valid UTF-8 or not valid JSON."""

@@ -9,13 +9,16 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .errors import CorruptLineError
+
 
 def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
     """Rows of a JSONL file, each line decoded from UTF-8 on its own, so a
     line torn inside a character spoils only that line. A line that is not
-    valid UTF-8 or not valid JSON raises a ValueError naming the path and
-    the line, unless on_bad_line is given: it is then called with the path
-    and the 1-based line number, and the line is skipped."""
+    valid UTF-8 or not valid JSON raises a CorruptLineError (a ValueError)
+    naming the path and the line, unless on_bad_line is given: it is then
+    called with the path and the 1-based line number, and the line is
+    skipped."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -24,7 +27,7 @@ def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
                 row = json.loads(line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 if on_bad_line is None:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                    raise CorruptLineError(f"{path}: line {lineno}: {exc}") from exc
                 on_bad_line(path, lineno)
                 continue
             yield row

@@ -23,11 +23,25 @@ Semantics:
 Spans refer to character offsets in the original sentence; the spanned
 text, case-folded and space-normalized, equals the variant.
 
+Fast negative path: most sentences hold no variant, so the compiled
+matcher also carries one ``re`` pattern over every variant form (not the
+exclusion forms, which only suppress hits). The pattern is shaped like a
+trie of the forms, so its cost per character does not grow with the
+number of variants; a space in a form matches a whitespace run, and each
+form is bounded by the same rule as ``_boundary_ok`` (``[^\\W_]`` is
+exactly ``str.isalnum``). When ``text.lower()`` equals the per-character
+lowering the automaton sees -- it keeps the length (no ``İ``) and the text
+holds no ``Σ``, whose lowering depends on its context -- a sentence the
+pattern does not match is labelled ``no`` with neither the offset map nor
+the automaton built. Every other sentence takes the exact path, which
+alone decides spans, overlaps, exclusions and paths.
+
 The compiled matcher is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -91,6 +105,7 @@ class Matcher:
                 node = node.children.setdefault(ch, _Node())
             node.outputs.append(pid)
         self._build_failure_links()
+        self.prefilter = _prefilter_pattern([p.text for p in patterns if p.is_variant])
 
     def _build_failure_links(self) -> None:
         root = self._root
@@ -127,6 +142,57 @@ class Matcher:
     @property
     def pattern_count(self) -> int:
         return len(self.patterns)
+
+
+_NOT_AFTER_ALNUM = r"(?<![^\W_])"
+_NOT_BEFORE_ALNUM = r"(?![^\W_])"
+# re's parser and compiler recurse once per nested group; a lexicon whose
+# trie nests deeper than this (forms "a", "aa", "aaa", ...) gets no
+# prefilter rather than a RecursionError.
+_MAX_PREFILTER_NESTING = 100
+
+
+def _prefilter_pattern(forms: list[str]) -> re.Pattern | None:
+    """One pattern that matches lowered text wherever a form could match
+    with word boundaries, or None when the trie nests too deep for re.
+
+    The forms are merged into a trie, and the trie is written out bottom-up
+    with an explicit stack, so a form thousands of characters long adds no
+    recursion. A node with one way on is written as a plain sequence; only
+    branch points open a group.
+    """
+    end = object()  # key marking that a form ends at this node
+    root: dict = {}
+    for form in forms:
+        node = root
+        for ch in form:
+            node = node.setdefault(ch, {})
+        node[end] = None
+    written: dict[int, tuple[str, int]] = {}  # id(node) -> (regex, nesting)
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if not children_done:
+            stack.append((node, True))
+            stack.extend((child, False) for key, child in node.items() if key is not end)
+            continue
+        alternatives = []
+        nesting = 0
+        for key, child in node.items():
+            if key is end:
+                alternatives.append(_NOT_BEFORE_ALNUM)
+                continue
+            rest, child_nesting = written.pop(id(child))
+            alternatives.append((r"\s+" if key == " " else re.escape(key)) + rest)
+            nesting = max(nesting, child_nesting)
+        if len(alternatives) == 1:
+            written[id(node)] = (alternatives[0], nesting)
+        else:
+            written[id(node)] = ("(?:" + "|".join(alternatives) + ")", nesting + 1)
+    regex, nesting = written[id(root)]
+    if nesting > _MAX_PREFILTER_NESTING:
+        return None
+    return re.compile(_NOT_AFTER_ALNUM + regex)
 
 
 def compile_matcher(lexicon: Lexicon) -> Matcher:
@@ -178,6 +244,17 @@ def _boundary_ok(norm: str, start: int, end: int) -> bool:
 
 def match_sentence(matcher: Matcher, text: str, sentence_id: str = "") -> MatchResult:
     """Match one sentence; label is yes iff at least one variant survives."""
+    if matcher.prefilter is not None:
+        low = text.lower()
+        # equal lengths mean no character lowered to several; Σ alone lowers
+        # by context, so otherwise low is the automaton's per-character view
+        if len(low) == len(text) and "Σ" not in text and not matcher.prefilter.search(low):
+            return MatchResult(sentence_id, (), 0, "no")
+    return _match_exact(matcher, text, sentence_id)
+
+
+def _match_exact(matcher: Matcher, text: str, sentence_id: str) -> MatchResult:
+    """The automaton over the normalized view, which decides every hit."""
     norm, starts, ends = _normalized_view(text)
     variant_hits: list[tuple[int, int, int]] = []
     exclusion_spans: list[tuple[int, int]] = []

@@ -93,3 +93,17 @@ def test_unknown_model_is_config_error(monkeypatch, tmp_path):
     assert run_cli([*config, "extract"], monkeypatch) == 0
     assert run_cli([*config, "batch-build"], monkeypatch) == 0
     assert run_cli([*config, "classify", "--model", "no-such-model"], monkeypatch) == 2
+
+
+def test_corrupt_stage_file_exits_1_naming_the_file_and_line(monkeypatch, tmp_path, caplog):
+    root = tmp_path / "run"
+    config = ["--config", str(sample_config_path()), "--output-root", str(root)]
+    assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 0
+    assert run_cli([*config, "extract"], monkeypatch) == 0
+    corpus = root / "corpus" / "cca.jsonl"
+    torn_line = len(corpus.read_bytes().splitlines()) + 1
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write('{"torn')
+    assert run_cli([*config, "match"], monkeypatch) == 1
+    assert f"{corpus}: line {torn_line}: " in caplog.text
+    assert not (root / "labels" / "tree").exists()

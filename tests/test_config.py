@@ -201,3 +201,34 @@ def test_toml_duplicate_key_rejected(tmp_path):
     path = write_config(tmp_path, MINIMAL.replace('output_root = "out"', 'output_root = "out"\noutput_root = "x"'))
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\bline 3\b"):
         validate_config(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            'prompt_templat = "general"\n' + MINIMAL,
+            r"^prompt_templat: unknown key in the top level \(did you mean 'prompt_template'\?\)$",
+        ),
+        (
+            MINIMAL + "[policy]\nrate_per_hots = 5.0\n",
+            r"^policy\.rate_per_hots: unknown key in \[policy\] \(did you mean 'rate_per_host'\?\)$",
+        ),
+        (
+            MINIMAL + '[report]\nphrase = ["ubuntu"]\n',
+            r"^report\.phrase: unknown key in \[report\] \(did you mean 'phrases'\?\)$",
+        ),
+        (
+            MINIMAL.replace('provider = "stub"', 'provider = "stub"\nmodel = "m2"'),
+            r"^models\[0\]\.model: unknown key in \[\[models\]\] \(did you mean 'model_id'\?\)$",
+        ),
+        (
+            MINIMAL.replace("to_year = 2024", "to_year = 2024\ntoyear = 2025"),
+            r"^sources\[0\]\.toyear: unknown key in \[\[sources\]\] \(did you mean 'to_year'\?\)$",
+        ),
+        (MINIMAL + "[policy]\nzzz = 1\n", r"^policy\.zzz: unknown key in \[policy\]$"),
+    ],
+)
+def test_unknown_keys_rejected_with_a_suggestion(tmp_path, body, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_config(write_config(tmp_path, body))

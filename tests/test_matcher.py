@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -6,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_match_spans
-from sacreddetect.lexicon import Lexicon, LexiconNode, compile_matcher, match_sentence
-from sacreddetect.lexicon.matcher import classify_corpus
+from sacreddetect.lexicon import (
+    Lexicon,
+    LexiconNode,
+    MatchResult,
+    compile_matcher,
+    match_sentence,
+)
+from sacreddetect.lexicon import matcher as matcher_module
+from sacreddetect.lexicon.matcher import _match_exact, classify_corpus
+from sacreddetect.lexicon.tree import normalize_form
 from sacreddetect.textpipe.corpus import SentenceRecord
 
 
@@ -246,3 +256,102 @@ def test_ten_thousand_variants_compile_and_beat_naive():
     naive_time = time.perf_counter() - start
 
     assert automaton_time < naive_time
+
+
+# --- fast negative path -------------------------------------------------------
+# match_sentence may answer "no" from one re search over text.lower(); the
+# exact path (_match_exact) is the reference it must always agree with.
+
+FAST_PATH_VARIANTS = [
+    "god", "gods", "goddess", "god of rivers", "mother earth", "sacred",
+    "θεοσ", "θεος", normalize_form("İslam"), "straße", "strasse", "a b",
+]
+FAST_PATH_PIECES = [
+    "god", "GOD", "Gods", "GODDESS", "goddesses", "of", "Rivers", "mother",
+    "EARTH", "Sacred", "ΘΕΟΣ", "θεοσ", "İslam", "ISLAM", "Straße", "STRASSE",
+    "a", "B", "İ", "Σ", "σ", "ς", "ß", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", " ", "  ", "\u3000", "\t", "_", "0", "7", "-", "'", "’",
+    "é", ".",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), pieces=st.lists(st.sampled_from(FAST_PATH_PIECES), max_size=30))
+def test_fast_path_equals_exact_path(data, pieces):
+    variants = data.draw(
+        st.lists(st.sampled_from(FAST_PATH_VARIANTS), min_size=1, max_size=6, unique=True)
+    )
+    exclusions = [
+        e
+        for e in data.draw(
+            st.lists(st.sampled_from(["god of", "sacred", "mother"]), max_size=2, unique=True)
+        )
+        if e not in variants
+    ]
+    matcher = compile_matcher(lex({"n": variants}, exclusions))
+    text = "".join(pieces)
+    assert match_sentence(matcher, text, "s") == _match_exact(matcher, text, "s")
+
+
+@pytest.mark.parametrize(
+    "text, variant",
+    [
+        ("ΘΕΟΣ", "θεοσ"),  # str.lower gives a final ς; the automaton lowers per character
+        ("İslam", normalize_form("İslam")),  # İ lowers to two characters
+        ("mother\x1cearth", "mother earth"),  # \x1c is whitespace
+        ("god_", "god"),  # "_" is no letter or digit, so it bounds a word
+        ("_god", "god"),
+    ],
+)
+def test_fast_path_keeps_hits_of_the_exact_path(text, variant):
+    matcher = compile_matcher(lex({"n": [variant]}))
+    result = match_sentence(matcher, text)
+    assert result.label == "yes"
+    assert result == _match_exact(matcher, text, "")
+
+
+def test_negative_sentences_never_build_the_offset_map(starter_matcher, monkeypatch):
+    def exact_path_ran(text):
+        raise AssertionError(f"the exact path ran on {text!r}")
+
+    monkeypatch.setattr(matcher_module, "_normalized_view", exact_path_ran)
+    for text in (
+        "The ungodly heat scared the demigods' sacredness away.",
+        "The café’s owner planted trees along the road.",
+    ):
+        assert match_sentence(starter_matcher, text) == MatchResult("", (), 0, "no")
+
+
+def test_large_lexicon_and_long_variant_compile_and_agree_with_exact_path():
+    rng = random.Random(11)
+    variants = {f"term{i}x{rng.randint(0, 9)}" for i in range(5_000)}
+    long_variant = ("sacred earth " * 231)[:3000]
+    assert len(long_variant) == 3000
+    matcher = compile_matcher(lex({"n": sorted(variants | {long_variant})}))
+    assert matcher.prefilter is not None
+    picked = rng.sample(sorted(variants), 20)
+    texts = [random_sentence(rng) for _ in range(30)]
+    texts += [f"See {v.upper()}, not {v}y." for v in picked]
+    texts += [f"({long_variant.title()})", long_variant[:-1], long_variant + "s"]
+    for text in texts:
+        assert match_sentence(matcher, text) == _match_exact(matcher, text, "")
+    assert match_sentence(matcher, f"({long_variant.title()})").label == "yes"
+
+
+def test_deeply_nested_forms_fall_back_to_the_exact_path():
+    matcher = compile_matcher(lex({"n": ["a" * k for k in range(1, 300)]}))
+    assert matcher.prefilter is None
+    assert match_sentence(matcher, "b AAA b").matches[0].span == (2, 5)
+
+
+def test_lexicon_without_variants_labels_every_sentence_no():
+    matcher = compile_matcher(lex({"n": []}, exclusions=["hope"]))
+    assert match_sentence(matcher, "We hope.").label == "no"
+
+
+def test_prefilter_classes_agree_with_str_predicates_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    # the exact path tests whitespace before lowering, the pattern after it
+    assert all(c.lower() == c for c in every if c.isspace())
