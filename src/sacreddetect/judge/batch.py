@@ -4,6 +4,12 @@ Both supported providers accept the same OpenAI-style batch line --
 custom_id, method, url, body with chat messages -- so one emitter serves
 both. Line order is fixed to (ngo_id, doc_id, position), which makes the
 emitted file byte-deterministic for a given corpus, template and model.
+
+All of a line but the custom_id and the user text is the same for every
+sentence of a file, the system prompt above all, so it is encoded once per
+call and each line splices in just the two encoded strings. The bytes are
+those of ``json.dumps(line_dict, ensure_ascii=False)`` with the dict's key
+order and the default separators.
 """
 
 from __future__ import annotations
@@ -18,6 +24,13 @@ from .prompts import render_prompt
 log = logging.getLogger(__name__)
 
 CHAT_COMPLETIONS_URL = "/v1/chat/completions"
+# The OpenAI Batch API's per-batch limit: requests in a batch and bytes in
+# its input file (https://platform.openai.com/docs/guides/batch).
+BATCH_LIMIT = {"requests": 50_000, "bytes": 200_000_000}
+
+# For a str, the same bytes as json.dumps(s, ensure_ascii=False), without
+# building an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def build_batch_file(
@@ -33,26 +46,23 @@ def build_batch_file(
     skipped and counted under ``batch_skipped_empty``.
     """
     counters = counters if counters is not None else Counter()
-    system_text = render_prompt(template_id)
+    # {"custom_id": <id>, "method": "POST", "url": <url>, "body": {"model":
+    # <model>, "messages": [{"role": "system", "content": <prompt>},
+    # {"role": "user", "content": <text>}]}}
+    between = (
+        f', "method": "POST", "url": {_encode(CHAT_COMPLETIONS_URL)}, "body": '
+        f'{{"model": {_encode(model_id)}, "messages": [{{"role": "system", '
+        f'"content": {_encode(render_prompt(template_id))}}}, {{"role": "user", "content": '
+    )
 
     lines = []
     for rec in sorted(corpus, key=lambda r: (r.ngo_id, r.doc_id, r.position)):
         if not rec.text:
             counters["batch_skipped_empty"] += 1
             continue
-        line = {
-            "custom_id": rec.sentence_id,
-            "method": "POST",
-            "url": CHAT_COMPLETIONS_URL,
-            "body": {
-                "model": model_id,
-                "messages": [
-                    {"role": "system", "content": system_text},
-                    {"role": "user", "content": rec.text},
-                ],
-            },
-        }
-        lines.append(json.dumps(line, ensure_ascii=False))
+        lines.append(
+            '{"custom_id": ' + _encode(rec.sentence_id) + between + _encode(rec.text) + "}]}}"
+        )
     if counters["batch_skipped_empty"]:
         log.warning("skipped %d empty sentences", counters["batch_skipped_empty"])
     return lines

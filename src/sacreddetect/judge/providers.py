@@ -180,7 +180,8 @@ class _HttpBatchProvider:
         if not output_file:
             raise ProviderError(f"{self.name}: batch {state['batch_id']} has no output file")
         content = self._request("GET", f"/files/{output_file}/content").text
-        return [line for line in content.splitlines() if line.strip()]
+        # not splitlines: JSON strings may hold U+2028, U+0085 and the like raw
+        return [line for line in content.split("\n") if line.strip()]
 
     def _poll(self, batch_id: str) -> dict:
         while True:

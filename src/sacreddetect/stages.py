@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import takewhile
 from pathlib import Path
 
 import requests
@@ -159,7 +160,8 @@ def _produce(stage: str, out_dir: Path, inputs: dict[str, str], build, adopt: bo
 
     build(tmp) writes the outputs into an empty sibling directory and
     returns the manifest params; the manifest goes in last and the sibling
-    replaces out_dir whole. A build that raises leaves out_dir untouched.
+    replaces out_dir whole. A build that raises leaves out_dir untouched
+    and removes the parent directories this call made, while they are empty.
     A non-empty out_dir without a manifest is replaced only with adopt (a
     stage directory under the output root); otherwise it may be a user's
     directory, and it is refused.
@@ -173,11 +175,17 @@ def _produce(stage: str, out_dir: Path, inputs: dict[str, str], build, adopt: bo
     tmp, old = (out_dir.with_name(f".{out_dir.name}.{suffix}") for suffix in ("tmp", "old"))
     for leftover in (tmp, old):  # left by a killed run
         shutil.rmtree(leftover, ignore_errors=True)
+    made = list(takewhile(lambda p: not p.exists(), tmp.parents))  # nearest first
     tmp.mkdir(parents=True)
     try:
         write_manifest(tmp, stage, inputs, build(tmp), started)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        for parent in made:  # only while still empty
+            try:
+                parent.rmdir()
+            except OSError:
+                break
         raise
     if out_dir.exists():
         out_dir.rename(old)
@@ -443,7 +451,17 @@ def run_batch_build(config: PipelineConfig) -> None:
                     lines = batch_mod.build_batch_file(
                         corpus, config.prompt_template, model.model_id, counters
                     )
-                    write_text(out / path.name, "\n".join(lines) + ("\n" if lines else ""))
+                    dest = out / path.name
+                    write_text(dest, "\n".join(lines) + ("\n" if lines else ""))
+                    sizes = {"requests": len(lines), "bytes": dest.stat().st_size}
+                    for key, value in sizes.items():
+                        counters[f"{key}:{path.stem}"] = value
+                    over = {k: v for k, v in sizes.items() if v > batch_mod.BATCH_LIMIT[k]}
+                    if over:
+                        log.warning(
+                            "batch-build: %s holds %s, over the provider's per-batch limit %s",
+                            layout.batches(model.model_id) / path.name, over, batch_mod.BATCH_LIMIT,
+                        )
                 log.info("batch-build %s: done", model.model_id)
                 return {"template": config.prompt_template, "counters": dict(counters)}
 
@@ -486,7 +504,9 @@ def run_classify(
                         continue
                     ngo_id = path.stem
                     corpus = load_corpus(layout, ngo_id)
-                    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln]
+                    # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
+                    # like raw, and str.splitlines would break at them
+                    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
                     state_path = batch_dir / f"{ngo_id}.state.json"
                     results_path = batch_dir / f"{ngo_id}.results.jsonl"
                     state = (
@@ -508,7 +528,9 @@ def run_classify(
                     if state == {"done": True} and results_path.is_file():
                         # finished by this provider in a run that failed on a
                         # later file: read back, not sent (and paid for) again
-                        raw_lines = results_path.read_text(encoding="utf-8").splitlines()
+                        raw_lines = [
+                            ln for ln in results_path.read_text(encoding="utf-8").split("\n") if ln
+                        ]
                     else:
                         if state.get("done"):  # its results file is gone
                             state = {}

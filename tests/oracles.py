@@ -4,18 +4,21 @@ These deliberately use different mechanisms than the package: per-variant
 regex scans instead of the multi-pattern automaton, plain row-by-row
 recounts instead of the vectorized-ish stats code, a regex look-back from
 the start of the text instead of the splitter's bounded one, log-odds
-recomputed per trigram instead of precomputed tables, and a char-by-char
-brace scan instead of decoding JSON from the first brace. They must stay
-dumb.
+recomputed per trigram instead of precomputed tables, a char-by-char
+brace scan instead of decoding JSON from the first brace, and a whole
+request dict encoded per batch line instead of spliced pieces. They must
+stay dumb.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 from collections import Counter
 
+from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.judge.verdicts import Verdict, parse_verdict
 from sacreddetect.textpipe.langid import _SEEDS, LANGUAGES
 from sacreddetect.textpipe.sentences import (
@@ -55,6 +58,26 @@ def naive_match_spans(text: str, variants: list[str], exclusions: list[str]) -> 
 
 def naive_label(text: str, variants: list[str], exclusions: list[str]) -> str:
     return "yes" if naive_match_spans(text, variants, exclusions) else "no"
+
+
+# --- batch line oracle ------------------------------------------------------
+
+
+def dict_batch_line(sentence_id: str, text: str, template_id: str, model_id: str) -> str:
+    """One batch request line: the whole request dict, encoded at once."""
+    line = {
+        "custom_id": sentence_id,
+        "method": "POST",
+        "url": "/v1/chat/completions",
+        "body": {
+            "model": model_id,
+            "messages": [
+                {"role": "system", "content": render_prompt(template_id)},
+                {"role": "user", "content": text},
+            ],
+        },
+    }
+    return json.dumps(line, ensure_ascii=False)
 
 
 # --- splitter oracle --------------------------------------------------------

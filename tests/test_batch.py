@@ -1,8 +1,20 @@
 import json
 from collections import Counter
 
-from sacreddetect.judge import build_batch_file, render_prompt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dict_batch_line
+
+from sacreddetect.judge import TEMPLATE_IDS, build_batch_file, render_prompt
 from sacreddetect.textpipe.corpus import SentenceRecord
+
+# characters JSON escapes (quote, backslash, C0 controls) or leaves raw
+# (DEL, U+0085, U+2028, U+2029), and non-ASCII up to the astral planes
+TRICKY = st.one_of(
+    st.characters(max_codepoint=0x1F),
+    st.sampled_from(['"', "\\", "\x7f", "\x85", "\u2028", "\u2029", "é", "Σ", "😀", "\U0010ffff"]),
+    st.characters(),
+)
 
 
 def corpus3():
@@ -61,3 +73,14 @@ def test_empty_text_skipped_with_count():
     assert len(lines) == 3
     assert counters["batch_skipped_empty"] == 1
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.text(TRICKY, max_size=8), st.text(TRICKY, max_size=40)), max_size=5),
+    template_id=st.sampled_from(TEMPLATE_IDS),
+    model_id=st.text(st.one_of(st.sampled_from(['"', "\\", "é", "模"]), st.characters()), min_size=1),
+)
+def test_lines_equal_the_whole_dict_encoding(rows, template_id, model_id):
+    corpus = [SentenceRecord(sid, "d", "n", i, text) for i, (sid, text) in enumerate(rows)]
+    expected = [dict_batch_line(sid, text, template_id, model_id) for sid, text in rows if text]
+    assert build_batch_file(corpus, template_id, model_id) == expected

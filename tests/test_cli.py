@@ -106,4 +106,4 @@ def test_corrupt_stage_file_exits_1_naming_the_file_and_line(monkeypatch, tmp_pa
         fh.write('{"torn')
     assert run_cli([*config, "match"], monkeypatch) == 1
     assert f"{corpus}: line {torn_line}: " in caplog.text
-    assert not (root / "labels" / "tree").exists()
+    assert not (root / "labels").exists()  # nor the parent the failed build made

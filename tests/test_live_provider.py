@@ -3,7 +3,11 @@ import json
 import pytest
 
 from sacreddetect.errors import ProviderError
-from sacreddetect.judge.providers import GroqBatchProvider, OpenAIBatchProvider
+from sacreddetect.judge.providers import (
+    GroqBatchProvider,
+    OpenAIBatchProvider,
+    parse_result_lines,
+)
 
 
 class FakeResponse:
@@ -19,8 +23,9 @@ class FakeResponse:
 class FakeBatchSession:
     """Scripted OpenAI-style batch endpoints; records every request."""
 
-    def __init__(self, polls_until_done=2, final_status="completed"):
+    def __init__(self, polls_until_done=2, final_status="completed", reply=None):
         self.calls = []
+        self.reply = reply or '{"Religious":"No","Certainty":"90%","Argumentation":"x"}'
         self.polls = 0
         self.polls_until_done = polls_until_done
         self.final_status = final_status
@@ -51,11 +56,12 @@ class FakeBatchSession:
                             "status_code": 200,
                             "body": {
                                 "choices": [
-                                    {"message": {"content": '{"Religious":"No","Certainty":"90%","Argumentation":"x"}'}}
+                                    {"message": {"content": self.reply}}
                                 ]
                             },
                         },
-                    }
+                    },
+                    ensure_ascii=False,
                 )
             ]
             return FakeResponse(text="\n".join(lines))
@@ -115,3 +121,11 @@ def test_groq_uses_its_own_base_url():
     provider = make_provider(session, cls=GroqBatchProvider)
     provider.run_batch(['{"custom_id":"s1"}'])
     assert all(u.startswith("https://api.groq.com/openai/v1") for _, u in session.calls)
+
+
+def test_downloaded_lines_are_not_torn_at_unicode_line_separators():
+    reply = '{"Religious":"Yes","Certainty":"90%","Argumentation":"a\u2028b\x85c"}'
+    session = FakeBatchSession(polls_until_done=1, reply=reply)
+    lines = make_provider(session).run_batch(['{"custom_id":"s1"}'])
+    assert len(lines) == 1
+    assert parse_result_lines(lines) == {"s1": reply}

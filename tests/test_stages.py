@@ -318,6 +318,49 @@ def test_read_jsonl_names_the_path_and_line_of_a_bad_line(tmp_path):
     assert bad == [(path, 3)]
 
 
+def test_batch_build_records_requests_and_bytes_per_file(sample_config, monkeypatch, caplog):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    monkeypatch.setitem(stages.batch_mod.BATCH_LIMIT, "requests", 2)
+    run_batch_build(sample_config)
+    over = set()
+    for model in sample_config.models:
+        batch_dir = layout.batches(model.model_id)
+        counters = read_manifest(batch_dir).params["counters"]
+        for path in sorted(batch_dir.glob("*.jsonl")):
+            n = path.read_text(encoding="utf-8").count("\n")
+            assert counters[f"requests:{path.stem}"] == n
+            assert counters[f"bytes:{path.stem}"] == path.stat().st_size
+            if n > 2:
+                over.add(str(path))
+    warned = {str(r.args[0]) for r in caplog.records if "per-batch limit" in r.getMessage()}
+    assert over and warned == over
+
+
+def test_classify_keeps_saved_results_whole_at_unicode_line_separators(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    batch_dir = layout.batches(model)
+    reply = '{"Religious": "Yes", "Certainty": "80%", "Argumentation": "a\u2028b\x85c"}'
+    ids = [row["custom_id"] for row in read_jsonl(batch_dir / "cca.jsonl")]
+    results = [
+        {"custom_id": sid, "response": {"body": {"choices": [{"message": {"content": reply}}]}}}
+        for sid in ids
+    ]
+    (batch_dir / "cca.results.jsonl").write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in results), encoding="utf-8"
+    )
+    (batch_dir / "cca.state.json").write_text(json.dumps({"provider": "stub", "done": True}))
+    run_classify(sample_config, stub=True, only_model=model)
+    verdicts = list(read_jsonl(layout.labels_model(model) / "cca.jsonl"))
+    assert [v["label"] for v in verdicts] == ["yes"] * len(ids)
+    assert verdicts[0]["argumentation"] == "a\u2028b\x85c"
+
+
 class FlakyProvider:
     """Stub answers, with a provider failure on one call."""
 
