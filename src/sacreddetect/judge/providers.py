@@ -24,13 +24,15 @@ from typing import Protocol
 import requests
 
 from ..errors import ProviderError
-from ..textpipe.corpus import SentenceRecord
 from .verdicts import Verdict, parse_verdict
 
 log = logging.getLogger(__name__)
 
 MISSING_RAW_TEXT = "<missing>"
 TERMINAL_STATUSES = {"completed", "failed", "expired", "cancelled", "cancelled_final"}
+
+# The same bytes as json.dumps(obj), without building an encoder per call.
+_encode = json.JSONEncoder().encode
 
 
 class BatchProvider(Protocol):
@@ -55,34 +57,47 @@ class StubProvider:
     (word-boundary, case-insensitive), always with certainty 90 and a
     templated argumentation. Exists so the whole pipeline runs offline and
     reproducibly; it is not a model of model behavior.
+
+    One search for all the terms at once decides most sentences: a miss
+    answers "No". On a hit the terms are tried one by one, so the reply
+    names the first matching term in TERMS order, not the leftmost one in
+    the text. The seven possible replies are encoded once, and each result
+    line splices in just the encoded custom_id; the bytes are those of
+    ``json.dumps(result_dict)`` with its key order and default settings.
     """
 
     name = "stub"
     TERMS = ("pray", "prayer", "god", "sacred", "faith", "holy")
 
     def __init__(self) -> None:
-        self._patterns = [
-            (term, re.compile(rf"(?<![0-9A-Za-z]){re.escape(term)}(?![0-9A-Za-z])", re.IGNORECASE))
+        def bounded(alternatives: str) -> re.Pattern:
+            return re.compile(rf"(?<![0-9A-Za-z]){alternatives}(?![0-9A-Za-z])", re.IGNORECASE)
+
+        def line_tail(religious: str, argumentation: str) -> str:
+            # {"custom_id": <id>, "response": {"status_code": 200, "body":
+            # {"choices": [{"message": {"role": "assistant", "content":
+            # <reply>}}]}}, "error": null}
+            reply = json.dumps(
+                {"Religious": religious, "Certainty": "90%", "Argumentation": argumentation}
+            )
+            return (
+                ', "response": {"status_code": 200, "body": {"choices": [{"message": '
+                '{"role": "assistant", "content": ' + _encode(reply) + '}}]}}, "error": null}'
+            )
+
+        self._any_term = bounded("(?:" + "|".join(map(re.escape, self.TERMS)) + ")")
+        self._terms = [
+            (bounded(re.escape(term)), line_tail("Yes", f"Contains the term '{term}'."))
             for term in self.TERMS
         ]
+        self._no = line_tail("No", "No religious terms or ideas detected.")
 
-    def _verdict_text(self, user_text: str) -> str:
-        for term, pattern in self._patterns:
-            if pattern.search(user_text):
-                return json.dumps(
-                    {
-                        "Religious": "Yes",
-                        "Certainty": "90%",
-                        "Argumentation": f"Contains the term '{term}'.",
-                    }
-                )
-        return json.dumps(
-            {
-                "Religious": "No",
-                "Certainty": "90%",
-                "Argumentation": "No religious terms or ideas detected.",
-            }
-        )
+    def _line_tail(self, user_text: str) -> str:
+        if self._any_term.search(user_text):
+            for pattern, tail in self._terms:
+                if pattern.search(user_text):
+                    return tail
+        return self._no
 
     def run_batch(
         self, lines: list[str], state: dict | None = None, state_save=None
@@ -91,27 +106,7 @@ class StubProvider:
         for line in lines:
             request = json.loads(line)
             user_text = request["body"]["messages"][-1]["content"]
-            out.append(
-                json.dumps(
-                    {
-                        "custom_id": request["custom_id"],
-                        "response": {
-                            "status_code": 200,
-                            "body": {
-                                "choices": [
-                                    {
-                                        "message": {
-                                            "role": "assistant",
-                                            "content": self._verdict_text(user_text),
-                                        }
-                                    }
-                                ]
-                            },
-                        },
-                        "error": None,
-                    }
-                )
-            )
+            out.append('{"custom_id": ' + _encode(request["custom_id"]) + self._line_tail(user_text))
         return out
 
 
@@ -233,21 +228,22 @@ def parse_result_lines(lines: list[str]) -> dict[str, str]:
 
 
 def join_verdicts(
-    corpus: list[SentenceRecord],
+    sentence_ids: list[str],
     results: dict[str, str],
     model_id: str,
     strict_json: bool = False,
 ) -> list[Verdict]:
-    """One verdict per corpus sentence, always: sentences the provider did
-    not answer become malformed verdicts with raw_text "<missing>".
+    """One verdict per sentence id, in the order given, always: sentences
+    the provider did not answer become malformed verdicts with raw_text
+    "<missing>".
     """
     verdicts = []
-    for rec in corpus:
-        raw = results.get(rec.sentence_id)
+    for sentence_id in sentence_ids:
+        raw = results.get(sentence_id)
         if raw is None:
             verdicts.append(
-                Verdict(rec.sentence_id, model_id, "malformed", None, None, MISSING_RAW_TEXT)
+                Verdict(sentence_id, model_id, "malformed", None, None, MISSING_RAW_TEXT)
             )
         else:
-            verdicts.append(parse_verdict(rec.sentence_id, model_id, raw, strict=strict_json))
+            verdicts.append(parse_verdict(sentence_id, model_id, raw, strict=strict_json))
     return verdicts

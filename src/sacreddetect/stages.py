@@ -110,10 +110,25 @@ class Layout:
         return self.root / "reports"
 
 
+def _missing_dirs(path: Path) -> list[Path]:
+    """The directories mkdir(parents=True) would create for path, nearest first."""
+    return list(takewhile(lambda p: not p.exists(), [path, *path.parents]))
+
+
+def _remove_while_empty(dirs: list[Path]) -> None:
+    for directory in dirs:
+        try:
+            directory.rmdir()
+        except OSError:
+            break
+
+
 @contextmanager
 def stage_lock(root: Path):
     """One stage execution per output root; stale locks from dead processes
-    are stolen."""
+    are stolen. A stage that raises leaves behind none of the directories
+    the lock created for the root, while they are empty."""
+    made = _missing_dirs(root)
     root.mkdir(parents=True, exist_ok=True)
     lock_path = root / ".lock"
     if lock_path.is_file():
@@ -136,8 +151,11 @@ def stage_lock(root: Path):
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         yield
-    finally:
+    except BaseException:
         lock_path.unlink(missing_ok=True)
+        _remove_while_empty(made)
+        raise
+    lock_path.unlink(missing_ok=True)
 
 
 def _hash_dir_files(directory: Path, pattern: str = "*.jsonl") -> dict[str, str]:
@@ -175,17 +193,13 @@ def _produce(stage: str, out_dir: Path, inputs: dict[str, str], build, adopt: bo
     tmp, old = (out_dir.with_name(f".{out_dir.name}.{suffix}") for suffix in ("tmp", "old"))
     for leftover in (tmp, old):  # left by a killed run
         shutil.rmtree(leftover, ignore_errors=True)
-    made = list(takewhile(lambda p: not p.exists(), tmp.parents))  # nearest first
+    made = _missing_dirs(tmp.parent)
     tmp.mkdir(parents=True)
     try:
         write_manifest(tmp, stage, inputs, build(tmp), started)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
-        for parent in made:  # only while still empty
-            try:
-                parent.rmdir()
-            except OSError:
-                break
+        _remove_while_empty(made)
         raise
     if out_dir.exists():
         out_dir.rename(old)
@@ -471,6 +485,12 @@ def run_batch_build(config: PipelineConfig) -> None:
 # --- classify ---------------------------------------------------------------
 
 
+def _read_lines(path: Path) -> list[str]:
+    # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
+    # like raw, and str.splitlines would break at them
+    return [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
+
+
 def run_classify(
     config: PipelineConfig,
     stub: bool = False,
@@ -497,16 +517,19 @@ def run_classify(
             inputs["strict_json"] = sha256_text(str(strict_json))
 
             def build(out: Path) -> dict:
+                counters: Counter = Counter()
                 # Submission state and raw results live beside the batch
                 # files they belong to; re-running batch-build discards them.
                 for path in sorted(batch_dir.glob("*.jsonl")):
                     if path.name.endswith(".results.jsonl"):
                         continue
                     ngo_id = path.stem
-                    corpus = load_corpus(layout, ngo_id)
-                    # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
-                    # like raw, and str.splitlines would break at them
-                    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
+                    corpus_path = layout.corpus / path.name
+                    sentence_ids = (
+                        [row["sentence_id"] for row in read_jsonl(corpus_path)]
+                        if corpus_path.is_file()
+                        else []
+                    )
                     state_path = batch_dir / f"{ngo_id}.state.json"
                     results_path = batch_dir / f"{ngo_id}.results.jsonl"
                     state = (
@@ -525,17 +548,18 @@ def run_classify(
                     save_state = lambda s: write_text(  # noqa: E731
                         state_path, json.dumps({"provider": provider_name, **s})
                     )
-                    if state == {"done": True} and results_path.is_file():
+                    reused = state == {"done": True} and results_path.is_file()
+                    if reused:
                         # finished by this provider in a run that failed on a
                         # later file: read back, not sent (and paid for) again
-                        raw_lines = [
-                            ln for ln in results_path.read_text(encoding="utf-8").split("\n") if ln
-                        ]
+                        raw_lines = _read_lines(results_path)
                     else:
                         if state.get("done"):  # its results file is gone
                             state = {}
                         try:
-                            raw_lines = provider.run_batch(lines, state=state, state_save=save_state)
+                            raw_lines = provider.run_batch(
+                                _read_lines(path), state=state, state_save=save_state
+                            )
                         except ProviderError:
                             if state:
                                 save_state(state)
@@ -548,12 +572,20 @@ def run_classify(
                         save_state({"done": True})
                     results = providers_mod.parse_result_lines(raw_lines)
                     verdicts = providers_mod.join_verdicts(
-                        corpus, results, model.model_id, strict_json=strict_json
+                        sentence_ids, results, model.model_id, strict_json=strict_json
                     )
                     write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
+                    counts = {
+                        "verdicts": len(verdicts),
+                        "malformed": sum(v.label == "malformed" for v in verdicts),
+                        "missing": sum(v.raw_text == providers_mod.MISSING_RAW_TEXT for v in verdicts),
+                        "reused": int(reused),
+                    }
+                    for key, value in counts.items():
+                        counters[f"{key}:{ngo_id}"] = value
                     log.info(
                         "classify %s/%s: %d verdicts, %d malformed", model.model_id, ngo_id,
-                        len(verdicts), sum(v.label == "malformed" for v in verdicts),
+                        counts["verdicts"], counts["malformed"],
                     )
                 return {
                     "provider": provider_name,
@@ -565,6 +597,7 @@ def run_classify(
                     # No decoding parameters are sent; the provider's own
                     # defaults apply and that fact is the record.
                     "decoding": "provider-defaults",
+                    "counters": dict(counters),
                 }
 
             _produce("classify", layout.labels_model(model.model_id), inputs, build)

@@ -5,9 +5,11 @@ regex scans instead of the multi-pattern automaton, plain row-by-row
 recounts instead of the vectorized-ish stats code, a regex look-back from
 the start of the text instead of the splitter's bounded one, log-odds
 recomputed per trigram instead of precomputed tables, a char-by-char
-brace scan instead of decoding JSON from the first brace, and a whole
-request dict encoded per batch line instead of spliced pieces. They must
-stay dumb.
+brace scan instead of decoding JSON from the first brace, a whole
+request dict encoded per batch line instead of spliced pieces, and one
+regex search per stub term with a whole result dict encoded per reply
+instead of one combined search and pre-encoded replies. They must stay
+dumb.
 """
 
 from __future__ import annotations
@@ -78,6 +80,48 @@ def dict_batch_line(sentence_id: str, text: str, template_id: str, model_id: str
         },
     }
     return json.dumps(line, ensure_ascii=False)
+
+
+# --- stub provider oracle ---------------------------------------------------
+
+_STUB_TERMS = ("pray", "prayer", "god", "sacred", "faith", "holy")
+
+
+def naive_stub_term(user_text: str) -> str | None:
+    """The first stub term, in term order, that the text holds on word
+    boundaries, searched one term at a time."""
+    for term in _STUB_TERMS:
+        if re.search(rf"(?<![0-9A-Za-z]){re.escape(term)}(?![0-9A-Za-z])", user_text, re.IGNORECASE):
+            return term
+    return None
+
+
+def naive_stub_run_batch(lines: list[str]) -> list[str]:
+    """StubProvider.run_batch with one search per term and the whole
+    result dict encoded per line."""
+    out = []
+    for line in lines:
+        request = json.loads(line)
+        term = naive_stub_term(request["body"]["messages"][-1]["content"])
+        reply = json.dumps(
+            {
+                "Religious": "No" if term is None else "Yes",
+                "Certainty": "90%",
+                "Argumentation": "No religious terms or ideas detected."
+                if term is None
+                else f"Contains the term '{term}'.",
+            }
+        )
+        result = {
+            "custom_id": request["custom_id"],
+            "response": {
+                "status_code": 200,
+                "body": {"choices": [{"message": {"role": "assistant", "content": reply}}]},
+            },
+            "error": None,
+        }
+        out.append(json.dumps(result))
+    return out
 
 
 # --- splitter oracle --------------------------------------------------------

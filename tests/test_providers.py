@@ -1,6 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_stub_run_batch, naive_stub_term
 
 from sacreddetect.errors import ProviderError
 from sacreddetect.judge.batch import build_batch_file
@@ -23,7 +26,7 @@ def classify(corpus, template_id, model_id, provider):
     each NGO file; returns (verdicts, raw result lines)."""
     raw_lines = provider.run_batch(build_batch_file(corpus, template_id, model_id))
     results = parse_result_lines(raw_lines)
-    return join_verdicts(corpus, results, model_id), raw_lines
+    return join_verdicts([r.sentence_id for r in corpus], results, model_id), raw_lines
 
 
 class DropsSomeProvider:
@@ -88,7 +91,7 @@ def test_parse_result_lines_drops_garbage():
 def test_join_verdicts_parses_content():
     c = corpus("Holy ground here.")
     lines = StubProvider().run_batch(build_batch_file(c, "revised", "m"))
-    verdicts = join_verdicts(c, parse_result_lines(lines), "m")
+    verdicts = join_verdicts([r.sentence_id for r in c], parse_result_lines(lines), "m")
     assert verdicts[0].label == "yes"
     assert verdicts[0].model_id == "m"
     assert verdicts[0].sentence_id == c[0].sentence_id
@@ -112,3 +115,37 @@ def test_live_provider_requires_api_key(monkeypatch):
 def test_stub_word_boundaries():
     verdicts, _ = classify(corpus("The godless goddess."), "revised", "m", StubProvider())
     assert verdicts[0].label == "no"  # 'god' must not match inside other words
+
+
+# the six terms, near-misses, digits, the four non-ASCII letters that
+# re.IGNORECASE folds into [A-Za-z], and other non-ASCII
+STUB_PIECES = st.sampled_from(
+    list(StubProvider.TERMS)
+    + ["PRAY", "Holy", "prayers", "godly", "faith1", "_holy", "7", "0god",
+       "\u0130", "\u0131", "\u017f", "\u212a", "\u03a3", "\u2028", " ", ".", "-"]
+)
+TRICKY_IDS = st.text(st.one_of(st.sampled_from(['"', "\\", "é", "模", "\u2028"]), st.characters()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(TRICKY_IDS, st.lists(STUB_PIECES, min_size=1, max_size=8).map("".join)),
+        max_size=5,
+    )
+)
+def test_stub_lines_equal_the_per_term_whole_dict_oracle(rows):
+    stub = StubProvider()
+    lines = build_batch_file(
+        [SentenceRecord(sid, "d", "n", i, text) for i, (sid, text) in enumerate(rows)],
+        "revised",
+        "m",
+    )
+    assert stub.run_batch(lines) == naive_stub_run_batch(lines)
+    for _, text in rows:  # the one combined search misses iff every term misses
+        assert bool(stub._any_term.search(text)) == (naive_stub_term(text) is not None)
+
+
+def test_stub_names_the_first_term_in_term_order_not_the_leftmost():
+    verdicts, _ = classify(corpus("holy god"), "revised", "m", StubProvider())
+    assert verdicts[0].argumentation == "Contains the term 'god'."

@@ -11,6 +11,7 @@ from sacreddetect.harvest.store import DocumentStore, RawDocument
 from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.providers import StubProvider
 from sacreddetect.manifest import read_manifest
+from sacreddetect.textpipe.corpus import SentenceRecord
 from sacreddetect.stages import (
     Layout,
     run_analyze,
@@ -134,6 +135,19 @@ def test_stage_lock_steals_stale_lock(tmp_path):
     with stage_lock(root):
         assert (root / ".lock").is_file()
     assert not (root / ".lock").exists()
+
+
+def test_failed_stage_leaves_no_output_root_it_made(sample_config, tmp_path):
+    sample_config.output_root = tmp_path / "newroot" / "a"
+    with pytest.raises(PrerequisiteError, match="sacreddetect extract"):
+        run_match(sample_config)
+    assert not (tmp_path / "newroot").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    sample_config.output_root = existing
+    with pytest.raises(PrerequisiteError):
+        run_match(sample_config)
+    assert sorted(existing.iterdir()) == []  # a root that was there stays
 
 
 def test_crash_safety_partial_outputs_rerun(sample_config):
@@ -359,6 +373,36 @@ def test_classify_keeps_saved_results_whole_at_unicode_line_separators(sample_co
     verdicts = list(read_jsonl(layout.labels_model(model) / "cca.jsonl"))
     assert [v["label"] for v in verdicts] == ["yes"] * len(ids)
     assert verdicts[0]["argumentation"] == "a\u2028b\x85c"
+
+
+def test_classify_records_verdict_counters_per_file(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    with open(layout.corpus / "cca.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(SentenceRecord.make("extra", "cca", 0, "").to_dict()) + "\n")
+    run_batch_build(sample_config)  # skips the empty sentence
+    model = "gpt-4o-mini"
+    run_classify(sample_config, stub=True, only_model=model)
+    labels = layout.labels_model(model)
+    counters = read_manifest(labels).params["counters"]
+    for path in sorted(labels.glob("*.jsonl")):
+        verdicts = list(read_jsonl(path))
+        ngo = path.stem
+        assert counters[f"verdicts:{ngo}"] == len(verdicts)
+        assert counters[f"malformed:{ngo}"] == sum(v["label"] == "malformed" for v in verdicts)
+        assert counters[f"missing:{ngo}"] == (1 if ngo == "cca" else 0)
+        assert counters[f"reused:{ngo}"] == 0
+    assert counters["verdicts:cca"] == 6 and counters["malformed:cca"] == 1
+    inputs = read_manifest(labels).inputs
+
+    run_classify(sample_config, stub=True, only_model=model, strict_json=True)
+    counters = read_manifest(labels).params["counters"]  # every file read back
+    assert {k: v for k, v in counters.items() if k.startswith("reused:")} == {
+        f"reused:{path.stem}": 1 for path in labels.glob("*.jsonl")
+    }
+    assert counters["missing:cca"] == 1
+    assert set(read_manifest(labels).inputs) == set(inputs)
 
 
 class FlakyProvider:
