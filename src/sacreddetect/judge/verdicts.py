@@ -43,17 +43,6 @@ class Verdict:
             "raw_text": self.raw_text,
         }
 
-    @staticmethod
-    def from_dict(row: dict) -> "Verdict":
-        return Verdict(
-            sentence_id=row["sentence_id"],
-            model_id=row["model_id"],
-            label=row["label"],
-            certainty=row.get("certainty"),
-            argumentation=row.get("argumentation"),
-            raw_text=row.get("raw_text", ""),
-        )
-
 
 def _parse_certainty(value) -> int | None:
     if isinstance(value, bool):

@@ -48,8 +48,7 @@ from .jsonlio import read_jsonl, write_json, write_jsonl, write_text
 from .judge import batch as batch_mod
 from .judge import providers as providers_mod
 from .judge.prompts import prompt_hash
-from .judge.verdicts import Verdict
-from .lexicon.matcher import classify_corpus, compile_matcher, yes_rate_summary
+from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
 from .textpipe.corpus import (
@@ -435,11 +434,12 @@ def run_match(
                 corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
                 results = classify_corpus(matcher, corpus)
                 write_jsonl(out / path.name, (r.to_dict() for r in results))
-                for ngo_id, entry in yes_rate_summary(corpus, results).items():
-                    log.info(
-                        "match %s: %d/%d yes (%.1f%%)",
-                        ngo_id, entry["yes"], entry["n"], entry["pct_yes"],
-                    )
+                # a corpus file holds one NGO's sentences
+                yes = sum(r.label == "yes" for r in results)
+                log.info(
+                    "match %s: %d/%d yes (%.1f%%)", path.stem, yes, len(results),
+                    100.0 * yes / len(results) if results else 0.0,
+                )
             return {"lexicon": str(lexicon_file), "patterns": matcher.pattern_count}
 
         _produce("match", dst, inputs, build, adopt=out_dir is None)
@@ -503,9 +503,22 @@ def run_classify(
         models = [m for m in config.models if only_model in (None, m.model_id)]
         if not models:
             raise ConfigError(f"no configured model matches {only_model!r}")
+        corpus_inputs = _hash_dir_files(layout.corpus)
         for model in models:
             batch_dir = layout.batches(model.model_id)
             batch_manifest = _require_manifest(batch_dir, "batch-build")
+            built_from = {
+                name: digest
+                for name, digest in batch_manifest.inputs.items()
+                if name.endswith(".jsonl")
+            }
+            if built_from != corpus_inputs:
+                # verdicts joined on the new corpus's ids would count its new
+                # sentences as missing and drop its removed ones unseen
+                raise PrerequisiteError(
+                    f"batches for model {model.model_id!r} were built from an older "
+                    "corpus; run `sacreddetect batch-build` first"
+                )
             provider_name = "stub" if stub else (provider_override or model.provider)
             provider = providers_mod.get_provider(provider_name)
             inputs = {
@@ -615,11 +628,13 @@ def _load_tree_results(layout: Layout) -> dict[str, str]:
     }
 
 
-def _load_verdicts(layout: Layout, model_id: str) -> list[Verdict]:
-    verdicts = []
-    for path in sorted(layout.labels_model(model_id).glob("*.jsonl")):
-        verdicts.extend(Verdict.from_dict(row) for row in read_jsonl(path))
-    return verdicts
+def _load_verdicts(layout: Layout, model_id: str) -> list[dict]:
+    """The decoded verdict rows of one model, over every labels file."""
+    return [
+        row
+        for path in sorted(layout.labels_model(model_id).glob("*.jsonl"))
+        for row in read_jsonl(path)
+    ]
 
 
 def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
@@ -649,13 +664,14 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
             verdict_sets = {}
             argumentation: dict[str, dict[str, str]] = {}
             for model_id in model_ids:
-                verdicts = _load_verdicts(layout, model_id)
-                verdict_sets[model_id] = {v.sentence_id: v.label for v in verdicts}
+                rows = _load_verdicts(layout, model_id)
+                verdict_sets[model_id] = {row["sentence_id"]: row["label"] for row in rows}
                 argumentation[model_id] = {
-                    v.sentence_id: v.argumentation
-                    for v in verdicts
-                    if v.argumentation is not None
+                    row["sentence_id"]: row["argumentation"]
+                    for row in rows
+                    if row.get("argumentation") is not None
                 }
+                del rows  # free before the next model's rows, and before tabulate
 
             matrix = matrix_mod.tabulate(
                 load_corpus(layout), _load_tree_results(layout), verdict_sets, config.groups()

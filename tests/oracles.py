@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the real ones.
 
 These deliberately use different mechanisms than the package: per-variant
-regex scans instead of the multi-pattern automaton, plain row-by-row
+regex scans instead of one trie walked from each word start, plain row-by-row
 recounts instead of the vectorized-ish stats code, a regex look-back from
 the start of the text instead of the splitter's bounded one, log-odds
 recomputed per trigram instead of precomputed tables, a char-by-char

@@ -196,12 +196,17 @@ def test_matcher_equals_naive_oracle_seeded():
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    text=st.text(alphabet="abcdefg GODsacredmother earth.,'-\t", max_size=120),
+    text=st.text(alphabet="abcdefg GODsacredmother earth.,'-\t()!", max_size=120),
 )
 def test_matcher_equals_naive_oracle_hypothesis(data, text):
     variants = data.draw(
         st.lists(
-            st.sampled_from(WORDS + ["mother earth", "sacred earth", "god of rivers"]),
+            st.sampled_from(
+                WORDS
+                + ["mother earth", "sacred earth", "god of rivers"]
+                # forms with punctuation at the start, at the end or inside
+                + ["god's", "st. francis", "mother-earth", "'tis", "(god)", "amen!"]
+            ),
             min_size=1,
             max_size=6,
             unique=True,
@@ -248,14 +253,14 @@ def test_ten_thousand_variants_compile_and_beat_naive():
     start = time.perf_counter()
     for text in sentences:
         match_sentence(matcher, text)
-    automaton_time = time.perf_counter() - start
+    matcher_time = time.perf_counter() - start
 
     start = time.perf_counter()
     for text in sentences:
         naive_match_spans(text, sorted(variants), [])
     naive_time = time.perf_counter() - start
 
-    assert automaton_time < naive_time
+    assert matcher_time < naive_time
 
 
 # --- fast negative path -------------------------------------------------------
@@ -296,7 +301,7 @@ def test_fast_path_equals_exact_path(data, pieces):
 @pytest.mark.parametrize(
     "text, variant",
     [
-        ("ΘΕΟΣ", "θεοσ"),  # str.lower gives a final ς; the automaton lowers per character
+        ("ΘΕΟΣ", "θεοσ"),  # str.lower gives a final ς; the normalized view lowers per character
         ("İslam", normalize_form("İslam")),  # İ lowers to two characters
         ("mother\x1cearth", "mother earth"),  # \x1c is whitespace
         ("god_", "god"),  # "_" is no letter or digit, so it bounds a word

@@ -447,6 +447,38 @@ def test_classify_resume_does_not_resend_finished_files(sample_config, monkeypat
     assert len(other.sent) == 4
 
 
+def test_classify_refuses_batches_built_from_an_older_corpus(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    labels = {
+        path: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in (layout.root / "labels").rglob("*")
+        if path.is_file()
+    }
+    [doc] = DocumentStore(layout.raw).iter_ngo("cca")
+    DocumentStore(layout.raw).append(  # a second cca page, harvested later
+        RawDocument.make(doc.ngo_id, doc.url + "?page=2", doc.status, doc.content_type, doc.body)
+    )
+    run_extract(sample_config)
+    assert len((layout.corpus / "cca.jsonl").read_text().splitlines()) > 5
+
+    # the labels are current for the old batches, so without the check
+    # classify would short-circuit
+    with pytest.raises(PrerequisiteError, match=r"'gpt-4o-mini'.*sacreddetect batch-build"):
+        run_classify(sample_config, stub=True)
+    assert labels == {
+        path: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in (layout.root / "labels").rglob("*")
+        if path.is_file()
+    }
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+
+
 def test_classify_ignores_another_providers_pending_state(sample_config, monkeypatch):
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)

@@ -87,11 +87,6 @@ def test_serialize_rejects_malformed():
         serialize_verdict(Verdict("s", "m", "malformed", None, None, "x"))
 
 
-def test_dict_round_trip():
-    verdict = parse_verdict("s1", "m1", CASES[0]["raw_text"])
-    assert Verdict.from_dict(verdict.to_dict()) == verdict
-
-
 # Pieces of replies: JSON punctuation, escapes and control characters,
 # well-formed verdicts with varied key case and values, code fences and prose.
 _keys = st.sampled_from(["Religious", "religious", "CERTAINTY", "Certainty", "Argumentation", "x"])
