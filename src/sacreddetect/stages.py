@@ -375,6 +375,10 @@ def run_extract(config: PipelineConfig) -> None:
                 by_ngo.setdefault(rec.ngo_id, []).append(rec)
             for ngo_id in sorted({d.ngo_id for d in kept}):
                 write_jsonl(out / f"{ngo_id}.jsonl", (r.to_dict() for r in by_ngo.get(ngo_id, [])))
+            kept_per_ngo = Counter(d.ngo_id for d in kept)
+            for ngo_id in ngo_ids:
+                counters[f"documents:{ngo_id}"] = kept_per_ngo[ngo_id]
+                counters[f"sentences:{ngo_id}"] = len(by_ngo.get(ngo_id, []))
             summary = corpus_summary(kept, records, config.groups())
             _write_summary_csv(out / "summary.csv", summary)
             log.info("extract: %d documents -> %d sentences (%s)",
@@ -430,17 +434,24 @@ def run_match(
             lexicon = load_lexicon(lexicon_file)
             matcher = compile_matcher(lexicon)
             write_text(out / "lexicon.json", lexicon_to_json(lexicon))  # canonical export
+            counters: Counter = Counter()
             for path in sorted(src.glob("*.jsonl")):
                 corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
                 results = classify_corpus(matcher, corpus)
                 write_jsonl(out / path.name, (r.to_dict() for r in results))
                 # a corpus file holds one NGO's sentences
                 yes = sum(r.label == "yes" for r in results)
+                counters[f"yes:{path.stem}"] = yes
+                counters[f"sentences:{path.stem}"] = len(results)
                 log.info(
                     "match %s: %d/%d yes (%.1f%%)", path.stem, yes, len(results),
                     100.0 * yes / len(results) if results else 0.0,
                 )
-            return {"lexicon": str(lexicon_file), "patterns": matcher.pattern_count}
+            return {
+                "lexicon": str(lexicon_file),
+                "patterns": matcher.pattern_count,
+                "counters": dict(counters),
+            }
 
         _produce("match", dst, inputs, build, adopt=out_dir is None)
 

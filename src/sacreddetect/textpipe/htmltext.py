@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html.parser import HTMLParser
 
 MIN_WORDS = 10
@@ -40,17 +40,9 @@ BLOCK_TAGS = frozenset(
 
 @dataclass
 class _Block:
-    parts: list[str] = field(default_factory=list)
-    tag_count: int = 0
-
-    @property
-    def text(self) -> str:
-        raw = _RESIDUAL_TAG_START.sub("", "".join(self.parts))
-        return " ".join(raw.split())
-
-    @property
-    def words(self) -> int:
-        return len(self.text.split())
+    text: str  # residual tag starts removed, whitespace collapsed
+    words: int
+    tag_count: int
 
     @property
     def density(self) -> float:
@@ -61,7 +53,8 @@ class _BlockParser(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.blocks: list[_Block] = []
-        self._current = _Block()
+        self._parts: list[str] = []
+        self._tag_count = 0
         self._skip_depth = 0
 
     def handle_starttag(self, tag, attrs):
@@ -73,7 +66,7 @@ class _BlockParser(HTMLParser):
         if tag in BLOCK_TAGS:
             self._flush()
         else:
-            self._current.tag_count += 1
+            self._tag_count += 1
 
     def handle_startendtag(self, tag, attrs):
         if self._skip_depth:
@@ -81,7 +74,7 @@ class _BlockParser(HTMLParser):
         if tag in BLOCK_TAGS:
             self._flush()
         elif tag not in SKIP_SUBTREES:
-            self._current.tag_count += 1
+            self._tag_count += 1
 
     def handle_endtag(self, tag):
         if tag in SKIP_SUBTREES:
@@ -94,12 +87,14 @@ class _BlockParser(HTMLParser):
 
     def handle_data(self, data):
         if not self._skip_depth and data:
-            self._current.parts.append(data)
+            self._parts.append(data)
 
     def _flush(self) -> None:
-        if self._current.text:
-            self.blocks.append(self._current)
-        self._current = _Block()
+        words = _RESIDUAL_TAG_START.sub("", "".join(self._parts)).split()
+        if words:
+            self.blocks.append(_Block(" ".join(words), len(words), self._tag_count))
+        self._parts = []
+        self._tag_count = 0
 
     def finish(self) -> list[_Block]:
         self._flush()

@@ -15,6 +15,7 @@ dumb.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -220,6 +221,11 @@ def _naive_trigram_bag(text: str) -> Counter:
     return bag
 
 
+@functools.cache
+def _naive_profile(lang: str) -> Counter:
+    return _naive_trigram_bag(_SEEDS[lang])
+
+
 def naive_detect_language(text: str) -> tuple[str, float]:
     """detect_language with each trigram's smoothed log-probability
     computed from the seed counts at every use."""
@@ -228,7 +234,7 @@ def naive_detect_language(text: str) -> tuple[str, float]:
         return "en", 0.0
     scores = {}
     for lang in LANGUAGES:
-        profile = _naive_trigram_bag(_SEEDS[lang])
+        profile = _naive_profile(lang)
         denom = sum(profile.values()) + len(profile) + 1
         scores[lang] = sum(n * math.log((profile.get(g, 0) + 1) / denom) for g, n in bag.items())
     best = max(scores, key=lambda lang: (scores[lang], lang))

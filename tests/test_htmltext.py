@@ -90,6 +90,38 @@ def test_script_style_content_never_leaks():
     assert "STYLED" not in out
 
 
+INLINE_LINKS = "".join(f"<a href='/{i}'><b><i>link{i}</i></b></a> " for i in range(10))
+
+INLINE_PAGE = (
+    "<html><head><title>t</title></head><body><nav><a href='/'>Home</a></nav>"
+    "<p>The <b>river</b> <i>flows</i> past <a href='/x'>old</a> <em>mills</em> and "
+    "<span>quiet</span> farms, where   the\n\tfarmers <strong>pray</strong> for rain "
+    "every spring &amp; summer.</p>"
+    "<p>Short <i>aside</i>.</p>"
+    "<p>Forests, too, need care: <span>planting</span> <span>native</span> trees "
+    "brings <u>birds</u> back within ten years &lt;b&gt; of work.</p>"
+    f"<div>{INLINE_LINKS}</div>"
+    "<div>Menu</div>"
+    "<p>A final paragraph about sacred water and holy springs, with enough words "
+    "to keep it <b"
+)
+
+
+def test_inline_tags_residual_tag_and_sandwiched_block_pinned():
+    # Kept: two dense paragraphs, the short aside between them, and the last
+    # paragraph with its residual "<b" (and the decoded "<b>") stripped.
+    # Dropped: the link list (10 words over 30 tags) and "Menu".
+    assert extract_main_text(INLINE_PAGE.encode()) == (
+        "The river flows past old mills and quiet farms, where the farmers pray "
+        "for rain every spring & summer.\n"
+        "Short aside.\n"
+        "Forests, too, need care: planting native trees brings birds back within "
+        "ten years b> of work.\n"
+        "A final paragraph about sacred water and holy springs, with enough words "
+        "to keep it b"
+    )
+
+
 _RESIDUAL_TAG = re.compile(r"<[a-zA-Z/!]")
 
 _html_fragments = st.lists(

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from oracles import naive_detect_language
+from oracles import _naive_trigram_bag, naive_detect_language
 
 from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.textpipe import detect_language
-from sacreddetect.textpipe.langid import _SEEDS
+from sacreddetect.textpipe.langid import _SEEDS, _trigram_bag, _word_trigrams
 
 DUTCH_PARAGRAPH = (
     "De aarde warmt op en de zeespiegel stijgt, maar er is nog steeds hoop "
@@ -84,3 +84,57 @@ def test_scores_equal_per_trigram_formula(sample_documents):
     texts += [" ".join(t.split()[:k]) for t in list(texts) for k in (1, 3, 12)]
     for text in texts:
         assert detect_language(text) == naive_detect_language(text), text[:60]
+
+
+# Forms whose lowering is not one-to-one or that the word pattern splits:
+# dotted capital I, sharp s, the fi ligature, titlecase dz, a word-final
+# capital sigma, words joined by a digit or an underscore, one-letter words.
+EDGE_WORDS = [
+    "İstanbul", "İ", "straße", "Maß", "ﬁsh", "ǅemal", "ǅ", "ΚΟΣΜΟΣ", "ΟΔΟΣ.",
+    "Σ", "co2emissions", "snake_case", "a1b", "a", "I", "é", "x_", "2024",
+]
+
+
+def _word_salad(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    vocabulary = [w for text in _SEEDS.values() for w in text.split()] + EDGE_WORDS
+    separators = [" ", " ", " ", "\n", ", ", "-", "'"]
+    texts = []
+    for i in range(count):
+        # a third are 1-3 words, whose posteriors are far from saturated
+        n = rng.randint(1, 3) if i % 3 == 0 else rng.randint(4, 80)
+        words = rng.choices(vocabulary, k=n)
+        if rng.random() < 0.2:
+            words.append(rng.choice(EDGE_WORDS))
+        texts.append("".join(w + rng.choice(separators) for w in words).strip())
+    return texts
+
+
+SALAD = _word_salad(seed=2113, count=3000)
+
+
+def test_word_salad_bags_equal_oracle_in_key_order():
+    for text in SALAD:
+        bag, expected = _trigram_bag(text), _naive_trigram_bag(text)
+        assert bag == expected, text[:60]
+        assert list(bag) == list(expected), text[:60]
+
+
+def test_word_salad_scores_equal_oracle():
+    for text in SALAD:
+        assert detect_language(text) == naive_detect_language(text), text[:60]
+
+
+def test_results_do_not_depend_on_word_cache_history():
+    warm = [detect_language(text) for text in SALAD]
+    _word_trigrams.cache_clear()
+    assert [detect_language(text) for text in SALAD] == warm
+    maxsize = _word_trigrams.cache_info().maxsize
+    # distinct letter-only words: the digits of i spelt as a-j
+    words = ("".join(chr(97 + int(d)) for d in str(i)) for i in range(maxsize + 1000))
+    detect_language(" ".join(words))
+    assert _word_trigrams.cache_info().currsize == maxsize
+    assert [detect_language(text) for text in SALAD] == warm
+    assert [_trigram_bag(text) for text in SALAD[:300]] == [
+        _naive_trigram_bag(text) for text in SALAD[:300]
+    ]

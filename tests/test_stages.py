@@ -287,6 +287,25 @@ def test_extract_skips_a_document_stored_twice(sample_config):
     assert read_manifest(layout.corpus).params["counters"]["skipped_duplicate_doc"] == 1
 
 
+def test_extract_and_match_record_per_ngo_counts(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    extract_counters = read_manifest(layout.corpus).params["counters"]
+    match_counters = read_manifest(layout.labels_tree).params["counters"]
+    ngos = sorted(p.stem for p in layout.raw.glob("*.jsonl"))
+    assert ngos
+    for ngo in ngos:
+        rows = list(read_jsonl(layout.corpus / f"{ngo}.jsonl"))
+        labels = list(read_jsonl(layout.labels_tree / f"{ngo}.jsonl"))
+        assert extract_counters[f"documents:{ngo}"] == len({r["doc_id"] for r in rows}) == 1
+        assert extract_counters[f"sentences:{ngo}"] == len(rows) > 0
+        assert match_counters[f"sentences:{ngo}"] == len(labels) == len(rows)
+        assert match_counters[f"yes:{ngo}"] == sum(r["label"] == "yes" for r in labels)
+    assert sum(match_counters[f"yes:{ngo}"] for ngo in ngos) > 0
+
+
 def test_extract_skips_a_torn_line_and_keeps_the_reappended_document(sample_config):
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)
