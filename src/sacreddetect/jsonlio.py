@@ -11,6 +11,10 @@ from typing import Any, Iterable, Iterator
 
 from .errors import CorruptLineError
 
+# The same bytes as json.dumps(obj, ensure_ascii=False), from one encoder
+# rather than a new one per call.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
     """Rows of a JSONL file, each line decoded from UTF-8 on its own, so a
@@ -41,18 +45,21 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
     n = 0
     with open(tmp, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False))
+            fh.write(encode_json(row))
             fh.write("\n")
             n += 1
     os.replace(tmp, path)
     return n
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write a string, or the concatenation of an iterable of string pieces,
+    which is written piece by piece and never joined in memory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 

@@ -14,10 +14,10 @@ order and the default separators.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 
+from ..jsonlio import encode_json as _encode
 from ..textpipe.corpus import SentenceRecord
 from .prompts import render_prompt
 
@@ -27,10 +27,6 @@ CHAT_COMPLETIONS_URL = "/v1/chat/completions"
 # The OpenAI Batch API's per-batch limit: requests in a batch and bytes in
 # its input file (https://platform.openai.com/docs/guides/batch).
 BATCH_LIMIT = {"requests": 50_000, "bytes": 200_000_000}
-
-# For a str, the same bytes as json.dumps(s, ensure_ascii=False), without
-# building an encoder per call.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def build_batch_file(
@@ -56,13 +52,16 @@ def build_batch_file(
     )
 
     lines = []
+    skipped = 0
     for rec in sorted(corpus, key=lambda r: (r.ngo_id, r.doc_id, r.position)):
         if not rec.text:
-            counters["batch_skipped_empty"] += 1
+            skipped += 1
             continue
         lines.append(
             '{"custom_id": ' + _encode(rec.sentence_id) + between + _encode(rec.text) + "}]}}"
         )
-    if counters["batch_skipped_empty"]:
-        log.warning("skipped %d empty sentences", counters["batch_skipped_empty"])
+    if skipped:
+        # counters may run across calls; the warning is about this one
+        counters["batch_skipped_empty"] += skipped
+        log.warning("skipped %d empty sentences", skipped)
     return lines

@@ -172,38 +172,59 @@ def _require_manifest(directory: Path, producing_command: str) -> RunManifest:
     return manifest
 
 
-def _produce(stage: str, out_dir: Path, inputs: dict[str, str], build, adopt: bool = True) -> None:
-    """Produce out_dir unless its manifest already matches inputs.
+def _sibling(out_dir: Path, suffix: str) -> Path:
+    return out_dir.with_name(f".{out_dir.name}.{suffix}")
 
-    build(tmp) writes the outputs into an empty sibling directory and
-    returns the manifest params; the manifest goes in last and the sibling
-    replaces out_dir whole. A build that raises leaves out_dir untouched
-    and removes the parent directories this call made, while they are empty.
-    A non-empty out_dir without a manifest is replaced only with adopt (a
+
+def _produce(stage: str, outputs: dict[Path, dict[str, str]], build, adopt: bool = True) -> None:
+    """Produce each output directory unless its manifest already matches
+    its inputs; outputs maps each directory to its inputs.
+
+    build(tmps) gets a dict from each stale directory to an empty sibling
+    directory, writes that directory's outputs into the sibling, and
+    returns a dict from each stale directory to its manifest params. Each
+    manifest goes in last, and then each sibling replaces its directory
+    whole; a directory that is up to date is left untouched. A build that
+    raises leaves every directory untouched and removes the siblings and
+    the parent directories this call made, while they are empty. A
+    non-empty directory without a manifest is replaced only with adopt (a
     stage directory under the output root); otherwise it may be a user's
     directory, and it is refused.
     """
-    if is_current(out_dir, inputs):
-        log.info("%s: %s is up to date", stage, out_dir)
+    stale = {}
+    for out_dir, inputs in outputs.items():
+        if is_current(out_dir, inputs):
+            log.info("%s: %s is up to date", stage, out_dir)
+        elif not adopt and read_manifest(out_dir) is None and any(out_dir.glob("*")):
+            raise ConfigError(f"{out_dir} is not empty and has no {MANIFEST_NAME}; not replacing it")
+        else:
+            stale[out_dir] = inputs
+    if not stale:
         return
-    if not adopt and read_manifest(out_dir) is None and any(out_dir.glob("*")):
-        raise ConfigError(f"{out_dir} is not empty and has no {MANIFEST_NAME}; not replacing it")
     started = datetime.now(timezone.utc).isoformat()
-    tmp, old = (out_dir.with_name(f".{out_dir.name}.{suffix}") for suffix in ("tmp", "old"))
-    for leftover in (tmp, old):  # left by a killed run
-        shutil.rmtree(leftover, ignore_errors=True)
-    made = _missing_dirs(tmp.parent)
-    tmp.mkdir(parents=True)
+    tmps = {out_dir: _sibling(out_dir, "tmp") for out_dir in stale}
+    made: list[list[Path]] = []
     try:
-        write_manifest(tmp, stage, inputs, build(tmp), started)
+        for out_dir, tmp in tmps.items():
+            for leftover in (tmp, _sibling(out_dir, "old")):  # left by a killed run
+                shutil.rmtree(leftover, ignore_errors=True)
+            made.append(_missing_dirs(tmp.parent))
+            tmp.mkdir(parents=True)
+        params = build(tmps)
+        for out_dir, tmp in tmps.items():
+            write_manifest(tmp, stage, stale[out_dir], params[out_dir], started)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        _remove_while_empty(made)
+        for tmp in tmps.values():
+            shutil.rmtree(tmp, ignore_errors=True)
+        for dirs in reversed(made):  # a later sibling's parents sit below an earlier one's
+            _remove_while_empty(dirs)
         raise
-    if out_dir.exists():
-        out_dir.rename(old)
-    tmp.rename(out_dir)
-    shutil.rmtree(old, ignore_errors=True)
+    for out_dir, tmp in tmps.items():
+        old = _sibling(out_dir, "old")
+        if out_dir.exists():
+            out_dir.rename(old)
+        tmp.rename(out_dir)
+        shutil.rmtree(old, ignore_errors=True)
 
 
 def _sources_fingerprint(config: PipelineConfig) -> str:
@@ -328,7 +349,8 @@ def run_extract(config: PipelineConfig) -> None:
         inputs.update({f"group/{s.ngo_id}": sha256_text(s.group) for s in config.sources})
         inputs["splitter_version"] = sha256_text(SPLITTER_VERSION)
 
-        def build(out: Path) -> dict:
+        def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
+            out = tmps[layout.corpus]
             store = DocumentStore(layout.raw)
             counters: Counter = Counter()
             docs: list[CleanDocument] = []
@@ -383,9 +405,10 @@ def run_extract(config: PipelineConfig) -> None:
             _write_summary_csv(out / "summary.csv", summary)
             log.info("extract: %d documents -> %d sentences (%s)",
                      len(kept), len(records), dict(counters))
-            return {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)}
+            params = {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)}
+            return {layout.corpus: params}
 
-        _produce("extract", layout.corpus, inputs, build)
+        _produce("extract", {layout.corpus: inputs}, build)
 
 
 def _write_summary_csv(path: Path, summary: list[dict]) -> None:
@@ -430,7 +453,8 @@ def run_match(
         inputs = _hash_dir_files(src)
         inputs["lexicon"] = sha256_file(lexicon_file)
 
-        def build(out: Path) -> dict:
+        def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
+            out = tmps[dst]
             lexicon = load_lexicon(lexicon_file)
             matcher = compile_matcher(lexicon)
             write_text(out / "lexicon.json", lexicon_to_json(lexicon))  # canonical export
@@ -448,12 +472,14 @@ def run_match(
                     100.0 * yes / len(results) if results else 0.0,
                 )
             return {
-                "lexicon": str(lexicon_file),
-                "patterns": matcher.pattern_count,
-                "counters": dict(counters),
+                dst: {
+                    "lexicon": str(lexicon_file),
+                    "patterns": matcher.pattern_count,
+                    "counters": dict(counters),
+                }
             }
 
-        _produce("match", dst, inputs, build, adopt=out_dir is None)
+        _produce("match", {dst: inputs}, build, adopt=out_dir is None)
 
 
 # --- batch-build ------------------------------------------------------------
@@ -464,42 +490,64 @@ def run_batch_build(config: PipelineConfig) -> None:
     with stage_lock(layout.root):
         _require_manifest(layout.corpus, "extract")
         corpus_inputs = _hash_dir_files(layout.corpus)
-        for model in config.models:
-            inputs = dict(corpus_inputs)
-            inputs["prompt"] = prompt_hash(config.prompt_template)
-            inputs["model"] = sha256_text(f"{model.model_id}|{model.provider}")
+        models = {layout.batches(model.model_id): model for model in config.models}
+        outputs = {
+            out_dir: {
+                **corpus_inputs,
+                "prompt": prompt_hash(config.prompt_template),
+                "model": sha256_text(f"{model.model_id}|{model.provider}"),
+            }
+            for out_dir, model in models.items()
+        }
 
-            def build(out: Path) -> dict:
-                counters: Counter = Counter()
-                for path in sorted(layout.corpus.glob("*.jsonl")):
-                    corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
+        def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
+            counters = {out_dir: Counter() for out_dir in tmps}
+            for path in sorted(layout.corpus.glob("*.jsonl")):
+                # decoded once for every stale model
+                corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
+                for out_dir, tmp in tmps.items():
                     lines = batch_mod.build_batch_file(
-                        corpus, config.prompt_template, model.model_id, counters
+                        corpus, config.prompt_template, models[out_dir].model_id, counters[out_dir]
                     )
-                    dest = out / path.name
-                    write_text(dest, "\n".join(lines) + ("\n" if lines else ""))
+                    dest = tmp / path.name
+                    write_text(dest, (line + "\n" for line in lines))
                     sizes = {"requests": len(lines), "bytes": dest.stat().st_size}
+                    del lines  # freed before the next model's lines are built
                     for key, value in sizes.items():
-                        counters[f"{key}:{path.stem}"] = value
+                        counters[out_dir][f"{key}:{path.stem}"] = value
                     over = {k: v for k, v in sizes.items() if v > batch_mod.BATCH_LIMIT[k]}
                     if over:
                         log.warning(
                             "batch-build: %s holds %s, over the provider's per-batch limit %s",
-                            layout.batches(model.model_id) / path.name, over, batch_mod.BATCH_LIMIT,
+                            out_dir / path.name, over, batch_mod.BATCH_LIMIT,
                         )
-                log.info("batch-build %s: done", model.model_id)
-                return {"template": config.prompt_template, "counters": dict(counters)}
+            for out_dir in tmps:
+                log.info("batch-build %s: done", models[out_dir].model_id)
+            return {
+                out_dir: {"template": config.prompt_template, "counters": dict(model_counters)}
+                for out_dir, model_counters in counters.items()
+            }
 
-            _produce("batch-build", layout.batches(model.model_id), inputs, build)
+        _produce("batch-build", outputs, build)
 
 
 # --- classify ---------------------------------------------------------------
 
 
+def _request_files(batch_dir: Path) -> list[Path]:
+    """The batch files of a batch directory, without the results saved beside them."""
+    return [
+        p for p in sorted(batch_dir.glob("*.jsonl"))
+        if p.is_file() and not p.name.endswith(".results.jsonl")
+    ]
+
+
 def _read_lines(path: Path) -> list[str]:
     # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
-    # like raw, and str.splitlines would break at them
-    return [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
+    # like raw, and str.splitlines would break at them. Read line by line,
+    # so the file's whole text is never held as well.
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        return [ln.removesuffix("\n") for ln in fh if ln != "\n"]
 
 
 def run_classify(
@@ -517,6 +565,7 @@ def run_classify(
         corpus_inputs = _hash_dir_files(layout.corpus)
         for model in models:
             batch_dir = layout.batches(model.model_id)
+            labels_dir = layout.labels_model(model.model_id)
             batch_manifest = _require_manifest(batch_dir, "batch-build")
             built_from = {
                 name: digest
@@ -532,21 +581,17 @@ def run_classify(
                 )
             provider_name = "stub" if stub else (provider_override or model.provider)
             provider = providers_mod.get_provider(provider_name)
-            inputs = {
-                name: digest
-                for name, digest in _hash_dir_files(batch_dir).items()
-                if not name.endswith(".results.jsonl")
-            }
+            request_files = _request_files(batch_dir)
+            inputs = {p.name: sha256_file(p) for p in request_files}
             inputs["provider"] = sha256_text(provider_name)
             inputs["strict_json"] = sha256_text(str(strict_json))
 
-            def build(out: Path) -> dict:
+            def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
+                out = tmps[labels_dir]
                 counters: Counter = Counter()
                 # Submission state and raw results live beside the batch
                 # files they belong to; re-running batch-build discards them.
-                for path in sorted(batch_dir.glob("*.jsonl")):
-                    if path.name.endswith(".results.jsonl"):
-                        continue
+                for path in request_files:
                     ngo_id = path.stem
                     corpus_path = layout.corpus / path.name
                     sentence_ids = (
@@ -592,7 +637,7 @@ def run_classify(
                                     "re-run to resume", model.model_id, ngo_id,
                                 )
                             raise
-                        write_text(results_path, "\n".join(raw_lines) + ("\n" if raw_lines else ""))
+                        write_text(results_path, (line + "\n" for line in raw_lines))
                         save_state({"done": True})
                     results = providers_mod.parse_result_lines(raw_lines)
                     verdicts = providers_mod.join_verdicts(
@@ -612,19 +657,21 @@ def run_classify(
                         counts["verdicts"], counts["malformed"],
                     )
                 return {
-                    "provider": provider_name,
-                    "model_id": model.model_id,
-                    # the prompt the batch lines carry, as batch-build recorded it
-                    "template": batch_manifest.params["template"],
-                    "prompt_sha256": batch_manifest.inputs["prompt"],
-                    "strict_json": strict_json,
-                    # No decoding parameters are sent; the provider's own
-                    # defaults apply and that fact is the record.
-                    "decoding": "provider-defaults",
-                    "counters": dict(counters),
+                    labels_dir: {
+                        "provider": provider_name,
+                        "model_id": model.model_id,
+                        # the prompt the batch lines carry, as batch-build recorded it
+                        "template": batch_manifest.params["template"],
+                        "prompt_sha256": batch_manifest.inputs["prompt"],
+                        "strict_json": strict_json,
+                        # No decoding parameters are sent; the provider's own
+                        # defaults apply and that fact is the record.
+                        "decoding": "provider-defaults",
+                        "counters": dict(counters),
+                    }
                 }
 
-            _produce("classify", layout.labels_model(model.model_id), inputs, build)
+            _produce("classify", {labels_dir: inputs}, build)
 
 
 # --- analyze ----------------------------------------------------------------
@@ -671,7 +718,7 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                 }
             )
 
-        def build(out: Path) -> dict:
+        def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             verdict_sets = {}
             argumentation: dict[str, dict[str, str]] = {}
             for model_id in model_ids:
@@ -705,11 +752,11 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
             if len(model_ids) >= 2:
                 bundle["ratio_pair"] = model_ids[:2]
                 bundle["disagreement_ratios"] = disagreement_ratios(matrix)
-            write_json(out / "stats.json", bundle)
+            write_json(tmps[layout.analysis] / "stats.json", bundle)
             log.info("analyze: %d rows, %d classifiers", len(matrix.sentence_ids), len(matrix.classifiers))
-            return {"models": model_ids}
+            return {layout.analysis: {"models": model_ids}}
 
-        _produce("analyze", layout.analysis, inputs, build)
+        _produce("analyze", {layout.analysis: inputs}, build)
 
 
 def _read_summary_csv(path: Path) -> list[dict]:
@@ -736,10 +783,10 @@ def run_report(config: PipelineConfig) -> None:
         _require_manifest(layout.analysis, "analyze")
         stats_path = layout.analysis / "stats.json"
 
-        def build(out: Path) -> dict:
+        def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             bundle = json.loads(stats_path.read_text(encoding="utf-8"))
-            written = reports_mod.render_from_bundle(out, bundle)
+            written = reports_mod.render_from_bundle(tmps[layout.reports], bundle)
             log.info("report: wrote %d files", len(written))
-            return {}
+            return {layout.reports: {}}
 
-        _produce("report", layout.reports, {"stats.json": sha256_file(stats_path)}, build)
+        _produce("report", {layout.reports: {"stats.json": sha256_file(stats_path)}}, build)

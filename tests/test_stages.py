@@ -4,11 +4,12 @@ import re
 
 import pytest
 
-from sacreddetect.config import sample_config_path, validate_config
+from sacreddetect.config import ModelSpec, sample_config_path, validate_config
 from sacreddetect import stages
 from sacreddetect.errors import ConfigError, PrerequisiteError, ProviderError, StageLockedError
 from sacreddetect.harvest.store import DocumentStore, RawDocument
 from sacreddetect.jsonlio import read_jsonl
+from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import StubProvider
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
@@ -189,23 +190,24 @@ def test_stage_lock_race_raises_locked_error(monkeypatch, tmp_path):
 
 
 def _write(name, text="x"):
-    def build(out):
-        (out / name).write_text(text)
-        return {"wrote": name}
+    def build(tmps):
+        [(out, tmp)] = tmps.items()
+        (tmp / name).write_text(text)
+        return {out: {"wrote": name}}
     return build
 
 
 def test_produce_failed_build_keeps_previous_output(tmp_path):
     out = tmp_path / "stage"
-    stages._produce("demo", out, {"in": "1"}, _write("a.txt"))
+    stages._produce("demo", {out: {"in": "1"}}, _write("a.txt"))
     manifest = (out / "manifest.json").read_bytes()
 
-    def failing(tmp):
-        (tmp / "a.txt").write_text("half")
+    def failing(tmps):
+        (tmps[out] / "a.txt").write_text("half")
         raise RuntimeError("crash mid-build")
 
     with pytest.raises(RuntimeError):
-        stages._produce("demo", out, {"in": "2"}, failing)
+        stages._produce("demo", {out: {"in": "2"}}, failing)
     assert (out / "manifest.json").read_bytes() == manifest
     assert (out / "a.txt").read_text() == "x"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stage"]  # no partial sibling
@@ -214,13 +216,13 @@ def test_produce_failed_build_keeps_previous_output(tmp_path):
 def test_produce_rerun_removes_files_it_no_longer_writes(tmp_path):
     out = tmp_path / "stage"
 
-    def both(tmp):
-        (tmp / "a.txt").write_text("a")
-        (tmp / "b.txt").write_text("b")
-        return {}
+    def both(tmps):
+        (tmps[out] / "a.txt").write_text("a")
+        (tmps[out] / "b.txt").write_text("b")
+        return {out: {}}
 
-    stages._produce("demo", out, {"in": "1"}, both)
-    stages._produce("demo", out, {"in": "2"}, _write("a.txt"))
+    stages._produce("demo", {out: {"in": "1"}}, both)
+    stages._produce("demo", {out: {"in": "2"}}, _write("a.txt"))
     assert sorted(p.name for p in out.iterdir()) == ["a.txt", "manifest.json"]
     assert read_manifest(out).inputs == {"in": "2"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stage"]
@@ -231,7 +233,7 @@ def test_produce_refuses_unmanaged_directory(sample_config, tmp_path):
     user_dir.mkdir()
     (user_dir / "notes.txt").write_text("keep me")
     with pytest.raises(ConfigError, match="manifest.json"):
-        stages._produce("demo", user_dir, {"in": "1"}, _write("a.txt"), adopt=False)
+        stages._produce("demo", {user_dir: {"in": "1"}}, _write("a.txt"), adopt=False)
     run_harvest(sample_config, sample=True)
     run_extract(sample_config)
     layout = Layout(sample_config.output_root)
@@ -371,6 +373,114 @@ def test_batch_build_records_requests_and_bytes_per_file(sample_config, monkeypa
     assert over and warned == over
 
 
+def _extract_with_extra_cca_sentences(config, texts):
+    run_harvest(config, sample=True)
+    run_extract(config)
+    corpus = Layout(config.output_root).corpus
+    with open(corpus / "cca.jsonl", "a", encoding="utf-8") as fh:
+        for i, text in enumerate(texts):
+            row = SentenceRecord.make("extra", "cca", i, text).to_dict()
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def test_batch_build_files_equal_the_joined_lines_of_each_model(sample_config):
+    _extract_with_extra_cca_sentences(
+        sample_config, ["", "Sacred earth,\u2028Schöpfung, 創造 \U0001f600."]
+    )
+    layout = Layout(sample_config.output_root)
+    run_batch_build(sample_config)
+    assert len(sample_config.models) == 2
+    for model in sample_config.models:
+        batch_dir = layout.batches(model.model_id)
+        names = sorted(p.name for p in batch_dir.glob("*.jsonl"))
+        assert names == sorted(p.name for p in layout.corpus.glob("*.jsonl"))
+        for name in names:
+            corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(layout.corpus / name)]
+            lines = build_batch_file(corpus, sample_config.prompt_template, model.model_id)
+            expected = "\n".join(lines) + "\n"
+            assert (batch_dir / name).read_bytes() == expected.encode("utf-8")
+
+
+def test_batch_build_warns_once_per_model_about_empty_sentences(sample_config, caplog):
+    _extract_with_extra_cca_sentences(sample_config, [""])  # cca is the first file
+    caplog.set_level("WARNING")
+    run_batch_build(sample_config)
+    warned = [r for r in caplog.records if "empty sentences" in r.getMessage()]
+    assert [r.getMessage() for r in warned] == ["skipped 1 empty sentences"] * 2
+    layout = Layout(sample_config.output_root)
+    for model in sample_config.models:
+        counters = read_manifest(layout.batches(model.model_id)).params["counters"]
+        assert counters["batch_skipped_empty"] == 1
+
+
+def _file_stats(directory):
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in sorted(directory.iterdir())
+    }
+
+
+def test_batch_build_rebuilds_only_the_models_whose_inputs_changed(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    kept, changed = sample_config.models
+    for model in sample_config.models:
+        batch_dir = layout.batches(model.model_id)
+        (batch_dir / "cca.results.jsonl").write_text("{}\n")
+        (batch_dir / "cca.state.json").write_text('{"provider": "stub", "done": true}')
+    kept_dir, changed_dir = (layout.batches(m.model_id) for m in (kept, changed))
+    before = _file_stats(kept_dir)
+    changed_inputs = read_manifest(changed_dir).inputs
+
+    sample_config.models[1] = ModelSpec(changed.model_id, "groq-batch")
+    run_batch_build(sample_config)
+    assert _file_stats(kept_dir) == before  # saved results and state kept too
+    assert not (changed_dir / "cca.results.jsonl").exists()
+    assert not (changed_dir / "cca.state.json").exists()
+    rebuilt = read_manifest(changed_dir).inputs
+    assert rebuilt["model"] != changed_inputs["model"]
+    assert {k: v for k, v in rebuilt.items() if k != "model"} == {
+        k: v for k, v in changed_inputs.items() if k != "model"
+    }
+    assert sorted(p.name for p in (sample_config.output_root / "batches").iterdir()) == sorted(
+        m.model_id for m in sample_config.models
+    )
+
+
+def test_batch_build_failing_on_the_second_model_keeps_every_previous_batch(
+    sample_config, monkeypatch
+):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    second = sample_config.models[1].model_id
+    untouched = stages.batch_mod.build_batch_file
+
+    def failing(corpus, template_id, model_id, counters=None):
+        if model_id == second:
+            raise RuntimeError("crash while building the second model")
+        return untouched(corpus, template_id, model_id, counters)
+
+    monkeypatch.setattr(stages.batch_mod, "build_batch_file", failing)
+    with pytest.raises(RuntimeError):
+        run_batch_build(sample_config)
+    assert not (sample_config.output_root / "batches").exists()  # none made, none left
+
+    monkeypatch.setattr(stages.batch_mod, "build_batch_file", untouched)
+    run_batch_build(sample_config)
+    before = {m.model_id: _file_stats(layout.batches(m.model_id)) for m in sample_config.models}
+    _extract_with_extra_cca_sentences(sample_config, ["A new sentence for both models."])
+    monkeypatch.setattr(stages.batch_mod, "build_batch_file", failing)
+    with pytest.raises(RuntimeError):
+        run_batch_build(sample_config)
+    after = {m.model_id: _file_stats(layout.batches(m.model_id)) for m in sample_config.models}
+    assert after == before
+    batches = sample_config.output_root / "batches"
+    assert sorted(p.name for p in batches.iterdir()) == sorted(before)  # no .tmp sibling
+
+
 def test_classify_keeps_saved_results_whole_at_unicode_line_separators(sample_config):
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)
@@ -422,6 +532,33 @@ def test_classify_records_verdict_counters_per_file(sample_config):
     }
     assert counters["missing:cca"] == 1
     assert set(read_manifest(labels).inputs) == set(inputs)
+
+
+def test_read_lines_splits_at_newline_only(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    for text in ["", "\n", "a\n\nb\n", "a\r\nb\rc\x85d\n\n", "last line open", "x\u2028y\u2029z\n"]:
+        path.write_bytes(text.encode("utf-8"))
+        assert stages._read_lines(path) == [ln for ln in text.split("\n") if ln]
+
+
+def test_classify_rerun_hashes_no_saved_results(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    assert list(layout.batches("gpt-4o-mini").glob("*.results.jsonl"))
+    hashed = []
+    untouched = stages.sha256_file
+
+    def recording(path):
+        hashed.append(str(path))
+        return untouched(path)
+
+    monkeypatch.setattr(stages, "sha256_file", recording)
+    run_classify(sample_config, stub=True)  # short-circuits
+    assert any(p.endswith("/batches/gpt-4o-mini/cca.jsonl") for p in hashed)
+    assert not [p for p in hashed if p.endswith(".results.jsonl")]
 
 
 class FlakyProvider:
