@@ -13,13 +13,18 @@ import os
 import threading
 import time
 from collections import Counter
-from urllib import robotparser
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
-
-import requests
 
 from ..config import FetchPolicy, SourceSpec
 from .store import DocumentStore, RawDocument
+
+if TYPE_CHECKING:
+    # imported where a fetch happens, so that offline commands never load
+    # the network stack (urllib3, ssl, http.client, email)
+    from urllib import robotparser
+
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +33,8 @@ PROXY_ENV = "SACREDDETECT_PROXY"
 
 
 def make_session() -> requests.Session:
+    import requests
+
     session = requests.Session()
     session.headers["User-Agent"] = USER_AGENT
     proxy = os.environ.get(PROXY_ENV)
@@ -86,6 +93,10 @@ class RobotsCache:
         return parser.can_fetch(USER_AGENT, url)
 
     def _fetch(self, origin: str) -> robotparser.RobotFileParser | None:
+        from urllib import robotparser
+
+        import requests
+
         try:
             resp = self._session.get(f"{origin}/robots.txt", timeout=self._timeout)
         except requests.RequestException:
@@ -112,6 +123,8 @@ def fetch_live(
     policy.retries times with exponential backoff. The final outcome,
     success or not, is recorded; nothing is raised.
     """
+    import requests
+
     session = session or make_session()
     gate = gate or HostGate(policy.rate_per_host)
     host = urlsplit(url).netloc

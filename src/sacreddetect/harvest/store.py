@@ -3,7 +3,10 @@
 Layout under ``raw/``:
 
   raw/<ngo_id>.jsonl   one RawDocument per line, body base64-encoded
-  raw/index.json       normalized URL -> doc_id, for resumable harvests
+  raw/index.json       normalized URL -> doc_id, for resumable harvests;
+                       rebuilt from the JSONL files when missing or older
+                       than one of them, as after a harvest that crashed
+                       before flushing it
 
 doc_id is a content hash of (url, body), so refetching identical content
 collides intentionally. Failed fetches are stored too (status recorded,
@@ -88,25 +91,45 @@ class RawDocument:
 
 
 class DocumentStore:
-    """Append-only raw store keyed by normalized URL. Thread-safe appends."""
+    """Append-only raw store keyed by normalized URL. Thread-safe appends.
+
+    The URL index is loaded on first use by has_url, append or flush_index,
+    so reading the documents back (iter_ngo) never loads or rebuilds it.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._index: dict[str, str] = {}
-        index_path = self.root / "index.json"
-        if index_path.is_file():
-            self._index = json.loads(index_path.read_text(encoding="utf-8"))
+        self._index: dict[str, str] | None = None
+
+    def _loaded_index(self) -> dict[str, str]:
+        """The URL index; call with the lock held."""
+        if self._index is None:
+            index_path = self.root / "index.json"
+            newest = max((p.stat().st_mtime_ns for p in self.root.glob("*.jsonl")), default=0)
+            if index_path.is_file() and index_path.stat().st_mtime_ns >= newest:
+                self._index = json.loads(index_path.read_text(encoding="utf-8"))
+            else:
+                # documents appended since the last flush: the store is the
+                # record, and a torn line's document was never stored
+                self._index = {
+                    row["url"]: row["doc_id"]
+                    for path in sorted(self.root.glob("*.jsonl"))
+                    for row in read_jsonl(path, lambda *_: None)
+                }
+        return self._index
 
     def has_url(self, url: str) -> bool:
-        return url in self._index
+        with self._lock:
+            return url in self._loaded_index()
 
     def append(self, doc: RawDocument) -> None:
         # ASCII, so that a write torn by a crash cannot split a character
         # and leave the file undecodable past the tear
         line = json.dumps(doc.to_dict()).encode("ascii")
         with self._lock:
+            index = self._loaded_index()
             with open(self.root / f"{doc.ngo_id}.jsonl", "a+b") as fh:
                 size = fh.seek(0, os.SEEK_END)
                 if size:
@@ -117,11 +140,11 @@ class DocumentStore:
                         # line of its own
                         fh.write(b"\n")
                 fh.write(line + b"\n")
-            self._index[doc.url] = doc.doc_id
+            index[doc.url] = doc.doc_id
 
     def flush_index(self) -> None:
         with self._lock:
-            write_json(self.root / "index.json", self._index)
+            write_json(self.root / "index.json", self._loaded_index())
 
     def iter_ngo(self, ngo_id: str, on_bad_line=None) -> Iterator[RawDocument]:
         """The NGO's documents in append order; on_bad_line as for

@@ -19,12 +19,13 @@ import logging
 import os
 import re
 import time
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from ..errors import ProviderError
 from .verdicts import Verdict, parse_verdict
+
+if TYPE_CHECKING:
+    import requests  # imported by the live providers alone, so --stub loads no network stack
 
 log = logging.getLogger(__name__)
 
@@ -118,6 +119,8 @@ class _HttpBatchProvider:
     key_env = ""
 
     def __init__(self, session: requests.Session | None = None, poll_interval: float = 30.0):
+        import requests
+
         self._session = session or requests.Session()
         self.poll_interval = poll_interval
 
@@ -128,6 +131,8 @@ class _HttpBatchProvider:
         return {"Authorization": f"Bearer {key}"}
 
     def _request(self, method: str, path: str, **kwargs):
+        import requests
+
         try:
             resp = self._session.request(
                 method, f"{self.base_url}{path}", headers=self._headers(), **kwargs

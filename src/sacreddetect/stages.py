@@ -21,12 +21,11 @@ import shutil
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from itertools import takewhile
 from pathlib import Path
-
-import requests
 
 from .analytics import matrix as matrix_mod
 from .analytics import reports as reports_mod
@@ -41,13 +40,14 @@ from .errors import (
     ProviderError,
     StageLockedError,
 )
-from .harvest import cdx, fetch, worklist
+from .harvest import cdx, worklist
 from .harvest.store import DocumentStore, RawDocument
 from .hashing import sha256_bytes, sha256_file, sha256_text
 from .jsonlio import read_jsonl, write_json, write_jsonl, write_text
 from .judge import batch as batch_mod
 from .judge import providers as providers_mod
 from .judge.prompts import prompt_hash
+from .judge.verdicts import LABELS
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
@@ -286,6 +286,11 @@ def _harvest_sample(config: PipelineConfig, layout: Layout) -> None:
 
 
 def _harvest_live(config: PipelineConfig, layout: Layout, resume: bool) -> None:
+    # the network stack loads here, so that no offline command pays for it
+    import requests
+
+    from .harvest import fetch
+
     started = datetime.now(timezone.utc).isoformat()
     store = DocumentStore(layout.raw)
     session = fetch.make_session()
@@ -563,9 +568,10 @@ def run_classify(
         if not models:
             raise ConfigError(f"no configured model matches {only_model!r}")
         corpus_inputs = _hash_dir_files(layout.corpus)
+        jobs: dict[Path, _ClassifyJob] = {}
+        outputs: dict[Path, dict[str, str]] = {}
         for model in models:
             batch_dir = layout.batches(model.model_id)
-            labels_dir = layout.labels_model(model.model_id)
             batch_manifest = _require_manifest(batch_dir, "batch-build")
             built_from = {
                 name: digest
@@ -580,119 +586,161 @@ def run_classify(
                     "corpus; run `sacreddetect batch-build` first"
                 )
             provider_name = "stub" if stub else (provider_override or model.provider)
-            provider = providers_mod.get_provider(provider_name)
-            request_files = _request_files(batch_dir)
-            inputs = {p.name: sha256_file(p) for p in request_files}
-            inputs["provider"] = sha256_text(provider_name)
-            inputs["strict_json"] = sha256_text(str(strict_json))
+            job = _ClassifyJob(
+                model_id=model.model_id,
+                provider_name=provider_name,
+                provider=providers_mod.get_provider(provider_name),
+                request_files={p.name: p for p in _request_files(batch_dir)},
+                params={
+                    "provider": provider_name,
+                    "model_id": model.model_id,
+                    # the prompt the batch lines carry, as batch-build recorded it
+                    "template": batch_manifest.params["template"],
+                    "prompt_sha256": batch_manifest.inputs["prompt"],
+                    "strict_json": strict_json,
+                    # No decoding parameters are sent; the provider's own
+                    # defaults apply and that fact is the record.
+                    "decoding": "provider-defaults",
+                },
+            )
+            labels_dir = layout.labels_model(model.model_id)
+            jobs[labels_dir] = job
+            outputs[labels_dir] = {
+                **{name: sha256_file(p) for name, p in job.request_files.items()},
+                "provider": sha256_text(provider_name),
+                "strict_json": sha256_text(str(strict_json)),
+            }
 
-            def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
-                out = tmps[labels_dir]
-                counters: Counter = Counter()
-                # Submission state and raw results live beside the batch
-                # files they belong to; re-running batch-build discards them.
-                for path in request_files:
-                    ngo_id = path.stem
-                    corpus_path = layout.corpus / path.name
-                    sentence_ids = (
-                        [row["sentence_id"] for row in read_jsonl(corpus_path)]
-                        if corpus_path.is_file()
-                        else []
-                    )
-                    state_path = batch_dir / f"{ngo_id}.state.json"
-                    results_path = batch_dir / f"{ngo_id}.results.jsonl"
-                    state = (
-                        json.loads(state_path.read_text(encoding="utf-8"))
-                        if state_path.is_file()
-                        else {}
-                    )
-                    owner = state.pop("provider", None)
-                    if state and owner != provider_name:
-                        # a batch id means nothing to another provider
-                        log.warning(
-                            "classify %s/%s: ignoring submission state of provider %r",
-                            model.model_id, ngo_id, owner,
-                        )
-                        state = {}
-                    save_state = lambda s: write_text(  # noqa: E731
-                        state_path, json.dumps({"provider": provider_name, **s})
-                    )
-                    reused = state == {"done": True} and results_path.is_file()
-                    if reused:
-                        # finished by this provider in a run that failed on a
-                        # later file: read back, not sent (and paid for) again
-                        raw_lines = _read_lines(results_path)
-                    else:
-                        if state.get("done"):  # its results file is gone
-                            state = {}
-                        try:
-                            raw_lines = provider.run_batch(
-                                _read_lines(path), state=state, state_save=save_state
-                            )
-                        except ProviderError:
-                            if state:
-                                save_state(state)
-                                log.error(
-                                    "classify %s/%s: provider failed; submission state saved, "
-                                    "re-run to resume", model.model_id, ngo_id,
-                                )
-                            raise
-                        write_text(results_path, (line + "\n" for line in raw_lines))
-                        save_state({"done": True})
-                    results = providers_mod.parse_result_lines(raw_lines)
-                    verdicts = providers_mod.join_verdicts(
-                        sentence_ids, results, model.model_id, strict_json=strict_json
-                    )
-                    write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
-                    counts = {
-                        "verdicts": len(verdicts),
-                        "malformed": sum(v.label == "malformed" for v in verdicts),
-                        "missing": sum(v.raw_text == providers_mod.MISSING_RAW_TEXT for v in verdicts),
-                        "reused": int(reused),
-                    }
+        def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
+            counters = {labels_dir: Counter() for labels_dir in tmps}
+            names = sorted({name for labels_dir in tmps for name in jobs[labels_dir].request_files})
+            for name in names:
+                # one NGO's ids at a time, decoded once for every stale model
+                corpus_path = layout.corpus / name
+                sentence_ids = (
+                    [row["sentence_id"] for row in read_jsonl(corpus_path)]
+                    if corpus_path.is_file()
+                    else []
+                )
+                for labels_dir, tmp in tmps.items():
+                    job = jobs[labels_dir]
+                    path = job.request_files.get(name)
+                    if path is None:
+                        continue
+                    counts = _classify_file(job, path, sentence_ids, tmp, strict_json)
                     for key, value in counts.items():
-                        counters[f"{key}:{ngo_id}"] = value
-                    log.info(
-                        "classify %s/%s: %d verdicts, %d malformed", model.model_id, ngo_id,
-                        counts["verdicts"], counts["malformed"],
-                    )
-                return {
-                    labels_dir: {
-                        "provider": provider_name,
-                        "model_id": model.model_id,
-                        # the prompt the batch lines carry, as batch-build recorded it
-                        "template": batch_manifest.params["template"],
-                        "prompt_sha256": batch_manifest.inputs["prompt"],
-                        "strict_json": strict_json,
-                        # No decoding parameters are sent; the provider's own
-                        # defaults apply and that fact is the record.
-                        "decoding": "provider-defaults",
-                        "counters": dict(counters),
-                    }
-                }
+                        counters[labels_dir][f"{key}:{path.stem}"] = value
+            return {
+                labels_dir: {**jobs[labels_dir].params, "counters": dict(model_counters)}
+                for labels_dir, model_counters in counters.items()
+            }
 
-            _produce("classify", {labels_dir: inputs}, build)
+        _produce("classify", outputs, build)
+
+
+@dataclass
+class _ClassifyJob:
+    """One model's classify run: its provider, its batch files by name and
+    its manifest params but the counters."""
+
+    model_id: str
+    provider_name: str
+    provider: providers_mod.BatchProvider
+    request_files: dict[str, Path]
+    params: dict
+
+
+def _classify_file(
+    job: _ClassifyJob, path: Path, sentence_ids: list[str], out: Path, strict_json: bool
+) -> dict[str, int]:
+    """Classify one batch file into out, returning its verdict counts.
+
+    Submission state and raw results live beside the batch file they belong
+    to; re-running batch-build discards them.
+    """
+    ngo_id = path.stem
+    state_path = path.with_name(f"{ngo_id}.state.json")
+    results_path = path.with_name(f"{ngo_id}.results.jsonl")
+    state = json.loads(state_path.read_text(encoding="utf-8")) if state_path.is_file() else {}
+    owner = state.pop("provider", None)
+    if state and owner != job.provider_name:
+        # a batch id means nothing to another provider
+        log.warning(
+            "classify %s/%s: ignoring submission state of provider %r",
+            job.model_id, ngo_id, owner,
+        )
+        state = {}
+    save_state = lambda s: write_text(  # noqa: E731
+        state_path, json.dumps({"provider": job.provider_name, **s})
+    )
+    reused = state == {"done": True} and results_path.is_file()
+    if reused:
+        # finished by this provider in a run that failed on a later file:
+        # read back, not sent (and paid for) again
+        raw_lines = _read_lines(results_path)
+    else:
+        if state.get("done"):  # its results file is gone
+            state = {}
+        try:
+            raw_lines = job.provider.run_batch(_read_lines(path), state=state, state_save=save_state)
+        except ProviderError:
+            if state:
+                save_state(state)
+                log.error(
+                    "classify %s/%s: provider failed; submission state saved, "
+                    "re-run to resume", job.model_id, ngo_id,
+                )
+            raise
+        write_text(results_path, (line + "\n" for line in raw_lines))
+        save_state({"done": True})
+    results = providers_mod.parse_result_lines(raw_lines)
+    verdicts = providers_mod.join_verdicts(
+        sentence_ids, results, job.model_id, strict_json=strict_json
+    )
+    write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
+    counts = {
+        "verdicts": len(verdicts),
+        "malformed": sum(v.label == "malformed" for v in verdicts),
+        "missing": sum(v.raw_text == providers_mod.MISSING_RAW_TEXT for v in verdicts),
+        "reused": int(reused),
+    }
+    log.info(
+        "classify %s/%s: %d verdicts, %d malformed", job.model_id, ngo_id,
+        counts["verdicts"], counts["malformed"],
+    )
+    return counts
 
 
 # --- analyze ----------------------------------------------------------------
 
 
+# One shared string per label value: the maps below hold one label per
+# sentence, and a decoded "yes" is a new string on every row.
+_SHARED_LABEL = {label: label for label in LABELS}
+
+
 def _load_tree_results(layout: Layout) -> dict[str, str]:
     """sentence_id -> tree label, over every labels/tree file."""
-    return {
-        row["sentence_id"]: row["label"]
-        for path in sorted(layout.labels_tree.glob("*.jsonl"))
-        for row in read_jsonl(path)
-    }
+    labels = {}
+    for path in sorted(layout.labels_tree.glob("*.jsonl")):
+        for row in read_jsonl(path):
+            label = row["label"]
+            labels[row["sentence_id"]] = _SHARED_LABEL.get(label, label)
+    return labels
 
 
-def _load_verdicts(layout: Layout, model_id: str) -> list[dict]:
-    """The decoded verdict rows of one model, over every labels file."""
-    return [
-        row
-        for path in sorted(layout.labels_model(model_id).glob("*.jsonl"))
-        for row in read_jsonl(path)
-    ]
+def _load_verdicts(layout: Layout, model_id: str) -> tuple[dict[str, str], dict[str, str]]:
+    """sentence_id -> label and sentence_id -> argumentation (where there
+    is one) of one model, over every labels file, filled row by row."""
+    labels: dict[str, str] = {}
+    argumentation: dict[str, str] = {}
+    for path in sorted(layout.labels_model(model_id).glob("*.jsonl")):
+        for row in read_jsonl(path):
+            sentence_id, label = row["sentence_id"], row["label"]
+            labels[sentence_id] = _SHARED_LABEL.get(label, label)
+            if row.get("argumentation") is not None:
+                argumentation[sentence_id] = row["argumentation"]
+    return labels, argumentation
 
 
 def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
@@ -722,15 +770,7 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
             verdict_sets = {}
             argumentation: dict[str, dict[str, str]] = {}
             for model_id in model_ids:
-                rows = _load_verdicts(layout, model_id)
-                verdict_sets[model_id] = {row["sentence_id"]: row["label"] for row in rows}
-                argumentation[model_id] = {
-                    row["sentence_id"]: row["argumentation"]
-                    for row in rows
-                    if row.get("argumentation") is not None
-                }
-                del rows  # free before the next model's rows, and before tabulate
-
+                verdict_sets[model_id], argumentation[model_id] = _load_verdicts(layout, model_id)
             matrix = matrix_mod.tabulate(
                 load_corpus(layout), _load_tree_results(layout), verdict_sets, config.groups()
             )

@@ -1,8 +1,12 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import sacreddetect
 from sacreddetect import cli
 from sacreddetect.config import sample_config_path
 
@@ -107,3 +111,33 @@ def test_corrupt_stage_file_exits_1_naming_the_file_and_line(monkeypatch, tmp_pa
     assert run_cli([*config, "match"], monkeypatch) == 1
     assert f"{corpus}: line {torn_line}: " in caplog.text
     assert not (root / "labels").exists()  # nor the parent the failed build made
+
+
+NETWORK_MODULES = ("requests", "urllib3", "ssl", "http.client", "urllib.request")
+
+
+def _network_modules_after(code, *args):
+    """The network modules loaded by running code in a fresh interpreter."""
+    src = Path(sacreddetect.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code += f"\nprint(sorted(m for m in {NETWORK_MODULES!r} if m in sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.splitlines()[-1]
+
+
+def test_offline_commands_load_no_network_stack(tmp_path):
+    pipeline = """
+import sys
+from sacreddetect import cli
+config, root = sys.argv[1:]
+for command in (["harvest", "--sample"], ["extract"], ["match"], ["batch-build"],
+                ["classify", "--stub"], ["analyze"], ["report"]):
+    sys.argv = ["sacreddetect", "--config", config, "--output-root", root, *command]
+    assert cli.run() == 0, command
+"""
+    root = tmp_path / "run"
+    assert _network_modules_after(pipeline, str(sample_config_path()), str(root)) == "[]"
+    assert (root / "reports" / "table1.md").is_file()
+    assert _network_modules_after("import sys, sacreddetect.harvest") == "[]"

@@ -1,3 +1,5 @@
+import json
+import os
 import time
 
 from sacreddetect.config import FetchPolicy, SourceSpec
@@ -127,3 +129,65 @@ def test_failed_fetch_spacing_still_resumable(tmp_path, http_server):
     [doc] = list(store.iter_ngo("x"))
     assert doc.status == 404
     assert store.has_url(f"{base}/missing")  # recorded, so not refetched
+
+
+class FakeResponse:
+    status_code = 200
+    headers = {"Content-Type": "text/html"}
+    content = b"<p>fetched</p>"
+
+
+class FakeSession:
+    """Answers every GET with one page and records the URLs asked for."""
+
+    def __init__(self):
+        self.urls: list[str] = []
+
+    def get(self, url, timeout=None):
+        self.urls.append(url)
+        return FakeResponse()
+
+
+def _store_without_flush(raw, spec, urls):
+    store = DocumentStore(raw)
+    for url in urls:  # a harvest that crashed before flush_index
+        store.append(fetch_live(url, FAST, ngo_id=spec.ngo_id, session=FakeSession()))
+
+
+def test_resume_rebuilds_a_missing_index_from_the_raw_store(tmp_path):
+    spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
+    stored = ["https://example.org/a", "https://example.org/b"]
+    _store_without_flush(tmp_path / "raw", spec, stored)
+    assert not (tmp_path / "raw" / "index.json").exists()
+
+    session = FakeSession()
+    store = DocumentStore(tmp_path / "raw")
+    counters = harvest_source(
+        spec, [*stored, "https://example.org/c"], {}, store, FAST, session, HostGate(1000.0)
+    )
+    assert counters["skipped_existing"] == 2
+    assert counters["fetched_ok"] == 1
+    assert session.urls == ["https://example.org/c"]
+    store.flush_index()
+    assert sorted(json.loads((tmp_path / "raw" / "index.json").read_text())) == [
+        *stored, "https://example.org/c"
+    ]
+
+
+def test_resume_rebuilds_an_index_older_than_the_raw_store(tmp_path):
+    spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
+    raw = tmp_path / "raw"
+    store = DocumentStore(raw)
+    store.append(fetch_live("https://example.org/a", FAST, ngo_id="x", session=FakeSession()))
+    store.flush_index()
+    _store_without_flush(raw, spec, ["https://example.org/b"])
+    index = raw / "index.json"
+    stamp = (raw / "x.jsonl").stat().st_mtime_ns - 10**9
+    os.utime(index, ns=(stamp, stamp))  # flushed a second before the last append
+
+    counters = harvest_source(
+        spec, ["https://example.org/a", "https://example.org/b"], {}, DocumentStore(raw),
+        FAST, FakeSession(), HostGate(1000.0),
+    )
+    assert counters["skipped_existing"] == 2
+

@@ -7,10 +7,12 @@ import pytest
 from sacreddetect.config import ModelSpec, sample_config_path, validate_config
 from sacreddetect import stages
 from sacreddetect.errors import ConfigError, PrerequisiteError, ProviderError, StageLockedError
+from sacreddetect.harvest import store as store_mod
 from sacreddetect.harvest.store import DocumentStore, RawDocument
 from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import StubProvider
+from sacreddetect.judge.verdicts import LABELS
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
 from sacreddetect.stages import (
@@ -684,3 +686,118 @@ def test_classify_pending_state_names_its_provider(sample_config, monkeypatch):
     assert json.loads(state_path.read_text()) == saved
     assert classify("openai-batch") == {"batch_id": "batch_1"}  # resumed
     assert classify("groq-batch") == {}  # not handed to another provider
+
+
+def _count_reads(monkeypatch, owner):
+    """Record every path owner.read_jsonl opens."""
+    read = []
+    untouched = owner.read_jsonl
+
+    def recording(path, *args):
+        read.append(path)
+        return untouched(path, *args)
+
+    monkeypatch.setattr(owner, "read_jsonl", recording)
+    return read
+
+
+def test_classify_reads_each_corpus_file_once_for_all_models(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    read = _count_reads(monkeypatch, stages)
+    run_classify(sample_config, stub=True)
+    assert len(sample_config.models) == 2
+    corpus_files = sorted(layout.corpus.glob("*.jsonl"))
+    assert sorted(p for p in read if p.parent == layout.corpus) == corpus_files
+    for model in sample_config.models:
+        labels = layout.labels_model(model.model_id)
+        assert sorted(p.name for p in labels.glob("*.jsonl")) == [p.name for p in corpus_files]
+
+
+def test_classify_failing_on_the_second_model_keeps_every_model_labels(
+    sample_config, monkeypatch
+):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    before = {m.model_id: _file_stats(layout.labels_model(m.model_id)) for m in sample_config.models}
+    _extract_with_extra_cca_sentences(sample_config, ["A new sentence for both models."])
+    run_batch_build(sample_config)
+    first, second = (m.model_id for m in sample_config.models)
+    cca_first = (layout.batches(first) / "cca.jsonl").read_text().splitlines()
+
+    def classify_with(provider):
+        monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+        run_classify(sample_config)
+
+    with pytest.raises(ProviderError):  # cca done for the first model, failed for the second
+        classify_with(FlakyProvider(fail_on_call=2))
+    after = {m.model_id: _file_stats(layout.labels_model(m.model_id)) for m in sample_config.models}
+    assert after == before
+    assert sorted(p.name for p in (layout.root / "labels").iterdir()) == sorted(before)
+
+    resumed = FlakyProvider()
+    classify_with(resumed)
+    assert len(resumed.sent) == 7  # all but the first model's cca
+    assert cca_first not in resumed.sent
+    for model_id in (first, second):
+        labels = (layout.labels_model(model_id) / "cca.jsonl").read_text().splitlines()
+        assert len(labels) == 6
+
+
+def test_classify_checks_every_model_before_sending(sample_config, monkeypatch):
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    _extract_with_extra_cca_sentences(sample_config, ["A sentence the second model never saw."])
+    models = sample_config.models
+    sample_config.models = models[:1]
+    run_batch_build(sample_config)  # the first model's batches only
+    sample_config.models = models
+    provider = FlakyProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    with pytest.raises(PrerequisiteError, match=rf"{models[1].model_id!r}.*batch-build"):
+        run_classify(sample_config)
+    assert provider.sent == []
+    assert not (sample_config.output_root / "labels").exists()
+
+
+def test_extract_reads_each_raw_file_once_with_a_stale_index(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    (layout.raw / "index.json").unlink()  # as after a harvest that crashed
+    read = _count_reads(monkeypatch, store_mod)
+    run_extract(sample_config)
+    assert sorted(read) == sorted(layout.raw.glob("*.jsonl"))
+    assert not (layout.raw / "index.json").exists()
+
+
+def test_analyze_label_maps_share_one_string_per_label(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    shared = {label: label for label in LABELS}
+    tree = stages._load_tree_results(layout)
+    labels, argumentation = stages._load_verdicts(layout, "gpt-4o-mini")
+    assert len(tree) == len(labels) == len(argumentation) == 10
+    for label in [*tree.values(), *labels.values()]:
+        assert label is shared[label]
+
+    odd = layout.labels_model("odd")
+    odd.mkdir()
+    rows = [
+        {"sentence_id": "s1", "label": "maybe", "argumentation": None},
+        {"sentence_id": "s2", "label": "no", "argumentation": "none found"},
+        {"sentence_id": "s2", "label": "yes", "argumentation": None},
+    ]
+    (odd / "x.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert stages._load_verdicts(layout, "odd") == (
+        {"s1": "maybe", "s2": "yes"}, {"s2": "none found"}
+    )

@@ -1,3 +1,6 @@
+import json
+import sys
+import threading
 from datetime import datetime, timezone
 
 from sacreddetect.harvest.store import DocumentStore, RawDocument
@@ -56,3 +59,32 @@ def test_raw_lines_are_ascii(tmp_path):
     store.append(doc)
     assert (tmp_path / "ngo.jsonl").read_bytes().isascii()
     assert list(store.iter_ngo("ngo")) == [doc]
+
+
+def test_concurrent_appends_with_a_missing_index_lose_no_url(tmp_path):
+    # one thread per source, as harvest runs them; the first to touch the
+    # store rebuilds the index, and no thread may work on a copy of it
+    raw = tmp_path / "raw"
+    DocumentStore(raw).append(make_doc(url="https://a.com/stored"))  # never flushed
+    store = DocumentStore(raw)
+    urls = [f"https://a.com/{t}/{i}" for t in range(8) for i in range(25)]
+
+    def harvest(t):
+        for url in urls[t * 25 : (t + 1) * 25]:
+            assert store.has_url("https://a.com/stored")
+            store.append(make_doc(url=url))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=harvest, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    store.flush_index()
+    index = json.loads((raw / "index.json").read_text())
+    assert sorted(index) == sorted([*urls, "https://a.com/stored"])
