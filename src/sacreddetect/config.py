@@ -99,12 +99,6 @@ class PipelineConfig:
     def groups(self) -> dict[str, str]:
         return {s.ngo_id: s.group for s in self.sources}
 
-    def source(self, ngo_id: str) -> SourceSpec:
-        for s in self.sources:
-            if s.ngo_id == ngo_id:
-                return s
-        raise KeyError(ngo_id)
-
 
 def bundled_path(name: str) -> Path:
     """Path of a bundled data file (starter lexicon, default configs)."""

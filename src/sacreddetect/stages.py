@@ -36,6 +36,7 @@ from .config import PipelineConfig
 from .errors import (
     CdxParseError,
     ConfigError,
+    CoverageError,
     PrerequisiteError,
     ProviderError,
     StageLockedError,
@@ -55,7 +56,6 @@ from .textpipe.corpus import (
     CleanDocument,
     SentenceRecord,
     build_sentence_corpus,
-    corpus_summary,
     filter_corpus,
 )
 from .textpipe.htmltext import extract_main_text
@@ -358,7 +358,8 @@ def run_extract(config: PipelineConfig) -> None:
             out = tmps[layout.corpus]
             store = DocumentStore(layout.raw)
             counters: Counter = Counter()
-            docs: list[CleanDocument] = []
+            groups = config.groups()
+            summary = ["ngo_id,group,n_documents,n_sentences"]
 
             def torn_line(path: Path, lineno: int) -> None:
                 # the remains of a crashed append; its document was fetched
@@ -366,7 +367,9 @@ def run_extract(config: PipelineConfig) -> None:
                 counters["skipped_torn_line"] += 1
                 log.warning("extract: skipped undecodable line %d of %s", lineno, path)
 
+            # one source at a time, so memory is bounded by the largest NGO
             for ngo_id in ngo_ids:
+                docs: list[CleanDocument] = []
                 seen: set[str] = set()
                 for raw_doc in store.iter_ngo(ngo_id, torn_line):
                     if raw_doc.doc_id in seen:
@@ -394,33 +397,22 @@ def run_extract(config: PipelineConfig) -> None:
                             lang=lang, lang_confidence=confidence,
                         )
                     )
-
-            kept = filter_corpus(docs, counters)
-            records = build_sentence_corpus(kept)
-            by_ngo: dict[str, list[SentenceRecord]] = {}
-            for rec in records:
-                by_ngo.setdefault(rec.ngo_id, []).append(rec)
-            for ngo_id in sorted({d.ngo_id for d in kept}):
-                write_jsonl(out / f"{ngo_id}.jsonl", (r.to_dict() for r in by_ngo.get(ngo_id, [])))
-            kept_per_ngo = Counter(d.ngo_id for d in kept)
-            for ngo_id in ngo_ids:
-                counters[f"documents:{ngo_id}"] = kept_per_ngo[ngo_id]
-                counters[f"sentences:{ngo_id}"] = len(by_ngo.get(ngo_id, []))
-            summary = corpus_summary(kept, records, config.groups())
-            _write_summary_csv(out / "summary.csv", summary)
-            log.info("extract: %d documents -> %d sentences (%s)",
-                     len(kept), len(records), dict(counters))
+                kept = filter_corpus(docs, counters)
+                records = build_sentence_corpus(kept)
+                if kept:
+                    write_jsonl(out / f"{ngo_id}.jsonl", (r.to_dict() for r in records))
+                    summary.append(f"{ngo_id},{groups[ngo_id]},{len(kept)},{len(records)}")
+                counters[f"documents:{ngo_id}"] = len(kept)
+                counters[f"sentences:{ngo_id}"] = len(records)
+                log.info(
+                    "extract %s: %d documents -> %d sentences", ngo_id, len(kept), len(records)
+                )
+                del docs, kept, records  # freed before the next source is read
+            write_text(out / "summary.csv", "\n".join(summary) + "\n")
             params = {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)}
             return {layout.corpus: params}
 
         _produce("extract", {layout.corpus: inputs}, build)
-
-
-def _write_summary_csv(path: Path, summary: list[dict]) -> None:
-    header = ["ngo_id", "group", "n_documents", "n_sentences"]
-    rows = [header] + [[row[h] for h in header] for row in summary]
-    out = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    write_text(path, out)
 
 
 def load_corpus(layout: Layout, ngo_id: str | None = None) -> list[SentenceRecord]:
@@ -720,23 +712,33 @@ _SHARED_LABEL = {label: label for label in LABELS}
 
 
 def _load_tree_results(layout: Layout) -> dict[str, str]:
-    """sentence_id -> tree label, over every labels/tree file."""
+    """sentence_id -> tree label, over every labels/tree file; a repeated
+    sentence id raises CoverageError."""
     labels = {}
     for path in sorted(layout.labels_tree.glob("*.jsonl")):
         for row in read_jsonl(path):
-            label = row["label"]
-            labels[row["sentence_id"]] = _SHARED_LABEL.get(label, label)
+            sentence_id, label = row["sentence_id"], row["label"]
+            if sentence_id in labels:
+                raise CoverageError(
+                    f"{path}: sentence id {sentence_id} is labelled more than once"
+                )
+            labels[sentence_id] = _SHARED_LABEL.get(label, label)
     return labels
 
 
 def _load_verdicts(layout: Layout, model_id: str) -> tuple[dict[str, str], dict[str, str]]:
     """sentence_id -> label and sentence_id -> argumentation (where there
-    is one) of one model, over every labels file, filled row by row."""
+    is one) of one model, over every labels file, filled row by row; a
+    repeated sentence id raises CoverageError."""
     labels: dict[str, str] = {}
     argumentation: dict[str, str] = {}
     for path in sorted(layout.labels_model(model_id).glob("*.jsonl")):
         for row in read_jsonl(path):
             sentence_id, label = row["sentence_id"], row["label"]
+            if sentence_id in labels:
+                raise CoverageError(
+                    f"{path}: sentence id {sentence_id} is labelled more than once"
+                )
             labels[sentence_id] = _SHARED_LABEL.get(label, label)
             if row.get("argumentation") is not None:
                 argumentation[sentence_id] = row["argumentation"]
@@ -754,17 +756,28 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                     f"no verdicts for model {model_id!r}; run `sacreddetect classify` "
                     "first (or pass --tree-only)"
                 )
-        inputs = {f"tree/{k}": v for k, v in _hash_dir_files(layout.labels_tree).items()}
-        inputs.update(
+        provenance = {f"tree/{k}": v for k, v in _hash_dir_files(layout.labels_tree).items()}
+        provenance.update(
             {f"corpus/{k}": v for k, v in _hash_dir_files(layout.corpus).items()}
         )
         for model_id in model_ids:
-            inputs.update(
+            provenance.update(
                 {
                     f"{model_id}/{k}": v
                     for k, v in _hash_dir_files(layout.labels_model(model_id)).items()
                 }
             )
+        # the stats depend on these too, but the provenance the reports cite
+        # names only the corpus and label files
+        inputs = {
+            **provenance,
+            "groups": sha256_text(json.dumps(config.groups(), sort_keys=True)),
+            "models": sha256_text(json.dumps(model_ids)),
+            "report_phrases": sha256_text(json.dumps(config.report_phrases)),
+        }
+        inputs.update(
+            {f"corpus/{k}": v for k, v in _hash_dir_files(layout.corpus, "summary.csv").items()}
+        )
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             verdict_sets = {}
@@ -787,7 +800,7 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                     for phrase in config.report_phrases
                 },
                 "consistency": duplicate_consistency(matrix),
-                "provenance": inputs,
+                "provenance": provenance,
             }
             if len(model_ids) >= 2:
                 bundle["ratio_pair"] = model_ids[:2]

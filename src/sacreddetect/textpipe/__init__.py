@@ -4,7 +4,6 @@ from .corpus import (
     CleanDocument,
     SentenceRecord,
     build_sentence_corpus,
-    corpus_summary,
     filter_corpus,
 )
 from .htmltext import extract_main_text
@@ -16,7 +15,6 @@ __all__ = [
     "SentenceRecord",
     "SPLITTER_VERSION",
     "build_sentence_corpus",
-    "corpus_summary",
     "detect_language",
     "extract_main_text",
     "filter_corpus",

@@ -1,4 +1,4 @@
-"""Sentence-level corpus records and per-NGO summaries.
+"""Clean documents and sentence-level corpus records.
 
 Sentence ids are content hashes of (doc_id, position, text): two runs over
 the same raw store produce identical id sets. Duplicate sentence texts
@@ -94,23 +94,3 @@ def build_sentence_corpus(docs: list[CleanDocument]) -> list[SentenceRecord]:
             records.append(SentenceRecord.make(doc.doc_id, doc.ngo_id, position, sentence))
     return records
 
-
-def corpus_summary(
-    docs: list[CleanDocument],
-    records: list[SentenceRecord],
-    groups: dict[str, str],
-) -> list[dict]:
-    """Per-NGO document and sentence counts (the corpus-shape table)."""
-    n_docs: Counter = Counter(d.ngo_id for d in docs)
-    n_sents: Counter = Counter(r.ngo_id for r in records)
-    rows = []
-    for ngo_id in sorted(set(n_docs) | set(n_sents)):
-        rows.append(
-            {
-                "ngo_id": ngo_id,
-                "group": groups.get(ngo_id, "unknown"),
-                "n_documents": n_docs[ngo_id],
-                "n_sentences": n_sents[ngo_id],
-            }
-        )
-    return rows

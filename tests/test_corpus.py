@@ -3,7 +3,6 @@ from collections import Counter
 from sacreddetect.textpipe import (
     CleanDocument,
     build_sentence_corpus,
-    corpus_summary,
     filter_corpus,
 )
 
@@ -84,11 +83,3 @@ def test_sample_pages_yield_ten_sentences(sample_corpus):
     assert "Sacred Earth" in texts
     assert "Windsor Statements" in texts
 
-
-def test_summary_shape(sample_documents, sample_corpus):
-    groups = {ngo: "religious" for ngo in ("cca", "greenfaith", "ien", "icsd")}
-    rows = corpus_summary(sample_documents, sample_corpus, groups)
-    assert [row["ngo_id"] for row in rows] == ["cca", "greenfaith", "icsd", "ien"]
-    assert all(set(row) == {"ngo_id", "group", "n_documents", "n_sentences"} for row in rows)
-    total_sentences = sum(row["n_sentences"] for row in rows)
-    assert total_sentences == 10

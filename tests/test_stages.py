@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -6,7 +7,13 @@ import pytest
 
 from sacreddetect.config import ModelSpec, sample_config_path, validate_config
 from sacreddetect import stages
-from sacreddetect.errors import ConfigError, PrerequisiteError, ProviderError, StageLockedError
+from sacreddetect.errors import (
+    ConfigError,
+    CoverageError,
+    PrerequisiteError,
+    ProviderError,
+    StageLockedError,
+)
 from sacreddetect.harvest import store as store_mod
 from sacreddetect.harvest.store import DocumentStore, RawDocument
 from sacreddetect.jsonlio import read_jsonl
@@ -797,7 +804,108 @@ def test_analyze_label_maps_share_one_string_per_label(sample_config):
         {"sentence_id": "s2", "label": "no", "argumentation": "none found"},
         {"sentence_id": "s2", "label": "yes", "argumentation": None},
     ]
-    (odd / "x.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    (odd / "x.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows[:2]))
     assert stages._load_verdicts(layout, "odd") == (
-        {"s1": "maybe", "s2": "yes"}, {"s2": "none found"}
+        {"s1": "maybe", "s2": "no"}, {"s2": "none found"}
     )
+    # a repeated id would pair one row's argumentation with another's label
+    (odd / "x.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(CoverageError, match=r"x\.jsonl: sentence id s2 "):
+        stages._load_verdicts(layout, "odd")
+
+
+def test_analyze_refuses_a_tree_label_file_that_repeats_a_sentence_id(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    labels = layout.labels_tree / "icsd.jsonl"
+    first = labels.read_text().splitlines()[0]
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")
+    sentence_id = json.loads(first)["sentence_id"]
+    with pytest.raises(CoverageError, match=rf"icsd\.jsonl: sentence id {sentence_id} "):
+        run_analyze(sample_config, tree_only=True)
+    assert not layout.analysis.exists()
+
+
+def test_analyze_reruns_when_groups_phrases_or_model_order_change(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    run_analyze(sample_config)
+    stats = lambda: json.loads((layout.analysis / "stats.json").read_text())  # noqa: E731
+    provenance = stats()["provenance"]
+    assert "secular_total" not in stats()["scopes"]
+
+    sample_config.sources = [
+        dataclasses.replace(s, group="secular") if s.ngo_id == "cca" else s
+        for s in sample_config.sources
+    ]
+    run_extract(sample_config)  # rewrites summary.csv only; the corpus files are unchanged
+    run_analyze(sample_config)
+    bundle = stats()
+    assert "secular_total" in bundle["scopes"]
+    assert {row["ngo_id"]: row["group"] for row in bundle["corpus"]}["cca"] == "secular"
+
+    sample_config.report_phrases = ("holy spirit",)
+    run_analyze(sample_config)
+    assert list(stats()["terms"]) == ["holy spirit"]
+
+    sample_config.models = sample_config.models[::-1]
+    run_analyze(sample_config)
+    bundle = stats()
+    model_ids = [m.model_id for m in sample_config.models]
+    assert bundle["classifiers"] == ["tree", *model_ids]
+    assert bundle["ratio_pair"] == model_ids
+    # the bundle cites the same label and corpus files throughout
+    assert bundle["provenance"] == provenance
+
+
+DUTCH = (
+    "De aarde warmt op en de zeespiegel stijgt, maar er is nog steeds hoop "
+    "voor de toekomst. Nederlandse organisaties werken al jaren samen met "
+    "boeren, vissers en gemeenten om de natuur te beschermen."
+)
+
+
+def test_extract_filters_one_ngo_at_a_time_and_leaves_out_an_ngo_with_none_kept(
+    sample_config, monkeypatch
+):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    (layout.raw / "ien.jsonl").unlink()
+    store = DocumentStore(layout.raw)
+    page = "<html><body><main><p>{}</p></main></body></html>"
+    for url, status, content_type, body in [
+        ("https://www.ienearth.org/gone", 404, "text/html", b""),
+        ("https://www.ienearth.org/report.pdf", 200, "application/pdf", b"%PDF-1.7"),
+        ("https://www.ienearth.org/nl", 200, "text/html", page.format(DUTCH).encode()),
+    ]:
+        store.append(RawDocument.make("ien", url, status, content_type, body))
+    calls = []
+    untouched = stages.filter_corpus
+
+    def spy(docs, counters=None):
+        calls.append([doc.ngo_id for doc in docs])
+        return untouched(docs, counters)
+
+    monkeypatch.setattr(stages, "filter_corpus", spy)
+    run_extract(sample_config)
+
+    # the sample has one page per NGO; ien's only page that reaches the
+    # filter is the Dutch one
+    assert calls == [["cca"], ["greenfaith"], ["icsd"], ["ien"]]
+    assert sorted(p.name for p in layout.corpus.glob("*.jsonl")) == [
+        "cca.jsonl", "greenfaith.jsonl", "icsd.jsonl"
+    ]
+    summary = (layout.corpus / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary] == ["ngo_id", "cca", "greenfaith", "icsd"]
+    counters = read_manifest(layout.corpus).params["counters"]
+    assert counters["documents:ien"] == counters["sentences:ien"] == 0
+    assert counters["dropped_non_english:ien"] == 1
+    assert counters["skipped_failed_fetch"] == counters["skipped_pdf"] == 1
+
