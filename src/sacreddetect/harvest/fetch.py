@@ -13,6 +13,7 @@ import os
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
@@ -48,6 +49,8 @@ class HostGate:
 
     Each host has its own lock and next-allowed time, so distinct hosts
     proceed in parallel while one host's requests stay ordered and spaced.
+    The spacing runs from the end of one request to the start of the next,
+    so the host sees it whatever the connection and response latency.
     """
 
     def __init__(self, rate_per_host: float, clock=time):
@@ -62,14 +65,18 @@ class HostGate:
                 self._hosts[host] = (threading.Lock(), [0.0])
             return self._hosts[host]
 
-    def wait(self, host: str) -> None:
+    @contextmanager
+    def slot(self, host: str):
+        """Hold the host for one request, after waiting out its spacing."""
         lock, next_ok = self._entry(host)
         with lock:
             now = self._clock.monotonic()
             if now < next_ok[0]:
                 self._clock.sleep(next_ok[0] - now)
-                now = self._clock.monotonic()
-            next_ok[0] = now + self.min_interval
+            try:
+                yield
+            finally:
+                next_ok[0] = self._clock.monotonic() + self.min_interval
 
 
 class RobotsCache:
@@ -133,9 +140,9 @@ def fetch_live(
     content_type = ""
     body = b""
     for attempt in range(policy.retries + 1):
-        gate.wait(host)
         try:
-            resp = session.get(url, timeout=policy.timeout)
+            with gate.slot(host):
+                resp = session.get(url, timeout=policy.timeout)
         except requests.RequestException as exc:
             log.debug("fetch %s attempt %d failed: %s", url, attempt + 1, exc)
             status, content_type, body = 0, "", b""

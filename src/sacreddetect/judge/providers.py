@@ -217,7 +217,7 @@ def get_provider(name: str) -> BatchProvider:
 
 def parse_result_lines(lines: list[str]) -> dict[str, str]:
     """custom_id -> assistant message content; unusable rows are dropped
-    (their sentences then surface as malformed-with-<missing>).
+    (their sentences then surface as malformed, reason "missing").
     """
     results: dict[str, str] = {}
     for line in lines:
@@ -239,15 +239,15 @@ def join_verdicts(
     strict_json: bool = False,
 ) -> list[Verdict]:
     """One verdict per sentence id, in the order given, always: sentences
-    the provider did not answer become malformed verdicts with raw_text
-    "<missing>".
+    the provider did not answer become malformed verdicts with reason
+    "missing" and raw_text "<missing>".
     """
     verdicts = []
     for sentence_id in sentence_ids:
         raw = results.get(sentence_id)
         if raw is None:
             verdicts.append(
-                Verdict(sentence_id, model_id, "malformed", None, None, MISSING_RAW_TEXT)
+                Verdict(sentence_id, model_id, "malformed", None, None, MISSING_RAW_TEXT, "missing")
             )
         else:
             verdicts.append(parse_verdict(sentence_id, model_id, raw, strict=strict_json))

@@ -3,9 +3,10 @@
 A model response is a valid verdict only when it contains a JSON object
 with (case-insensitive) keys Religious, Certainty and Argumentation, the
 Religious value reads as yes/no, the certainty parses as a percentage and
-the argumentation is a string. Everything else is the ``malformed`` label
-with the raw text preserved for audit -- malformed output is a finding
-about the model, not an error condition, so nothing here ever raises.
+the argumentation is a string. Everything else is the ``malformed`` label,
+with the raw text preserved for audit and a ``reason`` naming the first
+check that failed -- malformed output is a finding about the model, not an
+error condition, so nothing here ever raises.
 
 By default the response is decoded as one JSON value starting at its
 first ``{``, and any text before or after that value is ignored, because
@@ -20,6 +21,13 @@ import math
 from dataclasses import dataclass
 
 LABELS = ("yes", "no", "malformed")
+# Why a verdict is malformed: the provider gave no answer, the reply holds
+# no "{", what starts there does not decode to a JSON object, or one of the
+# three fields fails its check.
+REASONS = ("missing", "no_json", "bad_json", "bad_religious", "bad_certainty", "bad_argumentation")
+# The shape of a labels/<model>/ row (Verdict.to_dict); a new value makes
+# classify rewrite every labels directory from its saved results.
+VERDICT_ROW_VERSION = "2"
 
 _DECODER = json.JSONDecoder()
 
@@ -32,15 +40,18 @@ class Verdict:
     certainty: int | None
     argumentation: str | None
     raw_text: str
+    reason: str | None = None  # one of REASONS iff the label is malformed
 
     def to_dict(self) -> dict:
+        """The labels/<model>/ row. The model is the directory's, and the
+        raw reply stays in the batch results file, keyed by custom_id (the
+        sentence id)."""
         return {
             "sentence_id": self.sentence_id,
-            "model_id": self.model_id,
             "label": self.label,
             "certainty": self.certainty,
             "argumentation": self.argumentation,
-            "raw_text": self.raw_text,
+            "reason": self.reason,
         }
 
 
@@ -69,34 +80,34 @@ def parse_verdict(
 ) -> Verdict:
     """Total over arbitrary input: always returns a Verdict, never raises."""
 
-    def malformed() -> Verdict:
-        return Verdict(sentence_id, model_id, "malformed", None, None, raw_text)
+    def malformed(reason: str) -> Verdict:
+        return Verdict(sentence_id, model_id, "malformed", None, None, raw_text, reason)
 
     if not isinstance(raw_text, str):
-        return malformed()
+        return malformed("no_json")
     try:
         if strict:
             obj = json.loads(raw_text.strip())
         else:
             start = raw_text.find("{")
             if start < 0:
-                return malformed()
+                return malformed("no_json")
             obj, _ = _DECODER.raw_decode(raw_text, start)
     except (json.JSONDecodeError, RecursionError):
-        return malformed()
+        return malformed("bad_json" if "{" in raw_text else "no_json")
     if not isinstance(obj, dict):
-        return malformed()
+        return malformed("bad_json")
 
     fields = {k.lower(): v for k, v in obj.items() if isinstance(k, str)}
     religious = fields.get("religious")
     if not isinstance(religious, str) or religious.strip().lower() not in ("yes", "no"):
-        return malformed()
+        return malformed("bad_religious")
     certainty = _parse_certainty(fields.get("certainty"))
     if certainty is None:
-        return malformed()
+        return malformed("bad_certainty")
     argumentation = fields.get("argumentation")
     if not isinstance(argumentation, str):
-        return malformed()
+        return malformed("bad_argumentation")
 
     return Verdict(
         sentence_id=sentence_id,

@@ -48,7 +48,7 @@ from .jsonlio import read_jsonl, write_json, write_jsonl, write_text
 from .judge import batch as batch_mod
 from .judge import providers as providers_mod
 from .judge.prompts import prompt_hash
-from .judge.verdicts import LABELS
+from .judge.verdicts import LABELS, REASONS, VERDICT_ROW_VERSION
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
@@ -590,6 +590,7 @@ def run_classify(
                     "template": batch_manifest.params["template"],
                     "prompt_sha256": batch_manifest.inputs["prompt"],
                     "strict_json": strict_json,
+                    "row_version": VERDICT_ROW_VERSION,
                     # No decoding parameters are sent; the provider's own
                     # defaults apply and that fact is the record.
                     "decoding": "provider-defaults",
@@ -601,6 +602,8 @@ def run_classify(
                 **{name: sha256_file(p) for name, p in job.request_files.items()},
                 "provider": sha256_text(provider_name),
                 "strict_json": sha256_text(str(strict_json)),
+                # rows of an older shape are rewritten from the saved results
+                "row_version": sha256_text(VERDICT_ROW_VERSION),
             }
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
@@ -645,7 +648,8 @@ class _ClassifyJob:
 def _classify_file(
     job: _ClassifyJob, path: Path, sentence_ids: list[str], out: Path, strict_json: bool
 ) -> dict[str, int]:
-    """Classify one batch file into out, returning its verdict counts.
+    """Classify one batch file into out, returning its verdict counts: the
+    malformed ones in total and by reason, zeros included.
 
     Submission state and raw results live beside the batch file they belong
     to; re-running batch-build discards them.
@@ -690,10 +694,11 @@ def _classify_file(
         sentence_ids, results, job.model_id, strict_json=strict_json
     )
     write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
+    reasons = Counter(v.reason for v in verdicts)
     counts = {
         "verdicts": len(verdicts),
-        "malformed": sum(v.label == "malformed" for v in verdicts),
-        "missing": sum(v.raw_text == providers_mod.MISSING_RAW_TEXT for v in verdicts),
+        "malformed": len(verdicts) - reasons[None],
+        **{reason: reasons[reason] for reason in REASONS},
         "reused": int(reused),
     }
     log.info(
@@ -784,11 +789,12 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
             argumentation: dict[str, dict[str, str]] = {}
             for model_id in model_ids:
                 verdict_sets[model_id], argumentation[model_id] = _load_verdicts(layout, model_id)
+            groups = config.groups()
             matrix = matrix_mod.tabulate(
-                load_corpus(layout), _load_tree_results(layout), verdict_sets, config.groups()
+                load_corpus(layout), _load_tree_results(layout), verdict_sets, groups
             )
             bundle = {
-                "corpus": _read_summary_csv(layout.corpus / "summary.csv"),
+                "corpus": _read_summary_csv(layout.corpus / "summary.csv", groups),
                 # explicit presentation order: stats.json is written with
                 # sorted keys, so key order cannot carry it
                 "classifiers": list(matrix.classifiers),
@@ -812,14 +818,16 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
         _produce("analyze", {layout.analysis: inputs}, build)
 
 
-def _read_summary_csv(path: Path) -> list[dict]:
+def _read_summary_csv(path: Path, groups: dict[str, str]) -> list[dict]:
+    """Table 1's rows, each NGO's group taken from groups, as the scopes
+    take it, not from the summary: extract may predate a group change."""
     if not path.is_file():
         return []
     with open(path, newline="", encoding="utf-8") as fh:
         return [
             {
                 "ngo_id": row["ngo_id"],
-                "group": row["group"],
+                "group": groups.get(row["ngo_id"], "unknown"),
                 "n_documents": int(row["n_documents"]),
                 "n_sentences": int(row["n_sentences"]),
             }

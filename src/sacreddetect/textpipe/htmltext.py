@@ -20,8 +20,9 @@ MIN_WORDS = 10
 MIN_DENSITY = 0.5
 
 # Malformed markup can surface incomplete tags (e.g. a trailing "<b") as
-# data; the extractor guarantees no tag-like substring survives.
-_RESIDUAL_TAG_START = re.compile(r"<(?=[a-zA-Z/!])")
+# data; the extractor guarantees no tag-like substring survives. The whole
+# run of "<" goes, or "<<b" would leave "<b".
+_RESIDUAL_TAG_START = re.compile(r"<+(?=[a-zA-Z/!])")
 
 SKIP_SUBTREES = frozenset({"head", "script", "style", "nav", "header", "footer", "form"})
 

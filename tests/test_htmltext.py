@@ -1,7 +1,7 @@
 import re
 from collections import Counter
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sacreddetect.textpipe import extract_main_text
@@ -144,6 +144,7 @@ _html_fragments = st.lists(
 
 
 @given(_html_fragments)
+@example(["< <<b <", " <"])  # a run of "<" before a letter
 def test_no_residual_tags_property(fragments):
     out = extract_main_text("".join(fragments).encode())
     assert not _RESIDUAL_TAG.search(out)

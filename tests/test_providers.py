@@ -68,7 +68,7 @@ def test_missing_results_become_malformed():
     assert len(verdicts) == len(c)
     missing = [v for v in verdicts if v.raw_text == MISSING_RAW_TEXT]
     assert len(missing) == 2
-    assert all(v.label == "malformed" for v in missing)
+    assert all(v.label == "malformed" and v.reason == "missing" for v in missing)
 
 
 def test_verdict_totality_with_empty_sentence():

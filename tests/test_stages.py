@@ -18,8 +18,8 @@ from sacreddetect.harvest import store as store_mod
 from sacreddetect.harvest.store import DocumentStore, RawDocument
 from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.batch import build_batch_file
-from sacreddetect.judge.providers import StubProvider
-from sacreddetect.judge.verdicts import LABELS
+from sacreddetect.judge.providers import StubProvider, parse_result_lines
+from sacreddetect.judge.verdicts import LABELS, REASONS
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
 from sacreddetect.stages import (
@@ -543,6 +543,107 @@ def test_classify_records_verdict_counters_per_file(sample_config):
     assert set(read_manifest(labels).inputs) == set(inputs)
 
 
+MALFORMED_REPLIES = {
+    "no_json": "I cannot tell from one sentence.",
+    "bad_json": '{"Religious": "Yes", "Certainty": "80%", "Argumentation": "cut',
+    "bad_religious": '{"Religious": "Maybe", "Certainty": "80%", "Argumentation": "a"}',
+    "bad_certainty": '{"Religious": "Yes", "Certainty": "high", "Argumentation": "a"}',
+    "bad_argumentation": '{"Religious": "Yes", "Certainty": "80%"}',
+}
+
+
+class MalformedRepliesProvider:
+    """Stub answers, except that the first request sent goes unanswered and
+    the next five each get a reply of one malformed shape."""
+
+    def __init__(self):
+        self.shapes = iter([("missing", None), *MALFORMED_REPLIES.items()])
+        self.reasons: dict[str, str] = {}  # custom_id -> the reason its verdict must give
+
+    def run_batch(self, lines, state=None, state_save=None):
+        out = []
+        for line in lines:
+            reason, reply = next(self.shapes, (None, None))
+            if reason is None:
+                out += StubProvider().run_batch([line])
+                continue
+            custom_id = json.loads(line)["custom_id"]
+            self.reasons[custom_id] = reason
+            if reply is not None:
+                body = {"choices": [{"message": {"content": reply}}]}
+                out.append(json.dumps({"custom_id": custom_id, "response": {"body": body}}))
+        return out
+
+
+def test_classify_rows_name_the_malformed_reason_and_count_each(sample_config, monkeypatch):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    provider = MalformedRepliesProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    run_classify(sample_config, only_model=model)
+    assert sorted(provider.reasons.values()) == sorted(REASONS)
+
+    labels = layout.labels_model(model)
+    counters = read_manifest(labels).params["counters"]
+    for path in sorted(labels.glob("*.jsonl")):
+        ngo = path.stem
+        rows = list(read_jsonl(path))
+        for row in rows:
+            assert list(row) == ["sentence_id", "label", "certainty", "argumentation", "reason"]
+            assert row["reason"] == provider.reasons.get(row["sentence_id"])
+            assert (row["label"] == "malformed") == (row["reason"] is not None)
+        for reason in REASONS:  # zeros included
+            assert counters[f"{reason}:{ngo}"] == sum(row["reason"] == reason for row in rows)
+        assert counters[f"malformed:{ngo}"] == sum(row["label"] == "malformed" for row in rows)
+        assert counters[f"malformed:{ngo}"] == sum(counters[f"{r}:{ngo}"] for r in REASONS)
+    assert sum(v for k, v in counters.items() if k.startswith("missing:")) == 1
+
+
+def test_classify_rewrites_an_old_format_labels_directory_from_saved_results(
+    sample_config, monkeypatch
+):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    run_classify(sample_config, stub=True, only_model=model)
+    labels = layout.labels_model(model)
+    fresh = {path.name: path.read_bytes() for path in labels.glob("*.jsonl")}
+
+    # the directory as the row format before reasons wrote it: each row
+    # copied the model id and the raw reply, and no input named the format
+    for path in labels.glob("*.jsonl"):
+        replies = parse_result_lines(
+            stages._read_lines(layout.batches(model) / f"{path.stem}.results.jsonl")
+        )
+        old = [
+            {
+                "sentence_id": row["sentence_id"], "model_id": model, "label": row["label"],
+                "certainty": row["certainty"], "argumentation": row["argumentation"],
+                "raw_text": replies[row["sentence_id"]],
+            }
+            for row in read_jsonl(path)
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in old))
+    manifest = json.loads((labels / "manifest.json").read_text())
+    del manifest["inputs"]["row_version"], manifest["params"]["row_version"]
+    (labels / "manifest.json").write_text(json.dumps(manifest))
+
+    provider = FlakyProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    run_classify(sample_config, stub=True, only_model=model)
+    assert provider.sent == []  # read back from the results files, not sent again
+    counters = read_manifest(labels).params["counters"]
+    assert {k: v for k, v in counters.items() if k.startswith("reused:")} == {
+        f"reused:{name.removesuffix('.jsonl')}": 1 for name in fresh
+    }
+    assert {path.name: path.read_bytes() for path in labels.glob("*.jsonl")} == fresh
+
+
 def test_read_lines_splits_at_newline_only(tmp_path):
     path = tmp_path / "lines.jsonl"
     for text in ["", "\n", "a\n\nb\n", "a\r\nb\rc\x85d\n\n", "last line open", "x\u2028y\u2029z\n"]:
@@ -845,8 +946,7 @@ def test_analyze_reruns_when_groups_phrases_or_model_order_change(sample_config)
         dataclasses.replace(s, group="secular") if s.ngo_id == "cca" else s
         for s in sample_config.sources
     ]
-    run_extract(sample_config)  # rewrites summary.csv only; the corpus files are unchanged
-    run_analyze(sample_config)
+    run_analyze(sample_config)  # extract not re-run: summary.csv still says religious
     bundle = stats()
     assert "secular_total" in bundle["scopes"]
     assert {row["ngo_id"]: row["group"] for row in bundle["corpus"]}["cca"] == "secular"

@@ -25,9 +25,11 @@ def test_hand_built_cases(case):
         assert verdict.certainty is None
         assert verdict.argumentation is None
         assert verdict.raw_text == case["raw_text"]  # preserved for audit
+        assert verdict.reason == case["reason"]
     else:
         assert verdict.certainty == case["certainty"]
         assert verdict.argumentation == case["argumentation"]
+        assert verdict.reason is None
 
 
 def test_valid_label_implies_certainty_and_argumentation():
@@ -41,9 +43,12 @@ def test_valid_label_implies_certainty_and_argumentation():
 def test_strict_mode_rejects_prose_wrapping():
     wrapped = 'Sure: {"Religious":"Yes","Certainty":"90%","Argumentation":"a"}'
     assert parse_verdict("s", "m", wrapped).label == "yes"
-    assert parse_verdict("s", "m", wrapped, strict=True).label == "malformed"
+    assert parse_verdict("s", "m", wrapped, strict=True).reason == "bad_json"
     bare = '{"Religious":"Yes","Certainty":"90%","Argumentation":"a"}'
     assert parse_verdict("s", "m", bare, strict=True).label == "yes"
+    # strict mode alone decodes a value that is not an object
+    assert parse_verdict("s", "m", '["yes"]', strict=True).reason == "bad_json"
+    assert parse_verdict("s", "m", "Yes.", strict=True).reason == "no_json"
 
 
 @given(st.text(max_size=300))
