@@ -1,4 +1,4 @@
-"""Joined label matrix and the comparative statistics computed from it."""
+"""Label counts of the corpus and the comparative statistics computed from them."""
 
 from .consistency import duplicate_consistency
 from .matrix import LabelMatrix, tabulate

@@ -12,23 +12,19 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .matrix import LabelMatrix, normalize_sentence_text
+from .matrix import LabelMatrix
 
 
 def duplicate_consistency(matrix: LabelMatrix) -> list[dict]:
     """Label splits for duplicate texts, sorted by occurrence count (desc),
     as stats.json's "consistency" list."""
-    groups: dict[str, list[int]] = {}
-    for i, text in enumerate(matrix.texts):
-        groups.setdefault(normalize_sentence_text(text), []).append(i)
-
     out = []
-    for text, rows in groups.items():
-        if len(rows) < 2:
-            continue
+    for group in matrix.duplicates:
         per_classifier = {}
-        for classifier, column in matrix.labels.items():
-            tally = Counter(column[i] for i in rows)
+        for i, classifier in enumerate(matrix.classifiers):
+            tally: Counter = Counter()
+            for labels, n in group.labels.items():
+                tally[labels[i]] += n
             n_yes, n_no = tally["yes"], tally["no"]
             valid = n_yes + n_no
             per_classifier[classifier] = {
@@ -37,6 +33,12 @@ def duplicate_consistency(matrix: LabelMatrix) -> list[dict]:
                 "n_malformed": tally["malformed"],
                 "consistency": max(n_yes, n_no) / valid if valid else None,
             }
-        out.append({"text": text, "n_occurrences": len(rows), "per_classifier": per_classifier})
+        out.append(
+            {
+                "text": group.text,
+                "n_occurrences": sum(group.labels.values()),
+                "per_classifier": per_classifier,
+            }
+        )
     out.sort(key=lambda g: (-g["n_occurrences"], g["text"]))
     return out

@@ -1,21 +1,23 @@
-"""The per-sentence join of tree and model labels, held as aligned columns.
+"""Label counts of the corpus, accumulated in one pass over its rows.
 
-Every corpus sentence appears exactly once; a label source that fails to
-cover the corpus, or a sentence id that occurs twice, is a hard error
-(classification guarantees verdict totality, so a gap means inputs from
-different runs were mixed, and a repeated id would be counted twice).
-Tree labels are never malformed -- the rule-based method is total by
-nature.
+A row is one sentence with one label per classifier, the tree first. The
+pass keeps only what the statistics and the two text audits read: joint
+label counts per NGO, label tallies per group of duplicate texts, and per
+phrase a hit tally and the first samples. Nothing else per sentence
+outlives its row except the sentence id, kept so that an id repeated in
+the corpus is a hard error (it would be counted twice). Tree labels are
+never malformed -- the rule-based method is total by nature.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..errors import CoverageError
-from ..textpipe.corpus import SentenceRecord
+from .terms import normalize_phrase, phrase_in_normalized
 
 SECULAR_TOTAL = "secular_total"
 RELIGIOUS_TOTAL = "religious_total"
@@ -27,33 +29,48 @@ def normalize_sentence_text(text: str) -> str:
     return " ".join(text.split())
 
 
+# One corpus sentence: (ngo_id, sentence_id, text, one label per classifier,
+# one argumentation per model, None where the model gave none).
+Row = tuple[str, str, str, tuple[str, ...], tuple[str | None, ...]]
+
+
+@dataclass
+class PhraseHits:
+    """Rows whose text contains one phrase: their count, the yes count per
+    classifier, and the first rows in corpus order."""
+
+    n_sentences: int
+    n_yes: list[int]
+    samples: list[Row] = field(default_factory=list)
+
+
+@dataclass
+class DuplicateGroup:
+    """One whitespace-normalized text seen at least twice: label tuple ->
+    occurrences."""
+
+    text: str
+    labels: Counter
+
+
 @dataclass
 class LabelMatrix:
-    """Aligned columns in corpus order: row i is one sentence."""
+    """What one pass over the corpus leaves for the statistics."""
 
-    sentence_ids: list[str]
-    ngo_ids: list[str]
-    texts: list[str]
-    groups: dict[str, str]  # ngo_id -> secular | religious | unknown
-    labels: dict[str, list[str]]  # classifier -> one label per row, "tree" first
-
-    @property
-    def classifiers(self) -> tuple[str, ...]:
-        return tuple(self.labels)
+    classifiers: tuple[str, ...]  # "tree" first
+    groups: dict[str, str]  # ngo_id -> secular | religious, in corpus order
+    joint_counts: Counter  # (ngo_id, label per classifier...) -> number of rows
+    phrases: dict[str, PhraseHits]
+    duplicates: list[DuplicateGroup]
 
     @property
     def model_ids(self) -> tuple[str, ...]:
         return self.classifiers[1:]
 
-    @cached_property
-    def joint_counts(self) -> Counter:
-        """(ngo_id, label per classifier...) -> number of rows."""
-        return Counter(zip(self.ngo_ids, *self.labels.values()))
-
     def scopes(self) -> dict[str, list[str]]:
         """Scope -> the NGOs it pools: each NGO in corpus order, then the
         two group totals and the grand total, each only when non-empty."""
-        ngo_order = list(dict.fromkeys(self.ngo_ids))
+        ngo_order = list(self.groups)
         out = {ngo: [ngo] for ngo in ngo_order}
         for group, scope in (("secular", SECULAR_TOTAL), ("religious", RELIGIOUS_TOTAL)):
             members = [ngo for ngo in ngo_order if self.groups[ngo] == group]
@@ -65,39 +82,66 @@ class LabelMatrix:
 
 
 def tabulate(
-    corpus: list[SentenceRecord],
-    tree_labels: dict[str, str],
-    verdict_sets: dict[str, dict[str, str]],
+    rows: Iterable[Row],
+    classifiers: Iterable[str],
     groups: dict[str, str],
+    phrases: Iterable[str] = (),
+    max_samples: int = 10,
 ) -> LabelMatrix:
-    """Inner-join all label sources on sentence_id.
+    """Accumulate rows in corpus order into a LabelMatrix.
 
-    tree_labels maps sentence_id -> label, verdict_sets model_id ->
-    {sentence_id -> label}. Missing coverage or a repeated sentence id
-    raises CoverageError naming the offending ids.
+    groups maps every NGO the rows name to its group. A phrase hits a row
+    under terms.phrase_in_text's rule; each phrase keeps its first
+    max_samples hits. A sentence id seen twice raises CoverageError naming
+    the id.
     """
-    sentence_ids = [rec.sentence_id for rec in corpus]
-    repeated = [sid for sid, n in Counter(sentence_ids).items() if n > 1]
-    if repeated:
-        raise CoverageError(f"sentence ids occur more than once in the corpus: {_shown(repeated)}")
+    classifiers = tuple(classifiers)
+    by_phrase = {}
+    for phrase in phrases:
+        if not phrase.strip():
+            raise ValueError("phrase must be non-empty")
+        by_phrase[phrase] = (normalize_phrase(phrase), PhraseHits(0, [0] * len(classifiers)))
+    joint: Counter = Counter()
+    seen_ids: set[str] = set()
+    shared: dict[tuple, tuple] = {}  # one tuple object per distinct label combination
+    once: dict[bytes, tuple] = {}  # text digest -> labels of its only occurrence so far
+    repeated: dict[bytes, DuplicateGroup] = {}
+    for row in rows:
+        ngo_id, sentence_id, text, labels, _ = row
+        n_seen = len(seen_ids)
+        seen_ids.add(sentence_id)
+        if len(seen_ids) == n_seen:
+            raise CoverageError(f"sentence id {sentence_id} occurs more than once in the corpus")
+        labels = shared.setdefault(labels, labels)
+        joint[(ngo_id, *labels)] += 1
 
-    sources = {"tree": tree_labels, **verdict_sets}
-    missing = [
-        f"{src}:{sid}" for sid in sentence_ids for src, by_id in sources.items() if sid not in by_id
-    ]
-    if missing:
-        raise CoverageError(f"label sources do not cover the corpus: {_shown(missing)}")
+        norm = normalize_sentence_text(text)
+        digest = hashlib.blake2b(norm.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+        group = repeated.get(digest)
+        if group is not None:
+            group.labels[labels] += 1
+        else:
+            first = once.pop(digest, None)
+            if first is None:
+                once[digest] = labels
+            else:
+                repeated[digest] = DuplicateGroup(norm, Counter((first, labels)))
 
-    ngo_ids = [rec.ngo_id for rec in corpus]
+        if by_phrase:
+            low = norm.lower()  # equals " ".join(text.lower().split())
+            for norm_phrase, hits in by_phrase.values():
+                if norm_phrase in low and phrase_in_normalized(low, norm_phrase):
+                    hits.n_sentences += 1
+                    for i, label in enumerate(labels):
+                        if label == "yes":
+                            hits.n_yes[i] += 1
+                    if len(hits.samples) < max_samples:
+                        hits.samples.append(row)
+    ngo_order = dict.fromkeys(ngo for ngo, *_ in joint)
     return LabelMatrix(
-        sentence_ids=sentence_ids,
-        ngo_ids=ngo_ids,
-        texts=[rec.text for rec in corpus],
-        groups={ngo: groups.get(ngo, "unknown") for ngo in dict.fromkeys(ngo_ids)},
-        labels={src: [by_id[sid] for sid in sentence_ids] for src, by_id in sources.items()},
+        classifiers=classifiers,
+        groups={ngo: groups[ngo] for ngo in ngo_order},
+        joint_counts=joint,
+        phrases={phrase: hits for phrase, (_, hits) in by_phrase.items()},
+        duplicates=list(repeated.values()),
     )
-
-
-def _shown(ids: list[str]) -> str:
-    more = f" (+{len(ids) - 20} more)" if len(ids) > 20 else ""
-    return ", ".join(ids[:20]) + more

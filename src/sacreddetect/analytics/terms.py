@@ -7,12 +7,19 @@ not "sacredearthy".
 
 from __future__ import annotations
 
-from .matrix import LabelMatrix
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .matrix import LabelMatrix
 
 
-def phrase_in_text(text: str, phrase: str) -> bool:
-    norm_text = " ".join(text.lower().split())
-    norm_phrase = " ".join(phrase.lower().split())
+def normalize_phrase(text: str) -> str:
+    """Lower-cased, with each whitespace run one space and none at the ends."""
+    return " ".join(text.lower().split())
+
+
+def phrase_in_normalized(norm_text: str, norm_phrase: str) -> bool:
+    """phrase_in_text on texts already passed through normalize_phrase."""
     if not norm_phrase:
         return False
     start = 0
@@ -28,38 +35,28 @@ def phrase_in_text(text: str, phrase: str) -> bool:
         start = i + 1
 
 
-def term_report(
-    matrix: LabelMatrix,
-    phrase: str,
-    argumentation: dict[str, dict[str, str]] | None = None,
-    max_samples: int = 10,
-) -> dict:
-    """Counts and per-classifier yes-rates over sentences containing phrase,
-    as its stats.json "terms" entry.
+def phrase_in_text(text: str, phrase: str) -> bool:
+    return phrase_in_normalized(normalize_phrase(text), normalize_phrase(phrase))
 
-    argumentation optionally maps model_id -> {sentence_id -> argumentation}
-    so sample rows can quote the models' stated reasoning.
-    """
-    if not phrase.strip():
-        raise ValueError("phrase must be non-empty")
-    hits = [i for i, text in enumerate(matrix.texts) if phrase_in_text(text, phrase)]
 
-    counts: dict[str, dict] = {}
-    for classifier, column in matrix.labels.items():
-        n_yes = sum(column[i] == "yes" for i in hits)
-        counts[classifier] = {
+def term_report(matrix: LabelMatrix, phrase: str) -> dict:
+    """Counts and per-classifier yes-rates over the sentences containing
+    phrase, with its first sample rows, as its stats.json "terms" entry.
+    A sample quotes each model's argumentation where the model gave one."""
+    hits = matrix.phrases[phrase]
+    counts = {
+        classifier: {
             "n_yes": n_yes,
-            "pct_yes": 100.0 * n_yes / len(hits) if hits else 0.0,
+            "pct_yes": 100.0 * n_yes / hits.n_sentences if hits.n_sentences else 0.0,
         }
-
+        for classifier, n_yes in zip(matrix.classifiers, hits.n_yes)
+    }
     samples = []
-    for i in hits[:max_samples]:
-        sentence_id = matrix.sentence_ids[i]
-        sample = {"sentence_id": sentence_id, "ngo_id": matrix.ngo_ids[i], "text": matrix.texts[i]}
-        for model_id in matrix.model_ids:
-            if argumentation and sentence_id in argumentation.get(model_id, {}):
-                sample[f"argumentation:{model_id}"] = argumentation[model_id][sentence_id]
-        sample["labels"] = {classifier: column[i] for classifier, column in matrix.labels.items()}
+    for ngo_id, sentence_id, text, labels, argumentation in hits.samples:
+        sample = {"sentence_id": sentence_id, "ngo_id": ngo_id, "text": text}
+        for model_id, reasoning in zip(matrix.model_ids, argumentation):
+            if reasoning is not None:
+                sample[f"argumentation:{model_id}"] = reasoning
+        sample["labels"] = dict(zip(matrix.classifiers, labels))
         samples.append(sample)
-
-    return {"n_sentences": len(hits), "counts": counts, "samples": samples}
+    return {"n_sentences": hits.n_sentences, "counts": counts, "samples": samples}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -14,6 +15,7 @@ from .errors import CorruptLineError
 # The same bytes as json.dumps(obj, ensure_ascii=False), from one encoder
 # rather than a new one per call.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
+_indented = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True)
 
 
 def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
@@ -64,4 +66,6 @@ def write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    write_text(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+    """Write the bytes of json.dumps(obj, ensure_ascii=False, indent=2,
+    sort_keys=True) + "\n", encoded piece by piece, never as one string."""
+    write_text(path, chain(_indented.iterencode(obj), ["\n"]))

@@ -24,11 +24,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 from pathlib import Path
+from typing import Iterator
 
 from .analytics import matrix as matrix_mod
 from .analytics import reports as reports_mod
+from .analytics.matrix import Row
 from .analytics.consistency import duplicate_consistency
 from .analytics.stats import disagreement_ratios, group_rates, pairwise_agreement
 from .analytics.terms import term_report
@@ -48,7 +50,7 @@ from .jsonlio import read_jsonl, write_json, write_jsonl, write_text
 from .judge import batch as batch_mod
 from .judge import providers as providers_mod
 from .judge.prompts import prompt_hash
-from .judge.verdicts import LABELS, REASONS, VERDICT_ROW_VERSION
+from .judge.verdicts import REASONS, VERDICT_ROW_VERSION
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
@@ -415,19 +417,6 @@ def run_extract(config: PipelineConfig) -> None:
         _produce("extract", {layout.corpus: inputs}, build)
 
 
-def load_corpus(layout: Layout, ngo_id: str | None = None) -> list[SentenceRecord]:
-    records = []
-    paths = (
-        [layout.corpus / f"{ngo_id}.jsonl"]
-        if ngo_id
-        else sorted(layout.corpus.glob("*.jsonl"))
-    )
-    for path in paths:
-        if path.is_file():
-            records.extend(SentenceRecord.from_dict(row) for row in read_jsonl(path))
-    return records
-
-
 # --- match ------------------------------------------------------------------
 
 
@@ -711,43 +700,88 @@ def _classify_file(
 # --- analyze ----------------------------------------------------------------
 
 
-# One shared string per label value: the maps below hold one label per
-# sentence, and a decoded "yes" is a new string on every row.
-_SHARED_LABEL = {label: label for label in LABELS}
+def load_corpus(path: Path) -> Iterator[tuple[str, str]]:
+    """(sentence_id, text) of each row of one corpus file."""
+    for row in read_jsonl(path):
+        yield row["sentence_id"], row["text"]
 
 
-def _load_tree_results(layout: Layout) -> dict[str, str]:
-    """sentence_id -> tree label, over every labels/tree file; a repeated
-    sentence id raises CoverageError."""
-    labels = {}
-    for path in sorted(layout.labels_tree.glob("*.jsonl")):
-        for row in read_jsonl(path):
-            sentence_id, label = row["sentence_id"], row["label"]
-            if sentence_id in labels:
+def _load_tree_results(path: Path) -> Iterator[tuple[str, str]]:
+    """(sentence_id, label) of each row of one labels/tree file."""
+    for row in read_jsonl(path):
+        yield row["sentence_id"], row["label"]
+
+
+def _load_verdicts(path: Path) -> Iterator[tuple[str, str, str | None]]:
+    """(sentence_id, label, argumentation) of each row of one model's labels file."""
+    for row in read_jsonl(path):
+        yield row["sentence_id"], row["label"], row.get("argumentation")
+
+
+def _label_paths(
+    layout: Layout, model_ids: list[str], groups: dict[str, str]
+) -> dict[Path, list[Path]]:
+    """Each corpus file -> its labels/tree file, then one labels file per
+    model. Refuses a corpus file of an NGO the config does not name, and
+    a labels file missing or without a corpus file."""
+    corpus_paths = sorted(layout.corpus.glob("*.jsonl"))
+    label_dirs = [layout.labels_tree, *map(layout.labels_model, model_ids)]
+    for path in corpus_paths:
+        if path.stem not in groups:
+            raise PrerequisiteError(
+                f"{path}: {path.stem!r} is not a configured source; "
+                "run `sacreddetect extract` to rebuild the corpus from the configured sources"
+            )
+    names = {path.name for path in corpus_paths}
+    for directory in label_dirs:
+        for path in sorted(directory.glob("*.jsonl")):
+            if path.name not in names:
                 raise CoverageError(
-                    f"{path}: sentence id {sentence_id} is labelled more than once"
+                    f"{path}: labels of no corpus file ({layout.corpus / path.name})"
                 )
-            labels[sentence_id] = _SHARED_LABEL.get(label, label)
-    return labels
+    out = {}
+    for path in corpus_paths:
+        out[path] = [directory / path.name for directory in label_dirs]
+        for label_path in out[path]:
+            if not label_path.is_file():
+                raise CoverageError(f"{label_path}: missing; {path} has no labels there")
+    return out
 
 
-def _load_verdicts(layout: Layout, model_id: str) -> tuple[dict[str, str], dict[str, str]]:
-    """sentence_id -> label and sentence_id -> argumentation (where there
-    is one) of one model, over every labels file, filled row by row; a
-    repeated sentence id raises CoverageError."""
-    labels: dict[str, str] = {}
-    argumentation: dict[str, str] = {}
-    for path in sorted(layout.labels_model(model_id).glob("*.jsonl")):
-        for row in read_jsonl(path):
-            sentence_id, label = row["sentence_id"], row["label"]
-            if sentence_id in labels:
-                raise CoverageError(
-                    f"{path}: sentence id {sentence_id} is labelled more than once"
-                )
-            labels[sentence_id] = _SHARED_LABEL.get(label, label)
-            if row.get("argumentation") is not None:
-                argumentation[sentence_id] = row["argumentation"]
-    return labels, argumentation
+def _aligned_rows(corpus_path: Path, label_paths: list[Path]) -> Iterator[Row]:
+    """One NGO's rows, read from its corpus file and its label files in
+    lockstep. Row by row, every file must hold the same sentence id;
+    otherwise, or when a file ends early or late, CoverageError names the
+    file and the line."""
+    ngo_id = corpus_path.stem  # a corpus file holds one NGO's sentences
+    readers = [
+        load_corpus(corpus_path),
+        _load_tree_results(label_paths[0]),
+        *map(_load_verdicts, label_paths[1:]),
+    ]
+    for line, (record, *labelled) in enumerate(zip_longest(*readers), 1):
+        sentence_id = record and record[0]
+        for label_path, row in zip(label_paths, labelled):
+            if (row and row[0]) != sentence_id:
+                raise CoverageError(_misaligned(label_path, row, corpus_path, sentence_id, line))
+        yield (
+            ngo_id,
+            sentence_id,
+            record[1],
+            tuple(row[1] for row in labelled),
+            tuple(row[2] for row in labelled[1:]),
+        )
+
+
+def _misaligned(label_path: Path, row, corpus_path: Path, sentence_id, line: int) -> str:
+    if row is None:
+        return f"{label_path}: no line {line}; {corpus_path} has sentence id {sentence_id} there"
+    if sentence_id is None:
+        return f"{label_path}: line {line}: sentence id {row[0]} is past the end of {corpus_path}"
+    return (
+        f"{label_path}: line {line}: sentence id {row[0]}, "
+        f"where {corpus_path} has sentence id {sentence_id}"
+    )
 
 
 def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
@@ -785,13 +819,13 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
         )
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
-            verdict_sets = {}
-            argumentation: dict[str, dict[str, str]] = {}
-            for model_id in model_ids:
-                verdict_sets[model_id], argumentation[model_id] = _load_verdicts(layout, model_id)
             groups = config.groups()
+            label_paths = _label_paths(layout, model_ids, groups)
+            rows = (
+                row for path, paths in label_paths.items() for row in _aligned_rows(path, paths)
+            )
             matrix = matrix_mod.tabulate(
-                load_corpus(layout), _load_tree_results(layout), verdict_sets, groups
+                rows, ["tree", *model_ids], groups, config.report_phrases
             )
             bundle = {
                 "corpus": _read_summary_csv(layout.corpus / "summary.csv", groups),
@@ -801,10 +835,7 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                 "scopes": list(matrix.scopes()),
                 "rates": group_rates(matrix),
                 "agreement": pairwise_agreement(matrix),
-                "terms": {
-                    phrase: term_report(matrix, phrase, argumentation)
-                    for phrase in config.report_phrases
-                },
+                "terms": {phrase: term_report(matrix, phrase) for phrase in config.report_phrases},
                 "consistency": duplicate_consistency(matrix),
                 "provenance": provenance,
             }
@@ -812,7 +843,10 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                 bundle["ratio_pair"] = model_ids[:2]
                 bundle["disagreement_ratios"] = disagreement_ratios(matrix)
             write_json(tmps[layout.analysis] / "stats.json", bundle)
-            log.info("analyze: %d rows, %d classifiers", len(matrix.sentence_ids), len(matrix.classifiers))
+            log.info(
+                "analyze: %d rows, %d classifiers",
+                sum(matrix.joint_counts.values()), len(matrix.classifiers),
+            )
             return {layout.analysis: {"models": model_ids}}
 
         _produce("analyze", {layout.analysis: inputs}, build)

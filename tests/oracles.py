@@ -8,8 +8,10 @@ recomputed per trigram instead of precomputed tables, a char-by-char
 brace scan instead of decoding JSON from the first brace, a whole
 request dict encoded per batch line instead of spliced pieces, and one
 regex search per stub term with a whole result dict encoded per reply
-instead of one combined search and pre-encoded replies. They must stay
-dumb.
+instead of one combined search and pre-encoded replies, and analyze's
+former column matrix (every text and label held, one phrase scan per
+phrase, duplicates grouped on the text itself) instead of one pass that
+keeps only tallies. They must stay dumb.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import re
 from collections import Counter
 
+from sacreddetect.analytics.terms import phrase_in_text
 from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.judge.verdicts import Verdict, parse_verdict
 from sacreddetect.textpipe.langid import _SEEDS, LANGUAGES
@@ -333,4 +336,96 @@ def naive_ratios(rows: list[dict], a: str, b: str) -> dict:
                 "n_disagreements": len(subset),
                 "ratio": ratio,
             }
+    return out
+
+
+# --- analyze oracle ---------------------------------------------------------
+# Analyze's label matrix as it was before the lockstep pass: aligned columns
+# in corpus order. It quacks like analytics.matrix.LabelMatrix for the stats
+# functions, which read only joint_counts, scopes(), classifiers and
+# model_ids.
+
+
+@dataclasses.dataclass
+class ColumnMatrix:
+    sentence_ids: list[str]
+    ngo_ids: list[str]
+    texts: list[str]
+    groups: dict[str, str]  # ngo_id -> secular | religious
+    labels: dict[str, list[str]]  # classifier -> one label per row, "tree" first
+
+    @property
+    def classifiers(self) -> tuple[str, ...]:
+        return tuple(self.labels)
+
+    @property
+    def model_ids(self) -> tuple[str, ...]:
+        return self.classifiers[1:]
+
+    @functools.cached_property
+    def joint_counts(self) -> Counter:
+        return Counter(zip(self.ngo_ids, *self.labels.values()))
+
+    def scopes(self) -> dict[str, list[str]]:
+        ngo_order = list(dict.fromkeys(self.ngo_ids))
+        out = {ngo: [ngo] for ngo in ngo_order}
+        for group in ("secular", "religious"):
+            members = [ngo for ngo in ngo_order if self.groups[ngo] == group]
+            if members:
+                out[f"{group}_total"] = members
+        if ngo_order:
+            out["total"] = ngo_order
+        return out
+
+
+def column_term_report(
+    matrix: ColumnMatrix,
+    phrase: str,
+    argumentation: dict[str, dict[str, str]] | None = None,
+    max_samples: int = 10,
+) -> dict:
+    """A phrase's stats.json "terms" entry; argumentation maps model_id ->
+    {sentence_id -> argumentation}."""
+    hits = [i for i, text in enumerate(matrix.texts) if phrase_in_text(text, phrase)]
+    counts: dict[str, dict] = {}
+    for classifier, column in matrix.labels.items():
+        n_yes = sum(column[i] == "yes" for i in hits)
+        counts[classifier] = {
+            "n_yes": n_yes,
+            "pct_yes": 100.0 * n_yes / len(hits) if hits else 0.0,
+        }
+    samples = []
+    for i in hits[:max_samples]:
+        sentence_id = matrix.sentence_ids[i]
+        sample = {"sentence_id": sentence_id, "ngo_id": matrix.ngo_ids[i], "text": matrix.texts[i]}
+        for model_id in matrix.model_ids:
+            if argumentation and sentence_id in argumentation.get(model_id, {}):
+                sample[f"argumentation:{model_id}"] = argumentation[model_id][sentence_id]
+        sample["labels"] = {classifier: column[i] for classifier, column in matrix.labels.items()}
+        samples.append(sample)
+    return {"n_sentences": len(hits), "counts": counts, "samples": samples}
+
+
+def column_duplicate_consistency(matrix: ColumnMatrix) -> list[dict]:
+    """stats.json's "consistency" list, grouping rows on the normalized text."""
+    groups: dict[str, list[int]] = {}
+    for i, text in enumerate(matrix.texts):
+        groups.setdefault(" ".join(text.split()), []).append(i)
+    out = []
+    for text, rows in groups.items():
+        if len(rows) < 2:
+            continue
+        per_classifier = {}
+        for classifier, column in matrix.labels.items():
+            tally = Counter(column[i] for i in rows)
+            n_yes, n_no = tally["yes"], tally["no"]
+            valid = n_yes + n_no
+            per_classifier[classifier] = {
+                "n_yes": n_yes,
+                "n_no": n_no,
+                "n_malformed": tally["malformed"],
+                "consistency": max(n_yes, n_no) / valid if valid else None,
+            }
+        out.append({"text": text, "n_occurrences": len(rows), "per_classifier": per_classifier})
+    out.sort(key=lambda g: (-g["n_occurrences"], g["text"]))
     return out

@@ -182,7 +182,7 @@ def _phrase_matrix(phrase: str, n: int, gpt_yes: int, llama_yes: int):
         for i in range(n)
     ]
     texts = [f"Case {i} mentions {phrase} plainly." for i in range(n)]
-    return label_matrix(rows, models=("gpt", "llama"), texts=texts)
+    return label_matrix(rows, models=("gpt", "llama"), texts=texts, phrases=[phrase.lower()])
 
 
 def test_criterion_3_term_reports():
@@ -267,7 +267,7 @@ def test_criterion_4_matcher_oracle_1000_cases():
 # --- 5. agreement/ratio oracle equivalence ---------------------------------------
 
 
-def _random_label_matrix(rng: random.Random, n_rows: int):
+def _random_label_rows(rng: random.Random, n_rows: int) -> list[tuple]:
     ngos = [("a", "secular"), ("b", "secular"), ("c", "religious"), ("d", "religious")]
     labels = ("yes", "no", "malformed")
     rows = []
@@ -276,7 +276,7 @@ def _random_label_matrix(rng: random.Random, n_rows: int):
         rows.append(
             (ngo, group, rng.choice(("yes", "no")), rng.choice(labels), rng.choice(labels))
         )
-    return label_matrix(rows, models=("gpt", "llama"))
+    return rows
 
 
 def test_criterion_5_stats_oracle_100_matrices():
@@ -284,8 +284,11 @@ def test_criterion_5_stats_oracle_100_matrices():
     sizes = [rng.randint(50, 2_000) for _ in range(95)] + [10_000] * 5
     classifiers = ["tree", "gpt", "llama"]
     for size in sizes:
-        matrix = _random_label_matrix(rng, size)
-        dicts = oracle_rows(matrix)
+        # each random matrix reaches the statistics through tabulate, as
+        # analyze's rows do
+        rows = _random_label_rows(rng, size)
+        matrix = label_matrix(rows, models=("gpt", "llama"))
+        dicts = oracle_rows(rows, models=("gpt", "llama"))
 
         rates = group_rates(matrix)
         for (classifier, scope), expected in naive_rates(dicts, classifiers).items():

@@ -1,6 +1,6 @@
 import json
 
-from sacreddetect.jsonlio import write_jsonl, write_text
+from sacreddetect.jsonlio import write_json, write_jsonl, write_text
 
 ROWS = [
     {"text": "Schöpfung, 創造 and \U0001f600", "n": 1},
@@ -27,3 +27,16 @@ def test_write_text_pieces_equal_the_joined_string(tmp_path):
     write_text(streamed, iter([]))
     assert streamed.read_bytes() == b""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["joined.txt", "streamed.txt"]
+
+
+def test_write_json_bytes_equal_json_dumps(tmp_path):
+    bundle = {
+        "terms": {"mother earth": {"samples": [{"text": "Σ Schöpfung 創造 \U0001f600", "n": 3}]}},
+        "ratios": [0.1, 1e-300, 1.5e300, -0.0, 2.0, None, "inf", True],
+        "nested": {"b": [], "a": {}, "c": [[{"z": None, "é": "ü"}]]},
+        "": "empty key",
+    }
+    path = tmp_path / "stats.json"
+    write_json(path, bundle)
+    expected = json.dumps(bundle, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -19,7 +19,7 @@ from sacreddetect.harvest.store import DocumentStore, RawDocument
 from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import StubProvider, parse_result_lines
-from sacreddetect.judge.verdicts import LABELS, REASONS
+from sacreddetect.judge.verdicts import REASONS
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
 from sacreddetect.stages import (
@@ -884,37 +884,6 @@ def test_extract_reads_each_raw_file_once_with_a_stale_index(sample_config, monk
     assert not (layout.raw / "index.json").exists()
 
 
-def test_analyze_label_maps_share_one_string_per_label(sample_config):
-    layout = Layout(sample_config.output_root)
-    run_harvest(sample_config, sample=True)
-    run_extract(sample_config)
-    run_match(sample_config)
-    run_batch_build(sample_config)
-    run_classify(sample_config, stub=True)
-    shared = {label: label for label in LABELS}
-    tree = stages._load_tree_results(layout)
-    labels, argumentation = stages._load_verdicts(layout, "gpt-4o-mini")
-    assert len(tree) == len(labels) == len(argumentation) == 10
-    for label in [*tree.values(), *labels.values()]:
-        assert label is shared[label]
-
-    odd = layout.labels_model("odd")
-    odd.mkdir()
-    rows = [
-        {"sentence_id": "s1", "label": "maybe", "argumentation": None},
-        {"sentence_id": "s2", "label": "no", "argumentation": "none found"},
-        {"sentence_id": "s2", "label": "yes", "argumentation": None},
-    ]
-    (odd / "x.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows[:2]))
-    assert stages._load_verdicts(layout, "odd") == (
-        {"s1": "maybe", "s2": "no"}, {"s2": "none found"}
-    )
-    # a repeated id would pair one row's argumentation with another's label
-    (odd / "x.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
-    with pytest.raises(CoverageError, match=r"x\.jsonl: sentence id s2 "):
-        stages._load_verdicts(layout, "odd")
-
-
 def test_analyze_refuses_a_tree_label_file_that_repeats_a_sentence_id(sample_config):
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)
@@ -925,7 +894,10 @@ def test_analyze_refuses_a_tree_label_file_that_repeats_a_sentence_id(sample_con
     with open(labels, "a", encoding="utf-8") as fh:
         fh.write(first + "\n")
     sentence_id = json.loads(first)["sentence_id"]
-    with pytest.raises(CoverageError, match=rf"icsd\.jsonl: sentence id {sentence_id} "):
+    n_rows = len(labels.read_text().splitlines())
+    with pytest.raises(
+        CoverageError, match=rf"icsd\.jsonl: line {n_rows}: sentence id {sentence_id} is past the end"
+    ):
         run_analyze(sample_config, tree_only=True)
     assert not layout.analysis.exists()
 

@@ -90,9 +90,10 @@ def test_weighted_total_identity():
 
 def test_rates_match_naive_oracle():
     rng = random.Random(3)
-    m = random_matrix(rng, 1000)
+    rows = random_rows(rng, 1000)
+    m = matrix(rows)
     rates = group_rates(m)
-    want = naive_rates(oracle_rows(m), ["tree", "gpt", "llama"])
+    want = naive_rates(oracle_rows(rows), ["tree", "gpt", "llama"])
     for (classifier, scope), expected in want.items():
         cell = rates[f"{classifier}|{scope}"]
         assert cell["n"] == expected["n"]
@@ -123,9 +124,10 @@ def test_malformed_counts_as_disagreement():
 
 def test_agreement_matches_naive_oracle():
     rng = random.Random(17)
-    m = random_matrix(rng, 1000)
+    rows = random_rows(rng, 1000)
+    m = matrix(rows)
     agreement = pairwise_agreement(m)
-    want = naive_agreement(oracle_rows(m), ["tree", "gpt", "llama"])
+    want = naive_agreement(oracle_rows(rows), ["tree", "gpt", "llama"])
     for pair, scoped in agreement["pairwise"].items():
         a, b = pair.split("&")
         for scope, value in scoped.items():
@@ -196,9 +198,10 @@ def test_reciprocity_exact_on_malformed_free():
 
 def test_ratios_match_naive_oracle():
     rng = random.Random(37)
-    m = random_matrix(rng, 800)
+    rows = random_rows(rng, 800)
+    m = matrix(rows)
     ratios = disagreement_ratios(m)
-    want = naive_ratios(oracle_rows(m), "gpt", "llama")
+    want = naive_ratios(oracle_rows(rows), "gpt", "llama")
     for key, cell in ratios.items():
         expected = want[tuple(key.split("|"))]
         assert cell["n_yes"] == expected["n_yes"]

@@ -5,11 +5,13 @@ from sacreddetect.analytics import duplicate_consistency, term_report
 from sacreddetect.analytics.terms import phrase_in_text
 
 
-def build(rows_spec):
+def build(rows_spec, phrases=(), argumentation=None):
     """rows_spec: list of (text, tree, gpt, llama)."""
     return label_matrix(
         [("ngo", "religious", *labels) for _, *labels in rows_spec],
         texts=[text for text, *_ in rows_spec],
+        phrases=phrases,
+        argumentation=argumentation,
     )
 
 
@@ -28,7 +30,7 @@ def test_mother_earth_fixture_percentages():
         gpt = "yes" if i < 415 else "no"
         llama = "yes" if i < 457 else "no"
         spec.append((f"Sentence {i} about Mother Earth.", "yes", gpt, llama))
-    matrix = build(spec)
+    matrix = build(spec, phrases=["mother earth"])
     report = term_report(matrix, "mother earth")
     assert report["n_sentences"] == 1229
     assert report["counts"]["tree"]["pct_yes"] == 100.0
@@ -42,7 +44,7 @@ def test_sacred_earth_fixture_percentages():
         gpt = "yes" if i < 6 else "no"
         llama = "yes" if i < 39 else "no"
         spec.append((f"For our sacred earth, case {i}.", "yes", gpt, llama))
-    matrix = build(spec)
+    matrix = build(spec, phrases=["sacred earth"])
     report = term_report(matrix, "sacred earth")
     assert report["n_sentences"] == 52
     assert abs(report["counts"]["gpt"]["pct_yes"] - 11.5) <= 0.05
@@ -50,7 +52,7 @@ def test_sacred_earth_fixture_percentages():
 
 
 def test_absent_phrase_yields_empty_report():
-    matrix = build([("Nothing here.", "no", "no", "no")])
+    matrix = build([("Nothing here.", "no", "no", "no")], phrases=["ubuntu"])
     report = term_report(matrix, "ubuntu")
     assert report["n_sentences"] == 0
     assert report["samples"] == []
@@ -58,15 +60,18 @@ def test_absent_phrase_yields_empty_report():
 
 
 def test_empty_phrase_rejected():
-    matrix = build([("Text.", "no", "no", "no")])
     with pytest.raises(ValueError):
-        term_report(matrix, "   ")
+        build([("Text.", "no", "no", "no")], phrases=["   "])
 
 
 def test_samples_carry_argumentation():
-    matrix = build([("Mother Earth calls.", "yes", "yes", "no")])
-    argumentation = {"gpt": {matrix.sentence_ids[0]: "Spiritual concept of the Earth."}}
-    report = term_report(matrix, "mother earth", argumentation)
+    argumentation = {"gpt": {"s0": "Spiritual concept of the Earth."}}
+    matrix = build(
+        [("Mother Earth calls.", "yes", "yes", "no")],
+        phrases=["mother earth"],
+        argumentation=argumentation,
+    )
+    report = term_report(matrix, "mother earth")
     assert report["samples"][0]["argumentation:gpt"] == "Spiritual concept of the Earth."
     assert report["samples"][0]["labels"]["llama"] == "no"
 
