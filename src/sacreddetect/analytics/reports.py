@@ -16,7 +16,9 @@ import math
 import re
 from pathlib import Path
 
-from ..jsonlio import write_json, write_text
+# write_json is not called here; bench/tracing.py wraps it at this name
+# until the tracer is deleted (ROADMAP item 2)
+from ..jsonlio import write_json, write_text  # noqa: F401
 
 FOOTNOTES = (
     "Malformed responses count as disagreement in every classifier pair, "
@@ -210,8 +212,9 @@ def render_consistency(groups: list[dict], classifiers: list[str]) -> str:
 
 
 def render_from_bundle(out_dir: str | Path, bundle: dict) -> list[Path]:
-    """Write every report file, and a copy of the bundle, from a stats
-    bundle (analysis/stats.json); returns the files written.
+    """Write every report file from a stats bundle (analysis/stats.json);
+    returns the files written. The report's stats.json is a byte copy of
+    the analysis file, made by the report stage.
 
     The bundle stores raw counts and full-precision values, and its
     "classifiers", "scopes", "agreement.pairs" and "ratio_pair" lists carry
@@ -237,6 +240,4 @@ def render_from_bundle(out_dir: str | Path, bundle: dict) -> list[Path]:
     for phrase, entry in bundle["terms"].items():
         emit(f"terms/{phrase_slug(phrase)}.md", render_term_report(phrase, entry) + footer)
     emit("consistency.md", render_consistency(bundle["consistency"], bundle["classifiers"]) + footer)
-    write_json(out_dir / "stats.json", bundle)
-    written.append(out_dir / "stats.json")
     return written

@@ -19,11 +19,8 @@ def sha256_text(text: str) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def short_hash(*parts: bytes) -> str:

@@ -1,5 +1,20 @@
 """JSONL read/write helpers. Writes are atomic (tmp file + rename) so a
 crashed stage never leaves a half-written artifact behind.
+
+Two JSON libraries, each where its behaviour is the one needed:
+
+- orjson decodes the JSONL rows the pipeline wrote itself (read_jsonl:
+  the raw store, corpus, label and batch request files). It is several
+  times faster than json.loads on these rows, and it is strict: NaN and
+  Infinity literals, lone surrogate escapes and invalid UTF-8 are errors,
+  and the pipeline writes none of them. An integer outside the 64-bit
+  range decodes to the nearest float; the pipeline writes none (its
+  integers are positions, counts, HTTP statuses and 0-100 certainties).
+- The stdlib json encodes every file, since its separators, ensure_ascii
+  and indent are the file format, and decodes everything from outside the
+  pipeline (provider results, model replies, CDX responses) and the
+  manifests and stats.json, which it may have written with NaN or
+  Infinity.
 """
 
 from __future__ import annotations
@@ -10,6 +25,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+import orjson
+
 from .errors import CorruptLineError
 
 # The same bytes as json.dumps(obj, ensure_ascii=False), from one encoder
@@ -19,19 +36,19 @@ _indented = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True)
 
 
 def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
-    """Rows of a JSONL file, each line decoded from UTF-8 on its own, so a
-    line torn inside a character spoils only that line. A line that is not
-    valid UTF-8 or not valid JSON raises a CorruptLineError (a ValueError)
-    naming the path and the line, unless on_bad_line is given: it is then
-    called with the path and the 1-based line number, and the line is
-    skipped."""
+    """Rows of a JSONL file, each line decoded on its own by orjson, which
+    checks its UTF-8, so a line torn inside a character spoils only that
+    line. A line that is not valid UTF-8 or not valid JSON raises a
+    CorruptLineError (a ValueError) naming the path and the line, unless
+    on_bad_line is given: it is then called with the path and the 1-based
+    line number, and the line is skipped."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                row = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 if on_bad_line is None:
                     raise CorruptLineError(f"{path}: line {lineno}: {exc}") from exc
                 on_bad_line(path, lineno)

@@ -21,6 +21,8 @@ import re
 import time
 from typing import TYPE_CHECKING, Protocol
 
+import orjson
+
 from ..errors import ProviderError
 from .verdicts import Verdict, parse_verdict
 
@@ -105,7 +107,7 @@ class StubProvider:
     ) -> list[str]:
         out = []
         for line in lines:
-            request = json.loads(line)
+            request = orjson.loads(line)  # a line batch-build wrote, as read_jsonl's rows
             user_text = request["body"]["messages"][-1]["content"]
             out.append('{"custom_id": ' + _encode(request["custom_id"]) + self._line_tail(user_text))
         return out

@@ -879,9 +879,11 @@ def run_report(config: PipelineConfig) -> None:
         stats_path = layout.analysis / "stats.json"
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
+            out = tmps[layout.reports]
             bundle = json.loads(stats_path.read_text(encoding="utf-8"))
-            written = reports_mod.render_from_bundle(tmps[layout.reports], bundle)
-            log.info("report: wrote %d files", len(written))
+            written = reports_mod.render_from_bundle(out, bundle)
+            shutil.copyfile(stats_path, out / "stats.json")  # the same bytes, not encoded again
+            log.info("report: wrote %d files", len(written) + 1)
             return {layout.reports: {}}
 
         _produce("report", {layout.reports: {"stats.json": sha256_file(stats_path)}}, build)

@@ -1,6 +1,15 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
-from sacreddetect.jsonlio import write_json, write_jsonl, write_text
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_batch import TRICKY
+
+from sacreddetect.errors import CorruptLineError
+from sacreddetect.jsonlio import read_jsonl, write_json, write_jsonl, write_text
 
 ROWS = [
     {"text": "Schöpfung, 創造 and \U0001f600", "n": 1},
@@ -40,3 +49,70 @@ def test_write_json_bytes_equal_json_dumps(tmp_path):
     write_json(path, bundle)
     expected = json.dumps(bundle, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# a UTF-8 file cannot hold a lone surrogate, so no row the pipeline writes does
+TEXT = st.text(TRICKY, max_size=12).map(
+    lambda s: "".join(c for c in s if not "\ud800" <= c <= "\udfff")
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**53), 2**53)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | TEXT
+)
+JSON_VALUES = SCALARS | st.lists(SCALARS | st.lists(SCALARS, max_size=3), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.dictionaries(TEXT, JSON_VALUES, max_size=4), max_size=4))
+def test_rows_read_back_equal_the_written_rows_and_json(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_jsonl(path, rows)
+        with open(path, "rb") as fh:
+            decoded = [json.loads(line.decode("utf-8")) for line in fh]
+        # repr tells 1 from 1.0 and 0.0 from -0.0, which == does not
+        assert repr(list(read_jsonl(path))) == repr(rows) == repr(decoded)
+
+
+# lines the pipeline never writes, which orjson refuses; the stdlib json
+# refused only the first two and decoded the rest
+BAD_LINES = {
+    # the first two of the three bytes of the euro sign
+    "truncated multibyte character": b'{"text": "\xe2\x82"}',
+    "trailing garbage": b'{"n": 1} x',
+    "NaN literal": b'{"certainty": NaN}',
+    "Infinity literal": b'{"certainty": Infinity}',
+    "-Infinity literal": b'{"certainty": -Infinity}',
+    "lone surrogate escape": b'{"text": "\\ud800"}',
+}
+
+
+@pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_lines_orjson_refuses_name_the_path_and_line(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"n": 1}\n' + line + b'\n{"n": 3}\n')
+    with pytest.raises(CorruptLineError, match=f"{re.escape(str(path))}: line 2: "):
+        list(read_jsonl(path))
+    bad = []
+    assert list(read_jsonl(path, lambda *where: bad.append(where))) == [{"n": 1}, {"n": 3}]
+    assert bad == [(path, 2)]
+
+
+def test_ints_beyond_64_bits_read_as_the_nearest_float(tmp_path):
+    """orjson's one lossy case, where json kept the int; the pipeline writes
+    only positions, counts, HTTP statuses and 0-100 certainties. Such an
+    int never comes back as another int: orjson 3.8.3 reads the nearest
+    float, and a release that refused it would skip the line."""
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(
+        b'{"n": 18446744073709551615, "m": -9223372036854775808}\n'
+        b'{"n": 18446744073709551616, "m": -9223372036854775809}\n'
+    )
+    exact, *beyond = read_jsonl(path, lambda *_: None)
+    assert exact == {"n": 2**64 - 1, "m": -(2**63)}
+    assert type(exact["n"]) is type(exact["m"]) is int
+    assert beyond in ([{"n": 2.0**64, "m": -(2.0**63)}], [])
+    assert all(type(value) is float for row in beyond for value in row.values())

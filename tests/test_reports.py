@@ -8,6 +8,7 @@ from sacreddetect.analytics.reports import (
     render_from_bundle,
     render_rates_table,
 )
+from sacreddetect.jsonlio import write_json
 
 
 def rate(n, n_yes, n_no, n_malformed):
@@ -88,8 +89,10 @@ def test_render_reports_bundle(tmp_path):
     assert {
         "table1.csv", "table1.md", "table2.csv", "table2.md",
         "table3.csv", "table3.md", "table4.csv", "table4.md",
-        "consistency.md", "stats.json",
+        "consistency.md",
     } <= names
+    # the report stage copies analysis/stats.json; the bundle is not encoded again
+    assert "stats.json" not in names and not (tmp_path / "stats.json").exists()
     table4 = (tmp_path / "table4.md").read_text()
     assert "∞" in table4  # undefined ratio rendered as infinity
     assert "(3:0)" in table4  # raw counts alongside
@@ -99,7 +102,7 @@ def test_render_reports_bundle(tmp_path):
 
 
 def test_stats_json_full_precision(tmp_path):
-    render_from_bundle(tmp_path, small_bundle())
+    write_json(tmp_path / "stats.json", small_bundle())  # as analyze writes it
     bundle = json.loads((tmp_path / "stats.json").read_text())
     assert bundle["rates"]["gpt|a"]["pct_yes"] == 50.0
     assert bundle["disagreement_ratios"]["gpt|a"]["ratio"] == 27 / 14

@@ -89,13 +89,36 @@ def test_full_sample_pipeline(sample_config):
                  "consistency.md", "stats.json"):
         assert (layout.reports / name).is_file(), name
     assert (layout.reports / "terms" / "mother-earth.md").is_file()
+    stats = (layout.analysis / "stats.json").read_bytes()
+    assert (layout.reports / "stats.json").read_bytes() == stats
 
-    bundle = json.loads((layout.analysis / "stats.json").read_text())
+    bundle = json.loads(stats)
     assert bundle["rates"]["tree|total"]["n"] == 10
     # term samples quote the models' argumentation
     mother_earth = (layout.reports / "terms" / "mother-earth.md").read_text()
     assert "## Samples" in mother_earth
     assert "  - gpt-4o-mini: " in mother_earth
+
+
+def test_sample_rows_decode_equal_under_json_and_orjson(sample_config):
+    """read_jsonl's orjson gives every row the sample run writes exactly as
+    the stdlib json does."""
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    paths = sorted(
+        path
+        for directory in (layout.raw, layout.corpus, layout.root / "labels", layout.root / "batches")
+        for path in directory.rglob("*.jsonl")
+    )
+    assert {p.relative_to(layout.root).parts[0] for p in paths} == {"raw", "corpus", "labels", "batches"}
+    for path in paths:
+        with open(path, "rb") as fh:
+            expected = [json.loads(line.decode("utf-8")) for line in fh]
+        assert repr(list(read_jsonl(path))) == repr(expected), path  # tells 1 from 1.0
 
 
 def test_tree_only_analysis(sample_config):
