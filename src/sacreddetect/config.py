@@ -11,6 +11,7 @@ covers the nine NGOs of the study corpus with the 2014-2024 harvest range.
 from __future__ import annotations
 
 import difflib
+import math
 import tomllib
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -78,12 +79,15 @@ class FetchPolicy:
     backoff: float = 2.0  # exponential base for retry delays
 
     def validate(self) -> None:
-        if self.rate_per_host <= 0:
-            raise ConfigError("policy.rate_per_host: must be > 0")
+        # NaN fails every comparison, so each bound is written to fail on it
+        if not 0 < self.rate_per_host < math.inf:
+            raise ConfigError("policy.rate_per_host: must be a finite number > 0")
         if self.retries < 0:
             raise ConfigError("policy.retries: must be >= 0")
-        if self.timeout <= 0:
-            raise ConfigError("policy.timeout: must be > 0")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError("policy.timeout: must be a finite number > 0")
+        if not 0 <= self.backoff < math.inf:
+            raise ConfigError("policy.backoff: must be a finite number >= 0")
 
 
 @dataclass

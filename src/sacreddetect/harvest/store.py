@@ -154,6 +154,3 @@ class DocumentStore:
             return
         for row in read_jsonl(path, on_bad_line):
             yield RawDocument.from_dict(row)
-
-    def ngo_ids(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.jsonl"))

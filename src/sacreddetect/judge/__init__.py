@@ -3,7 +3,7 @@
 from .batch import build_batch_file
 from .prompts import TEMPLATE_IDS, prompt_hash, render_prompt
 from .providers import StubProvider, get_provider
-from .verdicts import Verdict, parse_verdict, serialize_verdict
+from .verdicts import Verdict, parse_verdict
 
 __all__ = [
     "StubProvider",
@@ -14,5 +14,4 @@ __all__ = [
     "parse_verdict",
     "prompt_hash",
     "render_prompt",
-    "serialize_verdict",
 ]

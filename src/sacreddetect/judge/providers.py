@@ -31,7 +31,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-MISSING_RAW_TEXT = "<missing>"
 TERMINAL_STATUSES = {"completed", "failed", "expired", "cancelled", "cancelled_final"}
 
 # The same bytes as json.dumps(obj), without building an encoder per call.
@@ -45,6 +44,10 @@ class BatchProvider(Protocol):
         self, lines: list[str], state: dict | None = None, state_save=None
     ) -> list[str]:
         """Execute a batch and return raw result lines.
+
+        Each line is a batch request as batch-build writes it: a str that
+        encodes to UTF-8. A line holding a lone surrogate cannot be in a
+        batch file, and run_batch raises ValueError on it.
 
         state carries submission identifiers across attempts; state_save,
         when given, is called with the state right after submission so the
@@ -235,22 +238,17 @@ def parse_result_lines(lines: list[str]) -> dict[str, str]:
 
 
 def join_verdicts(
-    sentence_ids: list[str],
-    results: dict[str, str],
-    model_id: str,
-    strict_json: bool = False,
+    sentence_ids: list[str], results: dict[str, str], strict_json: bool = False
 ) -> list[Verdict]:
     """One verdict per sentence id, in the order given, always: sentences
     the provider did not answer become malformed verdicts with reason
-    "missing" and raw_text "<missing>".
+    "missing".
     """
     verdicts = []
     for sentence_id in sentence_ids:
         raw = results.get(sentence_id)
         if raw is None:
-            verdicts.append(
-                Verdict(sentence_id, model_id, "malformed", None, None, MISSING_RAW_TEXT, "missing")
-            )
+            verdicts.append(Verdict(sentence_id, "malformed", None, None, "missing"))
         else:
-            verdicts.append(parse_verdict(sentence_id, model_id, raw, strict=strict_json))
+            verdicts.append(parse_verdict(sentence_id, raw, strict=strict_json))
     return verdicts

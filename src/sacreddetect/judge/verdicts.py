@@ -35,11 +35,9 @@ _DECODER = json.JSONDecoder()
 @dataclass(frozen=True)
 class Verdict:
     sentence_id: str
-    model_id: str
     label: str  # yes | no | malformed
     certainty: int | None
     argumentation: str | None
-    raw_text: str
     reason: str | None = None  # one of REASONS iff the label is malformed
 
     def to_dict(self) -> dict:
@@ -75,13 +73,11 @@ def _parse_certainty(value) -> int | None:
     return max(0, min(100, round(number)))
 
 
-def parse_verdict(
-    sentence_id: str, model_id: str, raw_text: str, strict: bool = False
-) -> Verdict:
+def parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verdict:
     """Total over arbitrary input: always returns a Verdict, never raises."""
 
     def malformed(reason: str) -> Verdict:
-        return Verdict(sentence_id, model_id, "malformed", None, None, raw_text, reason)
+        return Verdict(sentence_id, "malformed", None, None, reason)
 
     if not isinstance(raw_text, str):
         return malformed("no_json")
@@ -109,25 +105,5 @@ def parse_verdict(
     if not isinstance(argumentation, str):
         return malformed("bad_argumentation")
 
-    return Verdict(
-        sentence_id=sentence_id,
-        model_id=model_id,
-        label=religious.strip().lower(),
-        certainty=certainty,
-        argumentation=argumentation,
-        raw_text=raw_text,
-    )
+    return Verdict(sentence_id, religious.strip().lower(), certainty, argumentation)
 
-
-def serialize_verdict(verdict: Verdict) -> str:
-    """Render a valid verdict back into the response schema string."""
-    if verdict.label not in ("yes", "no"):
-        raise ValueError("only yes/no verdicts serialize to the schema")
-    return json.dumps(
-        {
-            "Religious": verdict.label.capitalize(),
-            "Certainty": f"{verdict.certainty}%",
-            "Argumentation": verdict.argumentation,
-        },
-        ensure_ascii=False,
-    )

@@ -13,7 +13,6 @@ root at a time, enforced with a lock file.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -353,15 +352,12 @@ def run_extract(config: PipelineConfig) -> None:
             s.ngo_id for s in config.sources if (layout.raw / f"{s.ngo_id}.jsonl").is_file()
         )
         inputs = {f"{n}.jsonl": sha256_file(layout.raw / f"{n}.jsonl") for n in ngo_ids}
-        inputs.update({f"group/{s.ngo_id}": sha256_text(s.group) for s in config.sources})
         inputs["splitter_version"] = sha256_text(SPLITTER_VERSION)
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             out = tmps[layout.corpus]
             store = DocumentStore(layout.raw)
             counters: Counter = Counter()
-            groups = config.groups()
-            summary = ["ngo_id,group,n_documents,n_sentences"]
 
             def torn_line(path: Path, lineno: int) -> None:
                 # the remains of a crashed append; its document was fetched
@@ -403,14 +399,12 @@ def run_extract(config: PipelineConfig) -> None:
                 records = build_sentence_corpus(kept)
                 if kept:
                     write_jsonl(out / f"{ngo_id}.jsonl", (r.to_dict() for r in records))
-                    summary.append(f"{ngo_id},{groups[ngo_id]},{len(kept)},{len(records)}")
                 counters[f"documents:{ngo_id}"] = len(kept)
                 counters[f"sentences:{ngo_id}"] = len(records)
                 log.info(
                     "extract %s: %d documents -> %d sentences", ngo_id, len(kept), len(records)
                 )
                 del docs, kept, records  # freed before the next source is read
-            write_text(out / "summary.csv", "\n".join(summary) + "\n")
             params = {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)}
             return {layout.corpus: params}
 
@@ -679,9 +673,7 @@ def _classify_file(
         write_text(results_path, (line + "\n" for line in raw_lines))
         save_state({"done": True})
     results = providers_mod.parse_result_lines(raw_lines)
-    verdicts = providers_mod.join_verdicts(
-        sentence_ids, results, job.model_id, strict_json=strict_json
-    )
+    verdicts = providers_mod.join_verdicts(sentence_ids, results, strict_json=strict_json)
     write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
     reasons = Counter(v.reason for v in verdicts)
     counts = {
@@ -795,6 +787,13 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                     f"no verdicts for model {model_id!r}; run `sacreddetect classify` "
                     "first (or pass --tree-only)"
                 )
+        # table 1's counts, as extract recorded them
+        extracted = _require_manifest(layout.corpus, "extract").params.get("counters", {})
+        corpus_counts = {
+            key: value
+            for key, value in extracted.items()
+            if key.startswith(("documents:", "sentences:"))
+        }
         provenance = {f"tree/{k}": v for k, v in _hash_dir_files(layout.labels_tree).items()}
         provenance.update(
             {f"corpus/{k}": v for k, v in _hash_dir_files(layout.corpus).items()}
@@ -813,10 +812,8 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
             "groups": sha256_text(json.dumps(config.groups(), sort_keys=True)),
             "models": sha256_text(json.dumps(model_ids)),
             "report_phrases": sha256_text(json.dumps(config.report_phrases)),
+            "corpus_counts": sha256_text(json.dumps(corpus_counts, sort_keys=True)),
         }
-        inputs.update(
-            {f"corpus/{k}": v for k, v in _hash_dir_files(layout.corpus, "summary.csv").items()}
-        )
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             groups = config.groups()
@@ -828,7 +825,7 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
                 rows, ["tree", *model_ids], groups, config.report_phrases
             )
             bundle = {
-                "corpus": _read_summary_csv(layout.corpus / "summary.csv", groups),
+                "corpus": _table1_rows(corpus_counts, groups),
                 # explicit presentation order: stats.json is written with
                 # sorted keys, so key order cannot carry it
                 "classifiers": list(matrix.classifiers),
@@ -852,21 +849,20 @@ def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
         _produce("analyze", {layout.analysis: inputs}, build)
 
 
-def _read_summary_csv(path: Path, groups: dict[str, str]) -> list[dict]:
-    """Table 1's rows, each NGO's group taken from groups, as the scopes
-    take it, not from the summary: extract may predate a group change."""
-    if not path.is_file():
-        return []
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            {
-                "ngo_id": row["ngo_id"],
-                "group": groups.get(row["ngo_id"], "unknown"),
-                "n_documents": int(row["n_documents"]),
-                "n_sentences": int(row["n_sentences"]),
-            }
-            for row in csv.DictReader(fh)
-        ]
+def _table1_rows(corpus_counts: dict[str, int], groups: dict[str, str]) -> list[dict]:
+    """Table 1's rows: one per NGO extract kept documents of, in key
+    order, each NGO's group taken from groups, as the scopes take it."""
+    return [
+        {
+            "ngo_id": ngo_id,
+            "group": groups[ngo_id],
+            "n_documents": n_documents,
+            "n_sentences": corpus_counts[f"sentences:{ngo_id}"],
+        }
+        for key, n_documents in sorted(corpus_counts.items())
+        if key.startswith("documents:") and n_documents > 0
+        for ngo_id in [key.removeprefix("documents:")]
+    ]
 
 
 # --- report -----------------------------------------------------------------

@@ -200,16 +200,15 @@ def first_balanced_object(text: str) -> str | None:
     return None
 
 
-def naive_parse_verdict(sentence_id: str, model_id: str, raw_text: str) -> Verdict:
+def naive_parse_verdict(sentence_id: str, raw_text: str) -> Verdict:
     """parse_verdict by scanning for the first balanced block, then parsing
     that block alone in strict mode. Without a block the reply is no_json
     if it holds no "{" at all, else bad_json (a block left open)."""
     block = first_balanced_object(raw_text)
     if block is None:
         reason = "bad_json" if "{" in raw_text else "no_json"
-        return Verdict(sentence_id, model_id, "malformed", None, None, raw_text, reason)
-    verdict = parse_verdict(sentence_id, model_id, block, strict=True)
-    return dataclasses.replace(verdict, raw_text=raw_text)
+        return Verdict(sentence_id, "malformed", None, None, reason)
+    return parse_verdict(sentence_id, block, strict=True)
 
 
 # --- language-ID oracle -----------------------------------------------------

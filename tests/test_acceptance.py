@@ -359,7 +359,7 @@ def test_criterion_7_parser_totality():
     start = time.perf_counter()
     for _ in range(100_000):
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(80)))
-        verdict = parse_verdict("s", "m", blob.decode("latin-1"))
+        verdict = parse_verdict("s", blob.decode("latin-1"))
         assert verdict.label in LABELS
     elapsed = time.perf_counter() - start
     report_line("7 fuzz 1e5 byte strings", True, f"{elapsed:.2f}s")
@@ -369,7 +369,7 @@ def test_criterion_7_parser_totality():
     )
     assert len(cases) == 30
     for case in cases:
-        verdict = parse_verdict("s", "m", case["raw_text"])
+        verdict = parse_verdict("s", case["raw_text"])
         assert verdict.label == case["label"], case["name"]
         if case["label"] != "malformed":
             assert verdict.certainty == case["certainty"], case["name"]

@@ -201,6 +201,7 @@ def _write_run(root: Path, models, ngos) -> tuple[ColumnMatrix, dict]:
                 columns.labels[classifier].append(label)
         for directory, chunk in zip([layout.corpus, *label_dirs], lines):
             (directory / f"{ngo}.jsonl").write_text("".join(chunk), encoding="utf-8")
+    write_manifest(layout.corpus, "extract", {})
     for directory in label_dirs:
         write_manifest(directory, "match", {})
     return columns, argumentation

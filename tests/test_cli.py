@@ -83,6 +83,15 @@ def test_global_stub_flag(monkeypatch, tmp_path):
     assert run_cli([*config, "report"], monkeypatch) == 0
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+def test_harvest_rate_must_be_finite_and_positive(monkeypatch, tmp_path, caplog, rate):
+    root = str(tmp_path / "run")
+    config = ["--config", str(sample_config_path()), "--output-root", root]
+    assert run_cli([*config, "harvest", "--sample", "--rate", rate], monkeypatch) == 2
+    assert "policy.rate_per_host: must be a finite number > 0" in caplog.text
+    assert not Path(root).exists()
+
+
 def test_help_lists_all_commands():
     result = invoke(["--help"])
     for command in ("validate", "harvest", "extract", "match", "batch-build",

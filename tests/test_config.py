@@ -232,3 +232,27 @@ def test_toml_duplicate_key_rejected(tmp_path):
 def test_unknown_keys_rejected_with_a_suggestion(tmp_path, body, message):
     with pytest.raises(ConfigError, match=message):
         validate_config(write_config(tmp_path, body))
+
+
+@pytest.mark.parametrize(
+    "policy, field",
+    [
+        pytest.param("rate_per_host = nan", "rate_per_host", id="rate-nan"),
+        pytest.param("rate_per_host = inf", "rate_per_host", id="rate-inf"),
+        pytest.param("rate_per_host = -1.0", "rate_per_host", id="rate-negative"),
+        pytest.param("timeout = nan", "timeout", id="timeout-nan"),
+        pytest.param("backoff = -2.0", "backoff", id="backoff-negative"),
+        pytest.param("backoff = nan", "backoff", id="backoff-nan"),
+        pytest.param("backoff = inf", "backoff", id="backoff-inf"),
+    ],
+)
+def test_non_finite_or_negative_policy_values_rejected(tmp_path, policy, field):
+    # nan would turn HostGate's spacing off, and a negative backoff would
+    # crash the harvest at its first retry
+    with pytest.raises(ConfigError, match=rf"^policy\.{field}: must be a finite number"):
+        validate_config(write_config(tmp_path, MINIMAL + f"[policy]\n{policy}\n"))
+
+
+def test_zero_backoff_accepted(tmp_path):
+    config = validate_config(write_config(tmp_path, MINIMAL + "[policy]\nbackoff = 0\n"))
+    assert config.policy.backoff == 0.0

@@ -8,7 +8,7 @@ from oracles import naive_stub_run_batch, naive_stub_term
 from sacreddetect.errors import ProviderError
 from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import (
-    MISSING_RAW_TEXT,
+    OpenAIBatchProvider,
     StubProvider,
     get_provider,
     join_verdicts,
@@ -26,7 +26,7 @@ def classify(corpus, template_id, model_id, provider):
     each NGO file; returns (verdicts, raw result lines)."""
     raw_lines = provider.run_batch(build_batch_file(corpus, template_id, model_id))
     results = parse_result_lines(raw_lines)
-    return join_verdicts([r.sentence_id for r in corpus], results, model_id), raw_lines
+    return join_verdicts([r.sentence_id for r in corpus], results), raw_lines
 
 
 class DropsSomeProvider:
@@ -66,7 +66,7 @@ def test_missing_results_become_malformed():
     c = corpus("One sacred place.", "Two plain places.", "Three more lines.", "Four.")
     verdicts, _ = classify(c, "revised", "m", DropsSomeProvider(drop=2))
     assert len(verdicts) == len(c)
-    missing = [v for v in verdicts if v.raw_text == MISSING_RAW_TEXT]
+    missing = [v for v in verdicts if v.reason == "missing"]
     assert len(missing) == 2
     assert all(v.label == "malformed" and v.reason == "missing" for v in missing)
 
@@ -76,7 +76,7 @@ def test_verdict_totality_with_empty_sentence():
     verdicts, _ = classify(c, "revised", "m", StubProvider())
     assert len(verdicts) == 2
     assert verdicts[1].label == "malformed"
-    assert verdicts[1].raw_text == MISSING_RAW_TEXT
+    assert verdicts[1].reason == "missing"
 
 
 def test_parse_result_lines_drops_garbage():
@@ -91,9 +91,8 @@ def test_parse_result_lines_drops_garbage():
 def test_join_verdicts_parses_content():
     c = corpus("Holy ground here.")
     lines = StubProvider().run_batch(build_batch_file(c, "revised", "m"))
-    verdicts = join_verdicts([r.sentence_id for r in c], parse_result_lines(lines), "m")
+    verdicts = join_verdicts([r.sentence_id for r in c], parse_result_lines(lines))
     assert verdicts[0].label == "yes"
-    assert verdicts[0].model_id == "m"
     assert verdicts[0].sentence_id == c[0].sentence_id
 
 
@@ -124,7 +123,14 @@ STUB_PIECES = st.sampled_from(
     + ["PRAY", "Holy", "prayers", "godly", "faith1", "_holy", "7", "0god",
        "\u0130", "\u0131", "\u017f", "\u212a", "\u03a3", "\u2028", " ", ".", "-"]
 )
-TRICKY_IDS = st.text(st.one_of(st.sampled_from(['"', "\\", "é", "模", "\u2028"]), st.characters()))
+# no lone surrogates (category Cs): a line holding one encodes to no UTF-8,
+# so no batch file holds one (see test_a_lone_surrogate_is_refused)
+TRICKY_IDS = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "é", "模", "\u2028"]),
+        st.characters(exclude_categories=("Cs",)),
+    )
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,3 +155,23 @@ def test_stub_lines_equal_the_per_term_whole_dict_oracle(rows):
 def test_stub_names_the_first_term_in_term_order_not_the_leftmost():
     verdicts, _ = classify(corpus("holy god"), "revised", "m", StubProvider())
     assert verdicts[0].argumentation == "Contains the term 'god'."
+
+
+class RecordingSession:
+    def __init__(self):
+        self.calls = []
+
+    def request(self, method, url, **kwargs):
+        self.calls.append((method, url))
+        raise AssertionError("nothing may be sent")
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["stub", "http-batch"])
+def test_a_lone_surrogate_is_refused(monkeypatch, live):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+    session = RecordingSession()
+    provider = OpenAIBatchProvider(session=session, poll_interval=0.0) if live else StubProvider()
+    lines = build_batch_file([SentenceRecord("\ud800", "d", "n", 0, "We pray.")], "revised", "m")
+    with pytest.raises(ValueError):
+        provider.run_batch(lines)
+    assert session.calls == []

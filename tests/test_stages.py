@@ -80,7 +80,7 @@ def test_full_sample_pipeline(sample_config):
     run_analyze(sample_config)
     run_report(sample_config)
 
-    assert (layout.corpus / "summary.csv").is_file()
+    assert not (layout.corpus / "summary.csv").exists()  # table 1 reads the manifest
     assert (layout.labels_tree / "cca.jsonl").is_file()
     assert (layout.labels_tree / "lexicon.json").is_file()  # canonical export
     assert (layout.labels_model("gpt-4o-mini") / "icsd.jsonl").is_file()
@@ -94,6 +94,11 @@ def test_full_sample_pipeline(sample_config):
 
     bundle = json.loads(stats)
     assert bundle["rates"]["tree|total"]["n"] == 10
+    counters = read_manifest(layout.corpus).params["counters"]
+    assert [(r["ngo_id"], r["n_documents"], r["n_sentences"]) for r in bundle["corpus"]] == [
+        (ngo, counters[f"documents:{ngo}"], counters[f"sentences:{ngo}"])
+        for ngo in ("cca", "greenfaith", "icsd", "ien")
+    ]
     # term samples quote the models' argumentation
     mother_earth = (layout.reports / "terms" / "mother-earth.md").read_text()
     assert "## Samples" in mother_earth
@@ -291,7 +296,8 @@ def test_dropped_source_leaves_corpus_and_labels(sample_config):
     assert not (layout.labels_tree / "ien.jsonl").exists()
     bundle = json.loads((layout.analysis / "stats.json").read_text())
     assert "ien" not in bundle["scopes"]
-    assert "ien" not in (layout.corpus / "summary.csv").read_text()
+    assert "documents:ien" not in read_manifest(layout.corpus).params["counters"]
+    assert "ien" not in [row["ngo_id"] for row in bundle["corpus"]]
     assert bundle["rates"]["tree|total"]["n"] < 10
 
 
@@ -941,7 +947,7 @@ def test_analyze_reruns_when_groups_phrases_or_model_order_change(sample_config)
         dataclasses.replace(s, group="secular") if s.ngo_id == "cca" else s
         for s in sample_config.sources
     ]
-    run_analyze(sample_config)  # extract not re-run: summary.csv still says religious
+    run_analyze(sample_config)  # extract not re-run
     bundle = stats()
     assert "secular_total" in bundle["scopes"]
     assert {row["ngo_id"]: row["group"] for row in bundle["corpus"]}["cca"] == "secular"
@@ -958,6 +964,42 @@ def test_analyze_reruns_when_groups_phrases_or_model_order_change(sample_config)
     assert bundle["ratio_pair"] == model_ids
     # the bundle cites the same label and corpus files throughout
     assert bundle["provenance"] == provenance
+
+
+def test_a_group_flip_leaves_extract_alone_and_reaches_table_1(sample_config):
+    layout = Layout(sample_config.output_root)
+    stages_in_order = [
+        lambda: run_harvest(sample_config, sample=True),
+        lambda: run_extract(sample_config),
+        lambda: run_match(sample_config),
+        lambda: run_analyze(sample_config, tree_only=True),
+        lambda: run_report(sample_config),
+    ]
+    for run in stages_in_order:
+        run()
+    manifest = layout.corpus / "manifest.json"
+    before = (manifest.stat().st_ino, manifest.read_bytes())
+    assert "| cca | religious |" in (layout.reports / "table1.md").read_text()
+
+    sample_config.sources = [
+        dataclasses.replace(s, group="secular") if s.ngo_id == "cca" else s
+        for s in sample_config.sources
+    ]
+    for run in stages_in_order[1:]:
+        run()
+    assert (manifest.stat().st_ino, manifest.read_bytes()) == before  # extract was a no-op
+    assert "| cca | secular |" in (layout.reports / "table1.md").read_text()
+
+
+def test_analyze_without_a_corpus_manifest_names_extract(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    (layout.corpus / "manifest.json").unlink()
+    with pytest.raises(PrerequisiteError, match="sacreddetect extract"):
+        run_analyze(sample_config, tree_only=True)
+    assert not layout.analysis.exists()
 
 
 DUTCH = (
@@ -997,9 +1039,10 @@ def test_extract_filters_one_ngo_at_a_time_and_leaves_out_an_ngo_with_none_kept(
     assert sorted(p.name for p in layout.corpus.glob("*.jsonl")) == [
         "cca.jsonl", "greenfaith.jsonl", "icsd.jsonl"
     ]
-    summary = (layout.corpus / "summary.csv").read_text().splitlines()
-    assert [line.split(",")[0] for line in summary] == ["ngo_id", "cca", "greenfaith", "icsd"]
     counters = read_manifest(layout.corpus).params["counters"]
+    assert [k for k, v in counters.items() if k.startswith("documents:") and v] == [
+        "documents:cca", "documents:greenfaith", "documents:icsd"
+    ]
     assert counters["documents:ien"] == counters["sentences:ien"] == 0
     assert counters["dropped_non_english:ien"] == 1
     assert counters["skipped_failed_fetch"] == counters["skipped_pdf"] == 1

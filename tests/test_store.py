@@ -40,7 +40,6 @@ def test_store_appends_and_reloads_index(tmp_path):
     again = DocumentStore(tmp_path / "raw")
     assert again.has_url(doc.url)
     assert [d.doc_id for d in again.iter_ngo("ngo")] == [doc.doc_id]
-    assert again.ngo_ids() == ["ngo"]
 
 
 def test_store_keeps_failures(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_parse_verdict
 
-from sacreddetect.judge import parse_verdict, serialize_verdict
-from sacreddetect.judge.verdicts import LABELS, Verdict
+from sacreddetect.judge import parse_verdict
+from sacreddetect.judge.verdicts import LABELS
 
 CASES = json.loads((Path(__file__).parent / "data" / "verdict_cases.json").read_text())
 
@@ -19,12 +19,11 @@ def test_fixture_has_thirty_cases():
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
 def test_hand_built_cases(case):
-    verdict = parse_verdict("s1", "m1", case["raw_text"])
+    verdict = parse_verdict("s1", case["raw_text"])
     assert verdict.label == case["label"]
     if case["label"] == "malformed":
         assert verdict.certainty is None
         assert verdict.argumentation is None
-        assert verdict.raw_text == case["raw_text"]  # preserved for audit
         assert verdict.reason == case["reason"]
     else:
         assert verdict.certainty == case["certainty"]
@@ -34,7 +33,7 @@ def test_hand_built_cases(case):
 
 def test_valid_label_implies_certainty_and_argumentation():
     for case in CASES:
-        verdict = parse_verdict("s", "m", case["raw_text"])
+        verdict = parse_verdict("s", case["raw_text"])
         if verdict.label in ("yes", "no"):
             assert verdict.certainty is not None
             assert verdict.argumentation is not None
@@ -42,26 +41,26 @@ def test_valid_label_implies_certainty_and_argumentation():
 
 def test_strict_mode_rejects_prose_wrapping():
     wrapped = 'Sure: {"Religious":"Yes","Certainty":"90%","Argumentation":"a"}'
-    assert parse_verdict("s", "m", wrapped).label == "yes"
-    assert parse_verdict("s", "m", wrapped, strict=True).reason == "bad_json"
+    assert parse_verdict("s", wrapped).label == "yes"
+    assert parse_verdict("s", wrapped, strict=True).reason == "bad_json"
     bare = '{"Religious":"Yes","Certainty":"90%","Argumentation":"a"}'
-    assert parse_verdict("s", "m", bare, strict=True).label == "yes"
+    assert parse_verdict("s", bare, strict=True).label == "yes"
     # strict mode alone decodes a value that is not an object
-    assert parse_verdict("s", "m", '["yes"]', strict=True).reason == "bad_json"
-    assert parse_verdict("s", "m", "Yes.", strict=True).reason == "no_json"
+    assert parse_verdict("s", '["yes"]', strict=True).reason == "bad_json"
+    assert parse_verdict("s", "Yes.", strict=True).reason == "no_json"
 
 
 @given(st.text(max_size=300))
 def test_never_raises_on_arbitrary_text(text):
-    verdict = parse_verdict("s", "m", text)
+    verdict = parse_verdict("s", text)
     assert verdict.label in LABELS
 
 
 @pytest.mark.parametrize("certainty", ["Infinity", "-Infinity", "NaN", "1e999", '"inf%"', '"nan"'])
 def test_non_finite_certainty_is_malformed(certainty):
     text = f'{{"Religious": "Yes", "Certainty": {certainty}, "Argumentation": "a"}}'
-    assert parse_verdict("s", "m", text).label == "malformed"
-    assert parse_verdict("s", "m", text, strict=True).label == "malformed"
+    assert parse_verdict("s", text).label == "malformed"
+    assert parse_verdict("s", text, strict=True).label == "malformed"
 
 
 def test_never_raises_on_random_bytes_seeded():
@@ -69,7 +68,7 @@ def test_never_raises_on_random_bytes_seeded():
     for _ in range(2000):
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(120)))
         text = blob.decode("latin-1")
-        verdict = parse_verdict("s", "m", text)
+        verdict = parse_verdict("s", text)
         assert verdict.label in LABELS
 
 
@@ -79,17 +78,15 @@ def test_never_raises_on_random_bytes_seeded():
     argumentation=st.text(min_size=1, max_size=80).filter(lambda s: s.strip()),
 )
 def test_round_trip(label, certainty, argumentation):
-    original = Verdict("sid", "mid", label, certainty, argumentation, raw_text="")
-    rendered = serialize_verdict(original)
-    again = parse_verdict("sid", "mid", rendered)
-    assert again.label == original.label
-    assert again.certainty == original.certainty
-    assert again.argumentation == original.argumentation
-
-
-def test_serialize_rejects_malformed():
-    with pytest.raises(ValueError):
-        serialize_verdict(Verdict("s", "m", "malformed", None, None, "x"))
+    # a reply in the response schema, as the prompts ask for it
+    rendered = json.dumps(
+        {"Religious": label.capitalize(), "Certainty": f"{certainty}%", "Argumentation": argumentation},
+        ensure_ascii=False,
+    )
+    again = parse_verdict("sid", rendered)
+    assert again.label == label
+    assert again.certainty == certainty
+    assert again.argumentation == argumentation
 
 
 # Pieces of replies: JSON punctuation, escapes and control characters,
@@ -116,7 +113,7 @@ _pieces = st.one_of(
 @settings(max_examples=500)
 @given(st.lists(_pieces, max_size=6).map("".join))
 def test_matches_the_balanced_block_oracle(text):
-    assert parse_verdict("s", "m", text) == naive_parse_verdict("s", "m", text)
+    assert parse_verdict("s", text) == naive_parse_verdict("s", text)
 
 
 def test_fenced_and_wrapped_replies_match_the_oracle():
@@ -128,6 +125,6 @@ def test_fenced_and_wrapped_replies_match_the_oracle():
         body[:-1],
         '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}",  # nested too deep to decode
     ):
-        assert parse_verdict("s", "m", text) == naive_parse_verdict("s", "m", text)
-    assert parse_verdict("s", "m", f"```json\n{body}\n```").label == "yes"
-    assert parse_verdict("s", "m", f"{{not json}} {body}").label == "malformed"
+        assert parse_verdict("s", text) == naive_parse_verdict("s", text)
+    assert parse_verdict("s", f"```json\n{body}\n```").label == "yes"
+    assert parse_verdict("s", f"{{not json}} {body}").label == "malformed"
