@@ -10,11 +10,17 @@ Two JSON libraries, each where its behaviour is the one needed:
   and the pipeline writes none of them. An integer outside the 64-bit
   range decodes to the nearest float; the pipeline writes none (its
   integers are positions, counts, HTTP statuses and 0-100 certainties).
+- Provider result lines and model replies come from outside the
+  pipeline, so they may hold what orjson refuses. loads_external tries
+  orjson first and hands the stdlib json only what orjson refuses or what
+  may nest too deep for the stdlib, so the decoded values are json's, but
+  for an integer beyond 64 bits. The callers read only strings and a
+  certainty clamped to 0-100 from them, so the verdicts are the ones the
+  stdlib alone gives.
 - The stdlib json encodes every file, since its separators, ensure_ascii
-  and indent are the file format, and decodes everything from outside the
-  pipeline (provider results, model replies, CDX responses) and the
-  manifests and stats.json, which it may have written with NaN or
-  Infinity.
+  and indent are the file format, and decodes CDX responses, a JSON
+  lexicon, the manifests and stats.json, which it may have written with
+  NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -22,17 +28,53 @@ from __future__ import annotations
 import json
 import os
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import orjson
 
 from .errors import CorruptLineError
 
-# The same bytes as json.dumps(obj, ensure_ascii=False), from one encoder
-# rather than a new one per call.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# json.dumps(obj, ensure_ascii=False)'s C encoder, built once, where
+# JSONEncoder.encode builds a new one per call: the same separators,
+# allow_nan and TypeError for an object it cannot encode. It keeps no
+# circular-reference markers, so a cyclic row raises RecursionError rather
+# than ValueError; the pipeline builds none.
+_encode_value = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", False, False, True
+)
 _indented = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True)
+
+
+def encode_json(obj: Any) -> str:
+    """The same string as json.dumps(obj, ensure_ascii=False)."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    return "".join(_encode_value(obj, 0))
+
+
+# Fewer brackets than this, and text nests too shallowly for the stdlib
+# decoder's recursion limit to refuse it. orjson 3.8 has no nesting limit,
+# so deeper text goes to the stdlib, which may refuse it.
+_ORJSON_MAX_BRACKETS = 256
+
+
+def loads_external(text: str, stdlib: Callable[[str], Any] = json.loads) -> Any:
+    """stdlib(text) for JSON from outside the pipeline, decoded by orjson
+    when orjson accepts text: one JSON value and whitespace, fewer than
+    _ORJSON_MAX_BRACKETS brackets, no NaN or Infinity literal, no number
+    beyond a double's range and no lone surrogate. stdlib is json.loads or
+    a decoder that, like raw_decode, ignores what follows the first value,
+    so on such text it gives orjson's value, but for an integer beyond 64
+    bits, which orjson 3.8 reads as the nearest float.
+    """
+    if text.count("{") + text.count("[") < _ORJSON_MAX_BRACKETS:
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    return stdlib(text)
 
 
 def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:

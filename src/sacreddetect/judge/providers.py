@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Protocol
 import orjson
 
 from ..errors import ProviderError
+from ..jsonlio import loads_external
 from .verdicts import Verdict, parse_verdict
 
 if TYPE_CHECKING:
@@ -222,15 +223,18 @@ def get_provider(name: str) -> BatchProvider:
 
 def parse_result_lines(lines: list[str]) -> dict[str, str]:
     """custom_id -> assistant message content; unusable rows are dropped
-    (their sentences then surface as malformed, reason "missing").
+    (their sentences then surface as malformed, reason "missing"). A line
+    is decoded by orjson, or by the stdlib json if orjson refuses it.
     """
     results: dict[str, str] = {}
     for line in lines:
         try:
-            row = json.loads(line)
+            row = loads_external(line)
             custom_id = row["custom_id"]
             content = row["response"]["body"]["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+        # ValueError: not JSON, or an int past str's digit limit; RecursionError:
+        # nested too deep for the stdlib json
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             continue
         if isinstance(custom_id, str) and isinstance(content, str):
             results[custom_id] = content

@@ -3,15 +3,18 @@
 A model response is a valid verdict only when it contains a JSON object
 with (case-insensitive) keys Religious, Certainty and Argumentation, the
 Religious value reads as yes/no, the certainty parses as a percentage and
-the argumentation is a string. Everything else is the ``malformed`` label,
-with the raw text preserved for audit and a ``reason`` naming the first
-check that failed -- malformed output is a finding about the model, not an
-error condition, so nothing here ever raises.
+the argumentation is a string that UTF-8 can encode. Everything else is
+the ``malformed`` label, with a ``reason`` naming the first check that
+failed (the raw reply stays in the batch results file for audit) --
+malformed output is a finding about the model, not an error condition, so
+nothing here ever raises.
 
 By default the response is decoded as one JSON value starting at its
 first ``{``, and any text before or after that value is ignored, because
 models routinely wrap their JSON in prose or code fences; strict mode
-requires the whole message to be the JSON object.
+requires the whole message to be the JSON object. orjson decodes a bare
+reply, and the stdlib json what orjson refuses (see loads_external), so
+the verdict is the one the stdlib alone gives.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+from ..jsonlio import loads_external
 
 LABELS = ("yes", "no", "malformed")
 # Why a verdict is malformed: the provider gave no answer, the reply holds
@@ -32,7 +37,12 @@ VERDICT_ROW_VERSION = "2"
 _DECODER = json.JSONDecoder()
 
 
-@dataclass(frozen=True)
+def _first_value(text: str):
+    """The JSON value text starts with; what follows it is ignored."""
+    return _DECODER.raw_decode(text)[0]
+
+
+@dataclass(frozen=True, slots=True)
 class Verdict:
     sentence_id: str
     label: str  # yes | no | malformed
@@ -56,8 +66,10 @@ class Verdict:
 def _parse_certainty(value) -> int | None:
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
-        number = float(value)
+    if isinstance(value, int):  # clamped as it is: float() overflows past 1e308
+        return max(0, min(100, value))
+    if isinstance(value, float):
+        number = value
     elif isinstance(value, str):
         token = value.strip().rstrip("%").strip()
         if not token:
@@ -73,6 +85,18 @@ def _parse_certainty(value) -> int | None:
     return max(0, min(100, round(number)))
 
 
+def _encodes_to_utf8(text: str) -> bool:
+    """False for text holding a lone surrogate, which only the stdlib json
+    decodes (from an escape) and which no labels file can hold."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verdict:
     """Total over arbitrary input: always returns a Verdict, never raises."""
 
@@ -83,13 +107,13 @@ def parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verd
         return malformed("no_json")
     try:
         if strict:
-            obj = json.loads(raw_text.strip())
+            obj = loads_external(raw_text.strip())
         else:
             start = raw_text.find("{")
             if start < 0:
                 return malformed("no_json")
-            obj, _ = _DECODER.raw_decode(raw_text, start)
-    except (json.JSONDecodeError, RecursionError):
+            obj = loads_external(raw_text[start:], _first_value)
+    except (ValueError, RecursionError):  # ValueError: also an int past str's digit limit
         return malformed("bad_json" if "{" in raw_text else "no_json")
     if not isinstance(obj, dict):
         return malformed("bad_json")
@@ -102,8 +126,7 @@ def parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verd
     if certainty is None:
         return malformed("bad_certainty")
     argumentation = fields.get("argumentation")
-    if not isinstance(argumentation, str):
+    if not isinstance(argumentation, str) or not _encodes_to_utf8(argumentation):
         return malformed("bad_argumentation")
 
     return Verdict(sentence_id, religious.strip().lower(), certainty, argumentation)
-

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles helper module
 
@@ -17,6 +18,11 @@ from sacreddetect.textpipe.htmltext import extract_main_text
 from sacreddetect.textpipe.langid import detect_language
 
 SAMPLE_NGOS = ("cca", "greenfaith", "ien", "icsd")
+
+# A failing property prints the @reproduce_failure blob that replays its
+# example on any machine.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ regex search per stub term with a whole result dict encoded per reply
 instead of one combined search and pre-encoded replies, and analyze's
 former column matrix (every text and label held, one phrase scan per
 phrase, duplicates grouped on the text itself) instead of one pass that
-keeps only tallies. They must stay dumb.
+keeps only tallies, and the stdlib json alone decoding provider result
+lines and model replies instead of orjson first. They must stay dumb.
 """
 
 from __future__ import annotations
@@ -209,6 +210,85 @@ def naive_parse_verdict(sentence_id: str, raw_text: str) -> Verdict:
         reason = "bad_json" if "{" in raw_text else "no_json"
         return Verdict(sentence_id, "malformed", None, None, reason)
     return parse_verdict(sentence_id, block, strict=True)
+
+
+# --- stdlib-only reply decoding ---------------------------------------------
+# parse_verdict and parse_result_lines as they were when the stdlib json
+# alone decoded replies and result lines, copied unchanged. Their faults
+# are kept: a line nested too deep for the stdlib raises RecursionError
+# here, where the package drops it; a lone surrogate escape in an
+# argumentation makes a valid verdict here, where the package answers
+# bad_argumentation; and an integer certainty past 1e308 raises
+# OverflowError, and one past str's digit limit ValueError.
+
+_STDLIB_DECODER = json.JSONDecoder()
+
+
+def _stdlib_parse_certainty(value) -> int | None:
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        number = float(value)
+    elif isinstance(value, str):
+        token = value.strip().rstrip("%").strip()
+        if not token:
+            return None
+        try:
+            number = float(token)
+        except ValueError:
+            return None
+    else:
+        return None
+    if not math.isfinite(number):  # JSON's Infinity and NaN, or "inf%"
+        return None
+    return max(0, min(100, round(number)))
+
+
+def stdlib_parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verdict:
+    def malformed(reason: str) -> Verdict:
+        return Verdict(sentence_id, "malformed", None, None, reason)
+
+    if not isinstance(raw_text, str):
+        return malformed("no_json")
+    try:
+        if strict:
+            obj = json.loads(raw_text.strip())
+        else:
+            start = raw_text.find("{")
+            if start < 0:
+                return malformed("no_json")
+            obj, _ = _STDLIB_DECODER.raw_decode(raw_text, start)
+    except (json.JSONDecodeError, RecursionError):
+        return malformed("bad_json" if "{" in raw_text else "no_json")
+    if not isinstance(obj, dict):
+        return malformed("bad_json")
+
+    fields = {k.lower(): v for k, v in obj.items() if isinstance(k, str)}
+    religious = fields.get("religious")
+    if not isinstance(religious, str) or religious.strip().lower() not in ("yes", "no"):
+        return malformed("bad_religious")
+    certainty = _stdlib_parse_certainty(fields.get("certainty"))
+    if certainty is None:
+        return malformed("bad_certainty")
+    argumentation = fields.get("argumentation")
+    if not isinstance(argumentation, str):
+        return malformed("bad_argumentation")
+
+    return Verdict(sentence_id, religious.strip().lower(), certainty, argumentation)
+
+
+def stdlib_parse_result_lines(lines: list[str]) -> dict[str, str]:
+    results: dict[str, str] = {}
+    for line in lines:
+        try:
+            row = json.loads(line)
+            custom_id = row["custom_id"]
+            content = row["response"]["body"]["choices"][0]["message"]["content"]
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+            continue
+        if isinstance(custom_id, str) and isinstance(content, str):
+            results[custom_id] = content
+    return results
 
 
 # --- language-ID oracle -----------------------------------------------------

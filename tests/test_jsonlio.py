@@ -4,12 +4,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_batch import TRICKY
 
 from sacreddetect.errors import CorruptLineError
-from sacreddetect.jsonlio import read_jsonl, write_json, write_jsonl, write_text
+from sacreddetect.jsonlio import encode_json, read_jsonl, write_json, write_jsonl, write_text
 
 ROWS = [
     {"text": "Schöpfung, 創造 and \U0001f600", "n": 1},
@@ -25,6 +25,61 @@ def test_write_jsonl_bytes_equal_json_dumps(tmp_path):
     assert write_jsonl(path, iter(ROWS)) == len(ROWS)
     expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in ROWS)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# Recursive JSON values: strings with control characters, U+2028 and
+# non-BMP characters, ints beyond 64 bits, floats with -0.0, subnormals,
+# NaN and infinities, and keys of every type json.dumps turns into a str.
+_STRINGS = st.text(TRICKY, max_size=10)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-300, 5e-324, 1.5e300, float("nan"), float("inf"), float("-inf")])
+    | _STRINGS
+)
+_KEYS = _STRINGS | st.integers(-(2**70), 2**70) | st.floats() | st.booleans() | st.none()
+RECURSIVE_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=RECURSIVE_VALUES)
+def test_encode_json_equals_json_dumps(value):
+    # lone surrogates included: the encoder passes them through as json does
+    assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.dictionaries(_STRINGS, RECURSIVE_VALUES, max_size=4), max_size=3))
+def test_write_jsonl_bytes_equal_json_dumps_of_recursive_rows(rows):
+    expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    try:
+        expected_bytes = expected.encode("utf-8")
+    except UnicodeEncodeError:
+        assume(False)  # a lone surrogate, which no UTF-8 file can hold
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_bytes() == expected_bytes
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), {"a": [1, {2, 3}]}, [b"bytes"], {"k": {"n": 1j}}, {(1, 2): "tuple key"}],
+    ids=["object", "nested set", "bytes", "complex", "tuple key"],
+)
+def test_encode_json_raises_the_type_error_json_dumps_raises(value):
+    with pytest.raises(TypeError) as dumped:
+        json.dumps(value, ensure_ascii=False)
+    with pytest.raises(TypeError) as encoded:
+        encode_json(value)
+    assert str(encoded.value) == str(dumped.value)
 
 
 def test_write_text_pieces_equal_the_joined_string(tmp_path):

@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_stub_run_batch, naive_stub_term
+from oracles import naive_stub_run_batch, naive_stub_term, stdlib_parse_result_lines
+from test_verdicts import JSON_VALUES, REPLIES
 
 from sacreddetect.errors import ProviderError
 from sacreddetect.judge.batch import build_batch_file
@@ -175,3 +176,57 @@ def test_a_lone_surrogate_is_refused(monkeypatch, live):
     with pytest.raises(ValueError):
         provider.run_batch(lines)
     assert session.calls == []
+
+
+# Result lines: the OpenAI shape with its pieces varied, ids that are no
+# strings, replies and non-string contents, extra members holding what
+# orjson refuses, duplicate and case-variant keys, a BOM and trailing text.
+_IDS = st.sampled_from(['"s1"', '"s2"', '"\\ud800"', "1", "null", "18446744073709551617"])
+_CONTENTS = REPLIES.map(json.dumps) | JSON_VALUES
+_RESPONSES = _CONTENTS.map(
+    lambda content: f'{{"status_code": 200, "body": {{"choices": [{{"message": {{"content": {content}}}}}]}}}}'
+) | st.sampled_from(['{"body": {"choices": []}}', '{"body": {}}']) | JSON_VALUES
+_MEMBERS = st.one_of(
+    st.tuples(st.just('"custom_id"'), _IDS),
+    st.tuples(st.just('"response"'), _RESPONSES),
+    st.tuples(st.sampled_from(['"error"', '"Custom_ID"', '"id"']), JSON_VALUES),
+)
+RESULT_LINES = st.tuples(
+    st.sampled_from(["", "\ufeff", " "]),
+    st.tuples(
+        st.tuples(st.just('"custom_id"'), _IDS),
+        st.tuples(st.just('"response"'), _RESPONSES),
+        st.lists(_MEMBERS, max_size=3),
+    ).map(lambda m: "{" + ", ".join(f"{k}: {v}" for k, v in [m[0], m[1], *m[2]]) + "}"),
+    st.sampled_from(["", " ", " x", "}"]),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(RESULT_LINES, max_size=4))
+def test_result_lines_equal_the_stdlib_only_parser(lines):
+    expected: dict[str, str] = {}
+    for line in lines:
+        try:
+            expected.update(stdlib_parse_result_lines([line]))
+        except RecursionError:  # nested too deep for the stdlib; now dropped
+            pass
+    assert parse_result_lines(lines) == expected
+
+
+def test_a_line_nested_too_deep_or_with_a_huge_int_is_dropped():
+    c = corpus("We pray.", "Holy ground.", "Plain text.", "More text.")
+    good = StubProvider().run_batch(build_batch_file(c, "revised", "m"))
+    deep = "[" * 100_000 + "]" * 100_000
+    lines = [
+        '{"custom_id": "a", "response": ' + deep + "}",
+        # the reply itself is fine; the stdlib cannot decode the line
+        good[1][:-1] + ', "extra": ' + deep + "}",
+        good[2][:-1] + ', "extra": ' + "9" * 5_000 + "}",
+        good[0],
+        good[3],
+    ]
+    results = parse_result_lines(lines)
+    assert set(results) == {c[0].sentence_id, c[3].sentence_id}
+    verdicts = join_verdicts([r.sentence_id for r in c], results)
+    assert [v.reason for v in verdicts] == [None, "missing", "missing", None]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -629,6 +630,47 @@ def test_classify_rows_name_the_malformed_reason_and_count_each(sample_config, m
         assert counters[f"malformed:{ngo}"] == sum(row["label"] == "malformed" for row in rows)
         assert counters[f"malformed:{ngo}"] == sum(counters[f"{r}:{ngo}"] for r in REASONS)
     assert sum(v for k, v in counters.items() if k.startswith("missing:")) == 1
+
+
+class LoneSurrogateProvider:
+    """Answers yes to every request, with a lone surrogate in the
+    argumentation: escaped in the reply, or escaped in the result line so
+    that the reply holds it raw."""
+
+    def run_batch(self, lines, state=None, state_save=None):
+        out = []
+        for i, line in enumerate(lines):
+            argumentation = '"\\ud800 broken"' if i % 2 else '"\ud800 broken"'
+            reply = f'{{"Religious": "Yes", "Certainty": "90%", "Argumentation": {argumentation}}}'
+            body = {"choices": [{"message": {"content": reply}}]}
+            out.append(json.dumps({"custom_id": json.loads(line)["custom_id"], "response": {"body": body}}))
+        return out
+
+
+def test_a_lone_surrogate_argumentation_is_malformed_and_its_saved_results_reread(
+    sample_config, monkeypatch
+):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: LoneSurrogateProvider())
+    run_classify(sample_config, only_model=model)
+    labels = layout.labels_model(model)
+    first = {path.name: path.read_bytes() for path in labels.glob("*.jsonl")}
+    rows = [row for path in sorted(labels.glob("*.jsonl")) for row in read_jsonl(path)]
+    assert len(rows) > 2
+    assert {row["reason"] for row in rows} <= {"bad_argumentation", "missing"}
+    assert sum(row["reason"] == "bad_argumentation" for row in rows) >= 2
+
+    # the next run reads the saved results back, and they classify alike
+    shutil.rmtree(labels)
+    provider = FlakyProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    run_classify(sample_config, only_model=model)
+    assert provider.sent == []
+    assert {path.name: path.read_bytes() for path in labels.glob("*.jsonl")} == first
 
 
 def test_classify_rewrites_an_old_format_labels_directory_from_saved_results(

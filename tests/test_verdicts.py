@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_parse_verdict
+from oracles import naive_parse_verdict, stdlib_parse_verdict
 
 from sacreddetect.judge import parse_verdict
-from sacreddetect.judge.verdicts import LABELS
+from sacreddetect.judge.verdicts import LABELS, Verdict
 
 CASES = json.loads((Path(__file__).parent / "data" / "verdict_cases.json").read_text())
 
@@ -128,3 +128,102 @@ def test_fenced_and_wrapped_replies_match_the_oracle():
         assert parse_verdict("s", text) == naive_parse_verdict("s", text)
     assert parse_verdict("s", f"```json\n{body}\n```").label == "yes"
     assert parse_verdict("s", f"{{not json}} {body}").label == "malformed"
+
+
+# --- orjson first, the stdlib json for what orjson refuses --------------------
+# Pieces of JSON text that orjson refuses or decodes differently from the
+# stdlib: NaN and Infinity literals, numbers beyond a double, ints beyond
+# 64 bits (short of float()'s range, past which the stdlib-only parser
+# raised), lone surrogates escaped and raw, and nesting around the depth at
+# which orjson hands text to the stdlib and past the stdlib's own limit
+# (which hypothesis raises by a few thousand while a test runs).
+DEEP = "[" * 100_000 + "]" * 100_000
+NESTED = st.sampled_from(["[" * 200 + "]" * 200, "[" * 300 + "]" * 300, '{"a": ' * 200 + "1" + "}" * 200, DEEP])
+JSON_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            '"Yes"', '"no"', '" YES "', '"maybe"', '"90%"', '"85.5 %"', '"inf%"', '"1e400%"', '""',
+            "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0", "85.5",
+            "true", "null", "[]", "{}", '[1, [2, {"a": {}}]]',
+            '"\\ud800 broken"', '"\\udfff"', '"a\\ud800\\u0041"', '"\\ud83d\\ude00"', '"\ud800"',
+        ]
+    ),
+    NESTED,
+    st.integers(-(10**300), 10**300).map(str),
+    st.integers(-150, 150).map(str),
+    st.floats().map(json.dumps),
+    st.text(max_size=12).map(json.dumps),
+    st.text(max_size=12).map(lambda s: json.dumps(s, ensure_ascii=False)),
+)
+# duplicate and case-variant keys: the last one of a lower-cased key wins
+_KEYS = st.sampled_from(
+    ["Religious", "religious", "RELIGIOUS", "Certainty", "CERTAINTY", "Argumentation",
+     "argumentation", "note", "\ud800", ""]
+).map(json.dumps)
+_VALID_MEMBERS = [('"Religious"', '"Yes"'), ('"Certainty"', '"90%"'), ('"Argumentation"', '"a"')]
+JSON_OBJECTS = st.tuples(
+    st.sampled_from([[], _VALID_MEMBERS]),
+    st.lists(st.tuples(_KEYS, JSON_VALUES), max_size=4) | st.tuples(_KEYS, NESTED).map(lambda kv: [kv]),
+).map(lambda parts: "{" + ", ".join(f"{k}: {v}" for k, v in parts[0] + parts[1]) + "}")
+# bare half the time, as most replies are
+REPLIES = st.tuples(
+    st.just("") | st.sampled_from([" \n", "\ufeff", "```json\n", "Sure: ", "{not json} ", "\u2028"]),
+    JSON_OBJECTS | JSON_VALUES,
+    st.just("") | st.sampled_from(["\n", "\n```", " Hope this helps.", " {", "}", "\ufeff", "\u2028", " \t"]),
+).map("".join)
+
+
+def encodes_to_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def without_lone_surrogates(verdict: Verdict) -> Verdict:
+    """The stdlib-only parser's verdict as parse_verdict gives it: an
+    argumentation holding a lone surrogate is bad_argumentation."""
+    if verdict.argumentation is not None and not encodes_to_utf8(verdict.argumentation):
+        return Verdict(verdict.sentence_id, "malformed", None, None, "bad_argumentation")
+    return verdict
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=REPLIES, strict=st.booleans())
+def test_equals_the_stdlib_only_parser(text, strict):
+    expected = without_lone_surrogates(stdlib_parse_verdict("s", text, strict=strict))
+    assert parse_verdict("s", text, strict=strict) == expected
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("argumentation", ['"\\ud800 broken"', '"\ud800 broken"', '"\\udc00"'])
+def test_a_lone_surrogate_argumentation_is_bad_argumentation(strict, argumentation):
+    text = f'{{"Religious": "Yes", "Certainty": "90%", "Argumentation": {argumentation}}}'
+    verdict = parse_verdict("s", text, strict=strict)
+    assert (verdict.label, verdict.reason) == ("malformed", "bad_argumentation")
+    # a surrogate pair is one character, and fine
+    paired = text.replace(argumentation, '"\\ud83d\\ude00"')
+    assert parse_verdict("s", paired, strict=strict).argumentation == "\U0001f600"
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_integers_past_float_range_and_str_digit_limit_never_raise(strict):
+    def reply(certainty: str) -> str:
+        return f'{{"Religious": "No", "Certainty": {certainty}, "Argumentation": "a"}}'
+
+    # float() overflows past 1e308; the integer clamps as a smaller one would
+    assert parse_verdict("s", reply("1" + "0" * 400), strict=strict).certainty == 100
+    assert parse_verdict("s", reply("-1" + "0" * 400), strict=strict).certainty == 0
+    # past sys.get_int_max_str_digits() the stdlib json refuses to read it
+    assert parse_verdict("s", reply("9" * 5_000), strict=strict).reason == "bad_json"
+
+
+@pytest.mark.parametrize("depth", [100, 1_100, 100_000])
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_nested_replies_equal_the_stdlib_only_parser(depth, strict):
+    """Outside hypothesis, which raises the recursion limit while a test
+    runs, 1,100 levels are past the stdlib decoder's limit."""
+    nested = "[" * depth + "]" * depth
+    text = f'{{"Religious": "Yes", "Certainty": "90%", "Argumentation": "a", "note": {nested}}}'
+    assert parse_verdict("s", text, strict=strict) == stdlib_parse_verdict("s", text, strict=strict)
