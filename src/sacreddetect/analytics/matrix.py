@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..errors import CoverageError
-from .terms import normalize_phrase, phrase_in_normalized
+from ..lexicon.tree import normalize_form
+from .terms import phrase_in_normalized
 
 SECULAR_TOTAL = "secular_total"
 RELIGIOUS_TOTAL = "religious_total"
@@ -100,7 +101,7 @@ def tabulate(
     for phrase in phrases:
         if not phrase.strip():
             raise ValueError("phrase must be non-empty")
-        by_phrase[phrase] = (normalize_phrase(phrase), PhraseHits(0, [0] * len(classifiers)))
+        by_phrase[phrase] = (normalize_form(phrase), PhraseHits(0, [0] * len(classifiers)))
     joint: Counter = Counter()
     seen_ids: set[str] = set()
     shared: dict[tuple, tuple] = {}  # one tuple object per distinct label combination

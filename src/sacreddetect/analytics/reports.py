@@ -51,12 +51,21 @@ def _csv(rows: list[list]) -> str:
     return buf.getvalue()
 
 
+_CELL_PIPE = re.compile(r"(\\*)\|")
+
+
+def _md_cell(value) -> str:
+    """value as one table cell: each "|" escaped, and the backslashes
+    right before it doubled, so that none ends the cell."""
+    return _CELL_PIPE.sub(lambda m: m[1] * 2 + "\\|", str(value))
+
+
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
     lines = [
-        "| " + " | ".join(header) + " |",
+        "| " + " | ".join(map(_md_cell, header)) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
-    lines.extend("| " + " | ".join(str(c) for c in row) + " |" for row in rows)
+    lines.extend("| " + " | ".join(map(_md_cell, row)) + " |" for row in rows)
     return "\n".join(lines) + "\n"
 
 

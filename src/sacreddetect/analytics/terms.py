@@ -1,25 +1,22 @@
 """Phrase reports: how each classifier labels sentences containing a phrase.
 
-Phrase matching is case-insensitive, whitespace-normalized substring with
-word boundaries at both ends -- "sacred earth" finds "Sacred  Earth" but
-not "sacredearthy".
+Phrase matching is substring with word boundaries at both ends, after
+the lexicon's normalization of forms (lower-cased, whitespace collapsed)
+-- "sacred earth" finds "Sacred  Earth" but not "sacredearthy".
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..lexicon.tree import normalize_form
+
 if TYPE_CHECKING:
     from .matrix import LabelMatrix
 
 
-def normalize_phrase(text: str) -> str:
-    """Lower-cased, with each whitespace run one space and none at the ends."""
-    return " ".join(text.lower().split())
-
-
 def phrase_in_normalized(norm_text: str, norm_phrase: str) -> bool:
-    """phrase_in_text on texts already passed through normalize_phrase."""
+    """phrase_in_text on texts already passed through normalize_form."""
     if not norm_phrase:
         return False
     start = 0
@@ -36,7 +33,7 @@ def phrase_in_normalized(norm_text: str, norm_phrase: str) -> bool:
 
 
 def phrase_in_text(text: str, phrase: str) -> bool:
-    return phrase_in_normalized(normalize_phrase(text), normalize_phrase(phrase))
+    return phrase_in_normalized(normalize_form(text), normalize_form(phrase))
 
 
 def term_report(matrix: LabelMatrix, phrase: str) -> dict:

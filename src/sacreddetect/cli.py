@@ -2,8 +2,10 @@
 
 Each stage is its own subcommand because the expensive ones (live harvests,
 hosted batch inference) run for hours and get scheduled independently;
-operators launch stages and read files. Exit codes: 0 success, 2 config
-error, 3 prerequisite error, 4 provider failure (resumable).
+operators launch stages and read files. Every setting of a run lives in
+its config file, and the global --config and --output-root choose which
+run. Exit codes: 0 success, 2 config error, 3 prerequisite error, 4
+provider failure (resumable).
 """
 
 from __future__ import annotations
@@ -54,10 +56,9 @@ def _load_config(ctx: click.Context, tree_only: bool = False) -> PipelineConfig:
     default=None,
     help="Override the configured output root.",
 )
-@click.option("--stub", is_flag=True, help="Force the deterministic stub provider.")
 @click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
 @click.pass_context
-def main(ctx, config_path, output_root, stub, verbose):
+def main(ctx, config_path, output_root, verbose):
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -66,7 +67,6 @@ def main(ctx, config_path, output_root, stub, verbose):
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path or default_config_path()
     ctx.obj["output_root"] = output_root
-    ctx.obj["stub"] = stub
 
 
 @main.command()
@@ -87,26 +87,14 @@ def validate(ctx, tree_only):
 
 
 @main.command()
-@click.option("--rate", type=float, default=None, help="Max requests/second per host.")
-@click.option("--retries", type=int, default=None, help="Retry count for fetches.")
-@click.option("--timeout", type=float, default=None, help="Fetch timeout in seconds.")
-@click.option("--resume/--no-resume", default=True, help="Skip URLs already stored.")
 @click.option("--sample", is_flag=True, help="Install the bundled sample pages instead of fetching.")
 @click.pass_context
-def harvest(ctx, rate, retries, timeout, resume, sample):
-    """Query the archive index and fetch live pages into the raw store."""
-    config = _load_config(ctx, tree_only=True)
-    if rate is not None or retries is not None or timeout is not None:
-        from .config import FetchPolicy
+def harvest(ctx, sample):
+    """Query the archive index and fetch live pages into the raw store.
 
-        config.policy = FetchPolicy(
-            rate_per_host=rate if rate is not None else config.policy.rate_per_host,
-            retries=retries if retries is not None else config.policy.retries,
-            timeout=timeout if timeout is not None else config.policy.timeout,
-            backoff=config.policy.backoff,
-        )
-        config.policy.validate()
-    stages.run_harvest(config, resume=resume, sample=sample)
+    A URL already stored, fetched or failed, is never fetched again.
+    """
+    stages.run_harvest(_load_config(ctx, tree_only=True), sample=sample)
 
 
 @main.command()
@@ -117,18 +105,10 @@ def extract(ctx):
 
 
 @main.command()
-@click.option("--lexicon", type=click.Path(exists=True, path_type=Path), default=None)
-@click.option("--corpus", "corpus_dir", type=click.Path(path_type=Path), default=None)
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
 @click.pass_context
-def match(ctx, lexicon, corpus_dir, out_dir):
-    """Label every sentence with the hierarchical lexicon.
-
-    --corpus/--out run an ad-hoc match over explicit directories instead of
-    the staged layout.
-    """
-    config = _load_config(ctx, tree_only=True)
-    stages.run_match(config, lexicon_path=lexicon, corpus_dir=corpus_dir, out_dir=out_dir)
+def match(ctx):
+    """Label every sentence with the configured lexicon tree."""
+    stages.run_match(_load_config(ctx, tree_only=True))
 
 
 @main.command("batch-build")
@@ -140,11 +120,10 @@ def batch_build(ctx):
 
 @main.command()
 @click.option("--model", default=None, help="Classify with this model only.")
-@click.option("--provider", default=None, help="Override the configured provider.")
-@click.option("--stub", "stub_flag", is_flag=True, help="Use the deterministic stub provider.")
+@click.option("--stub", is_flag=True, help="Use the deterministic stub provider.")
 @click.option("--strict-json", is_flag=True, help="Require whole-message JSON responses.")
 @click.pass_context
-def classify(ctx, model, provider, stub_flag, strict_json):
+def classify(ctx, model, stub, strict_json):
     """Run the LLM judges (or the stub) over the batch files.
 
     The prompt template is a batch-build input: to change it, edit the
@@ -152,9 +131,8 @@ def classify(ctx, model, provider, stub_flag, strict_json):
     """
     stages.run_classify(
         _load_config(ctx),
-        stub=stub_flag or ctx.obj["stub"],
+        stub=stub,
         only_model=model,
-        provider_override=provider,
         strict_json=strict_json,
     )
 

@@ -173,16 +173,15 @@ def harvest_source(
     session: requests.Session,
     gate: HostGate,
     robots: RobotsCache | None = None,
-    resume: bool = True,
 ) -> Counter:
     """Fetch a source's worklist into the store; returns outcome counters.
 
-    With resume enabled, URLs already present in the store are skipped, so
+    URLs already present in the store, fetched or failed, are skipped, so
     an interrupted harvest continues rather than refetching.
     """
     counters: Counter = Counter()
     for url in worklist:
-        if resume and store.has_url(url):
+        if store.has_url(url):
             counters["skipped_existing"] += 1
             continue
         if robots is not None and not robots.allowed(url):

@@ -11,8 +11,9 @@ hand-curated, so editability comes first:
 
 Two-space indentation nests a concept under its parent; ``name: v1, v2``
 attaches matchable surface forms to a concept; ``exclude:`` (top level
-only) lists forms that must never match. ``#`` lines are comments. A
-canonical JSON form exists for programmatic use.
+only) lists forms that must never match. ``#`` lines are comments.
+``match`` writes a canonical JSON export of the loaded tree next to its
+labels, as the record of which lexicon it ran with; it is not read back.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ class Lexicon:
 
 
 def normalize_form(form: str) -> str:
-    """Lowercase, trimmed, internal whitespace collapsed to single spaces."""
+    """Lowercase, trimmed, internal whitespace collapsed to single spaces.
+
+    The one normalization of lexicon forms and report phrases alike.
+    """
     return " ".join(form.lower().split())
 
 
@@ -177,35 +181,9 @@ def lexicon_to_json(lexicon: Lexicon) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def lexicon_from_json(text: str) -> Lexicon:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"invalid lexicon JSON: {exc}") from None
-
-    def node_from(d: dict) -> LexiconNode:
-        return LexiconNode(
-            name=d["name"],
-            variants=[normalize_form(v) for v in d.get("variants", [])],
-            children=[node_from(c) for c in d.get("children", [])],
-        )
-
-    try:
-        lexicon = Lexicon(
-            roots=[node_from(r) for r in payload["roots"]],
-            exclusions=[normalize_form(e) for e in payload.get("exclusions", [])],
-        )
-    except (KeyError, TypeError) as exc:
-        raise LexiconError(f"invalid lexicon JSON structure: {exc}") from None
-    return validate_lexicon(lexicon)
-
-
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load and validate a lexicon file (.json or the indented tree format)."""
+    """Load and validate a lexicon file in the indented tree format."""
     path = Path(path)
     if not path.is_file():
         raise LexiconError(f"lexicon file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        return lexicon_from_json(text)
-    return parse_lexicon_text(text)
+    return parse_lexicon_text(path.read_text(encoding="utf-8"))

@@ -52,7 +52,7 @@ from .judge.prompts import prompt_hash
 from .judge.verdicts import REASONS, VERDICT_ROW_VERSION
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
-from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
+from .manifest import RunManifest, is_current, read_manifest, write_manifest
 from .textpipe.corpus import (
     CleanDocument,
     SentenceRecord,
@@ -177,27 +177,26 @@ def _sibling(out_dir: Path, suffix: str) -> Path:
     return out_dir.with_name(f".{out_dir.name}.{suffix}")
 
 
-def _produce(stage: str, outputs: dict[Path, dict[str, str]], build, adopt: bool = True) -> None:
+def _produce(stage: str, outputs: dict[Path, dict[str, str]], build) -> None:
     """Produce each output directory unless its manifest already matches
     its inputs; outputs maps each directory to its inputs.
 
-    build(tmps) gets a dict from each stale directory to an empty sibling
-    directory, writes that directory's outputs into the sibling, and
-    returns a dict from each stale directory to its manifest params. Each
-    manifest goes in last, and then each sibling replaces its directory
-    whole; a directory that is up to date is left untouched. A build that
-    raises leaves every directory untouched and removes the siblings and
-    the parent directories this call made, while they are empty. A
-    non-empty directory without a manifest is replaced only with adopt (a
-    stage directory under the output root); otherwise it may be a user's
-    directory, and it is refused.
+    The hidden siblings a killed run left beside any output directory go
+    first, whether or not the directory is current. build(tmps) gets a
+    dict from each stale directory to an empty sibling directory, writes
+    that directory's outputs into the sibling, and returns a dict from each
+    stale directory to its manifest params. Each manifest goes in last, and
+    then each sibling replaces its directory whole; a directory that is up
+    to date is left untouched. A build that raises leaves every directory
+    untouched and removes the siblings and the parent directories this
+    call made, while they are empty.
     """
     stale = {}
     for out_dir, inputs in outputs.items():
+        for leftover in (_sibling(out_dir, "tmp"), _sibling(out_dir, "old")):
+            shutil.rmtree(leftover, ignore_errors=True)
         if is_current(out_dir, inputs):
             log.info("%s: %s is up to date", stage, out_dir)
-        elif not adopt and read_manifest(out_dir) is None and any(out_dir.glob("*")):
-            raise ConfigError(f"{out_dir} is not empty and has no {MANIFEST_NAME}; not replacing it")
         else:
             stale[out_dir] = inputs
     if not stale:
@@ -206,9 +205,7 @@ def _produce(stage: str, outputs: dict[Path, dict[str, str]], build, adopt: bool
     tmps = {out_dir: _sibling(out_dir, "tmp") for out_dir in stale}
     made: list[list[Path]] = []
     try:
-        for out_dir, tmp in tmps.items():
-            for leftover in (tmp, _sibling(out_dir, "old")):  # left by a killed run
-                shutil.rmtree(leftover, ignore_errors=True)
+        for tmp in tmps.values():
             made.append(_missing_dirs(tmp.parent))
             tmp.mkdir(parents=True)
         params = build(tmps)
@@ -241,13 +238,13 @@ def _sources_fingerprint(config: PipelineConfig) -> str:
 # --- harvest ----------------------------------------------------------------
 
 
-def run_harvest(config: PipelineConfig, resume: bool = True, sample: bool = False) -> None:
+def run_harvest(config: PipelineConfig, sample: bool = False) -> None:
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         if sample:
             _harvest_sample(config, layout)
         else:
-            _harvest_live(config, layout, resume=resume)
+            _harvest_live(config, layout)
 
 
 def _harvest_sample(config: PipelineConfig, layout: Layout) -> None:
@@ -286,7 +283,7 @@ def _harvest_sample(config: PipelineConfig, layout: Layout) -> None:
     log.info("harvest: installed %d sample documents", len(pages))
 
 
-def _harvest_live(config: PipelineConfig, layout: Layout, resume: bool) -> None:
+def _harvest_live(config: PipelineConfig, layout: Layout) -> None:
     # the network stack loads here, so that no offline command pays for it
     import requests
 
@@ -316,7 +313,7 @@ def _harvest_live(config: PipelineConfig, layout: Layout, resume: bool) -> None:
         log.info("harvest %s: %d snapshot records, %d live URLs", spec.ngo_id, len(records), len(urls))
         counters.update(
             fetch.harvest_source(
-                spec, urls, snapshots, store, config.policy, session, gate, robots, resume
+                spec, urls, snapshots, store, config.policy, session, gate, robots
             )
         )
         return counters
@@ -414,32 +411,20 @@ def run_extract(config: PipelineConfig) -> None:
 # --- match ------------------------------------------------------------------
 
 
-def run_match(
-    config: PipelineConfig,
-    lexicon_path: Path | None = None,
-    corpus_dir: Path | None = None,
-    out_dir: Path | None = None,
-) -> None:
-    """Staged match over the pipeline corpus, or ad-hoc over explicit dirs."""
+def run_match(config: PipelineConfig) -> None:
     layout = Layout(config.output_root)
-    src = corpus_dir or layout.corpus
-    dst = out_dir or layout.labels_tree
     with stage_lock(layout.root):
-        if corpus_dir is None:
-            _require_manifest(layout.corpus, "extract")
-        elif not any(src.glob("*.jsonl")):
-            raise PrerequisiteError(f"no corpus files (*.jsonl) under {src}")
-        lexicon_file = lexicon_path or config.lexicon_path
-        inputs = _hash_dir_files(src)
-        inputs["lexicon"] = sha256_file(lexicon_file)
+        _require_manifest(layout.corpus, "extract")
+        inputs = _hash_dir_files(layout.corpus)
+        inputs["lexicon"] = sha256_file(config.lexicon_path)
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
-            out = tmps[dst]
-            lexicon = load_lexicon(lexicon_file)
+            out = tmps[layout.labels_tree]
+            lexicon = load_lexicon(config.lexicon_path)
             matcher = compile_matcher(lexicon)
             write_text(out / "lexicon.json", lexicon_to_json(lexicon))  # canonical export
             counters: Counter = Counter()
-            for path in sorted(src.glob("*.jsonl")):
+            for path in sorted(layout.corpus.glob("*.jsonl")):
                 corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
                 results = classify_corpus(matcher, corpus)
                 write_jsonl(out / path.name, (r.to_dict() for r in results))
@@ -452,14 +437,14 @@ def run_match(
                     100.0 * yes / len(results) if results else 0.0,
                 )
             return {
-                dst: {
-                    "lexicon": str(lexicon_file),
+                layout.labels_tree: {
+                    "lexicon": str(config.lexicon_path),
                     "patterns": matcher.pattern_count,
                     "counters": dict(counters),
                 }
             }
 
-        _produce("match", {dst: inputs}, build, adopt=out_dir is None)
+        _produce("match", {layout.labels_tree: inputs}, build)
 
 
 # --- batch-build ------------------------------------------------------------
@@ -534,7 +519,6 @@ def run_classify(
     config: PipelineConfig,
     stub: bool = False,
     only_model: str | None = None,
-    provider_override: str | None = None,
     strict_json: bool = False,
 ) -> None:
     layout = Layout(config.output_root)
@@ -560,7 +544,7 @@ def run_classify(
                     f"batches for model {model.model_id!r} were built from an older "
                     "corpus; run `sacreddetect batch-build` first"
                 )
-            provider_name = "stub" if stub else (provider_override or model.provider)
+            provider_name = "stub" if stub else model.provider
             job = _ClassifyJob(
                 model_id=model.model_id,
                 provider_name=provider_name,

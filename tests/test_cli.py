@@ -55,41 +55,56 @@ def test_prerequisite_error_exit_code(monkeypatch, tmp_path):
     assert code == 3
 
 
+def _sample_config_with(tmp_path, old, new):
+    """A copy of the sample config with the first old line replaced by new."""
+    text = sample_config_path().read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "config.toml"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return path
+
+
 def test_provider_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     monkeypatch.delenv("GROQ_API_KEY", raising=False)
-    root = str(tmp_path / "run")
-    config = ["--config", str(sample_config_path()), "--output-root", root]
+    # the first model, gpt-4o-mini, on a live provider without credentials
+    path = _sample_config_with(tmp_path, 'provider = "stub"', 'provider = "openai-batch"')
+    config = ["--config", str(path), "--output-root", str(tmp_path / "run")]
     assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 0
     assert run_cli([*config, "extract"], monkeypatch) == 0
     assert run_cli([*config, "batch-build"], monkeypatch) == 0
-    # force a live provider without credentials -> run-level failure
-    code = run_cli(
-        [*config, "classify", "--model", "gpt-4o-mini", "--provider", "openai-batch"],
-        monkeypatch,
-    )
-    assert code == 4
-
-
-def test_global_stub_flag(monkeypatch, tmp_path):
-    root = str(tmp_path / "run")
-    config = ["--config", str(sample_config_path()), "--output-root", root, "--stub"]
-    assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 0
-    assert run_cli([*config, "extract"], monkeypatch) == 0
-    assert run_cli([*config, "match"], monkeypatch) == 0
-    assert run_cli([*config, "batch-build"], monkeypatch) == 0
-    assert run_cli([*config, "classify"], monkeypatch) == 0
-    assert run_cli([*config, "analyze"], monkeypatch) == 0
-    assert run_cli([*config, "report"], monkeypatch) == 0
+    code = run_cli([*config, "classify", "--model", "gpt-4o-mini"], monkeypatch)
+    assert code == 4  # a run-level provider failure
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
 def test_harvest_rate_must_be_finite_and_positive(monkeypatch, tmp_path, caplog, rate):
-    root = str(tmp_path / "run")
-    config = ["--config", str(sample_config_path()), "--output-root", root]
-    assert run_cli([*config, "harvest", "--sample", "--rate", rate], monkeypatch) == 2
+    path = _sample_config_with(tmp_path, "rate_per_host = 1.0", f"rate_per_host = {rate}")
+    root = tmp_path / "run"
+    config = ["--config", str(path), "--output-root", str(root)]
+    assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 2
     assert "policy.rate_per_host: must be a finite number > 0" in caplog.text
-    assert not Path(root).exists()
+    assert not root.exists()
+
+
+def test_each_command_has_only_its_pinned_options():
+    """Every setting of a run lives in its config file, so an option here
+    chooses which run or what to do; a new one must be added to this list."""
+
+    def options(command):
+        return ["/".join(param.opts) for param in command.params]
+
+    assert options(cli.main) == ["--config", "--output-root", "-v/--verbose"]
+    assert {name: options(command) for name, command in cli.main.commands.items()} == {
+        "validate": ["--tree-only"],
+        "harvest": ["--sample"],
+        "extract": [],
+        "match": [],
+        "batch-build": [],
+        "classify": ["--model", "--stub", "--strict-json"],
+        "analyze": ["--tree-only"],
+        "report": [],
+    }
 
 
 def test_help_lists_all_commands():

@@ -1,13 +1,8 @@
 import pytest
 
 from sacreddetect.errors import LexiconError
-from sacreddetect.lexicon import (
-    Lexicon,
-    LexiconNode,
-    lexicon_to_json,
-    parse_lexicon_text,
-)
-from sacreddetect.lexicon.tree import lexicon_from_json, validate_lexicon
+from sacreddetect.lexicon import Lexicon, LexiconNode, parse_lexicon_text
+from sacreddetect.lexicon.tree import validate_lexicon
 
 
 def test_starter_has_expected_roots(starter_lexicon):
@@ -100,14 +95,6 @@ def test_comments_and_blank_lines_ignored():
     text = "# a comment\n\ngeneral: god\n  # nested comment\n  node: prayer\n"
     lexicon = parse_lexicon_text(text)
     assert lexicon.all_variants() == ["god", "prayer"]
-
-
-def test_json_round_trip(starter_lexicon):
-    dumped = lexicon_to_json(starter_lexicon)
-    again = lexicon_from_json(dumped)
-    assert lexicon_to_json(again) == dumped
-    assert again.all_variants() == starter_lexicon.all_variants()
-    assert again.exclusions == starter_lexicon.exclusions
 
 
 def test_validate_direct_construction():

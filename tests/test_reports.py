@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 from sacreddetect.analytics.reports import (
     fmt_pct,
@@ -99,6 +100,33 @@ def test_render_reports_bundle(tmp_path):
     footer = (tmp_path / "table2.md").read_text()
     assert "abc123" in footer
     assert "disagreement" in footer  # footnote documents the malformed rule
+
+
+def _table_cells(line):
+    """The cells of a markdown table line, each ended by a pipe that no
+    backslash escapes (GitHub's rule), the empty one before the first
+    pipe included."""
+    return re.findall(r"(?:\\.|[^\\|])*\|", line)
+
+
+def test_consistency_rows_keep_a_pipe_in_the_sentence(tmp_path):
+    def group(text):
+        per_classifier = {"n_yes": 0, "n_no": 2, "n_malformed": 0, "consistency": 1.0}
+        return {"text": text, "n_occurrences": 2,
+                "per_classifier": {"tree": per_classifier, "gpt": per_classifier}}
+
+    texts = ["Home | News | About us", "a path C:\\| ends"]
+    render_from_bundle(tmp_path, small_bundle(consistency=map(group, texts)))
+    table = [
+        line for line in (tmp_path / "consistency.md").read_text().splitlines()
+        if line.startswith("|")
+    ]
+    assert len(table) == 2 + len(texts)
+    header = _table_cells(table[0])
+    for line in table:
+        assert len(_table_cells(line)) == len(header), line
+    assert "| Home \\| News \\| About us |" in table[2]
+    assert "| a path C:\\\\\\| ends |" in table[3]
 
 
 def test_stats_json_full_precision(tmp_path):

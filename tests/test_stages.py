@@ -6,10 +6,9 @@ import shutil
 
 import pytest
 
-from sacreddetect.config import ModelSpec, sample_config_path, validate_config
+from sacreddetect.config import ModelSpec, bundled_path, sample_config_path, validate_config
 from sacreddetect import stages
 from sacreddetect.errors import (
-    ConfigError,
     CoverageError,
     PrerequisiteError,
     ProviderError,
@@ -21,6 +20,7 @@ from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import StubProvider, parse_result_lines
 from sacreddetect.judge.verdicts import REASONS
+from sacreddetect.lexicon import parse_lexicon_text
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
 from sacreddetect.stages import (
@@ -104,6 +104,70 @@ def test_full_sample_pipeline(sample_config):
     mother_earth = (layout.reports / "terms" / "mother-earth.md").read_text()
     assert "## Samples" in mother_earth
     assert "  - gpt-4o-mini: " in mother_earth
+
+
+def _run_all(config):
+    run_harvest(config, sample=True)
+    run_extract(config)
+    run_match(config)
+    run_batch_build(config)
+    run_classify(config, stub=True)
+    run_analyze(config)
+    run_report(config)
+
+
+def _exported_tree(node, path=()):
+    """(path, variants) of each node of lexicon.json, depth first."""
+    here = (*path, node["name"])
+    yield here, node["variants"]
+    for child in node["children"]:
+        yield from _exported_tree(child, here)
+
+
+def test_a_lexicon_edit_in_the_config_reruns_match_and_analyze_only(sample_config, tmp_path):
+    """The curator's loop: the config's lexicon key names an edited tree,
+    match rebuilds from it and exports it, and no model stage re-runs."""
+    layout = Layout(sample_config.output_root)
+    _run_all(sample_config)
+    untouched = [
+        layout.corpus,
+        *(layout.batches(m.model_id) for m in sample_config.models),
+        *(layout.labels_model(m.model_id) for m in sample_config.models),
+    ]
+    manifests = {d: (d / "manifest.json").read_bytes() for d in untouched}
+    match_inputs = read_manifest(layout.labels_tree).inputs
+    analysis_inputs = read_manifest(layout.analysis).inputs
+    tree_yes = json.loads((layout.analysis / "stats.json").read_text())["rates"]["tree|total"]["n_yes"]
+
+    tree_text = bundled_path("starter.tree").read_text(encoding="utf-8") + "  apostle: apostles\n"
+    (tmp_path / "curated.tree").write_text(tree_text, encoding="utf-8")
+    config_text = sample_config_path().read_text(encoding="utf-8")
+    assert 'lexicon = "starter"' in config_text
+    (tmp_path / "curated.toml").write_text(
+        config_text.replace('lexicon = "starter"', 'lexicon = "curated.tree"'), encoding="utf-8"
+    )
+    curated = validate_config(tmp_path / "curated.toml")
+    curated.output_root = sample_config.output_root
+    _run_all(curated)
+
+    assert {d: (d / "manifest.json").read_bytes() for d in untouched} == manifests
+    inputs = read_manifest(layout.labels_tree).inputs
+    assert inputs["lexicon"] != match_inputs["lexicon"]
+    assert {k: v for k, v in inputs.items() if k != "lexicon"} == {
+        k: v for k, v in match_inputs.items() if k != "lexicon"
+    }
+    # the export records the lexicon match ran with
+    lexicon = parse_lexicon_text(tree_text)
+    exported = json.loads((layout.labels_tree / "lexicon.json").read_text(encoding="utf-8"))
+    assert [node for root in exported["roots"] for node in _exported_tree(root)] == [
+        (path, node.variants) for path, node in lexicon.walk()
+    ]
+    assert exported["exclusions"] == lexicon.exclusions
+    # "the apostles and disciples" is now religious language
+    assert read_manifest(layout.analysis).inputs != analysis_inputs
+    bundle = json.loads((layout.analysis / "stats.json").read_text())
+    assert bundle["rates"]["tree|total"]["n_yes"] == tree_yes + 1
+    assert (layout.reports / "stats.json").read_text() == (layout.analysis / "stats.json").read_text()
 
 
 def test_sample_rows_decode_equal_under_json_and_orjson(sample_config):
@@ -201,16 +265,6 @@ def test_crash_safety_partial_outputs_rerun(sample_config):
     run_match(sample_config)
 
 
-def test_adhoc_match_directories(sample_config, tmp_path):
-    run_harvest(sample_config, sample=True)
-    run_extract(sample_config)
-    layout = Layout(sample_config.output_root)
-    out = tmp_path / "adhoc-labels"
-    run_match(sample_config, corpus_dir=layout.corpus, out_dir=out)
-    assert (out / "cca.jsonl").is_file()
-    assert read_manifest(out) is not None
-
-
 def test_stage_lock_race_raises_locked_error(monkeypatch, tmp_path):
     root = tmp_path / "race"
     real_open = os.open
@@ -266,19 +320,17 @@ def test_produce_rerun_removes_files_it_no_longer_writes(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stage"]
 
 
-def test_produce_refuses_unmanaged_directory(sample_config, tmp_path):
-    user_dir = tmp_path / "mine"
-    user_dir.mkdir()
-    (user_dir / "notes.txt").write_text("keep me")
-    with pytest.raises(ConfigError, match="manifest.json"):
-        stages._produce("demo", {user_dir: {"in": "1"}}, _write("a.txt"), adopt=False)
-    run_harvest(sample_config, sample=True)
-    run_extract(sample_config)
-    layout = Layout(sample_config.output_root)
-    with pytest.raises(ConfigError):  # `match --out` onto a user's directory
-        run_match(sample_config, corpus_dir=layout.corpus, out_dir=user_dir)
-    assert sorted(p.name for p in user_dir.iterdir()) == ["notes.txt"]
-    assert (user_dir / "notes.txt").read_text() == "keep me"
+def test_produce_removes_a_killed_runs_siblings_beside_a_current_output(tmp_path):
+    out = tmp_path / "stage"
+    stages._produce("demo", {out: {"in": "1"}}, _write("a.txt"))
+    manifest = (out / "manifest.json").read_bytes()
+    for suffix in ("tmp", "old"):  # as a run killed mid-build or mid-swap leaves them
+        sibling = tmp_path / f".stage.{suffix}"
+        sibling.mkdir()
+        (sibling / "a.txt").write_text("left over")
+    stages._produce("demo", {out: {"in": "1"}}, _write("a.txt"))  # up to date: a no-op
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stage"]
 
 
 def test_dropped_source_leaves_corpus_and_labels(sample_config):
@@ -742,6 +794,11 @@ def test_classify_rerun_hashes_no_saved_results(sample_config, monkeypatch):
     assert not [p for p in hashed if p.endswith(".results.jsonl")]
 
 
+def _switch_provider(config, provider_name):
+    """Configure every model on provider_name, as an edit of the config file does."""
+    config.models = [dataclasses.replace(m, provider=provider_name) for m in config.models]
+
+
 class FlakyProvider:
     """Stub answers, with a provider failure on one call."""
 
@@ -766,9 +823,9 @@ def test_classify_resume_does_not_resend_finished_files(sample_config, monkeypat
     model = "gpt-4o-mini"
     cca_lines = (layout.batches(model) / "cca.jsonl").read_text().splitlines()
 
-    def classify_with(provider, **kwargs):
+    def classify_with(provider):
         monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
-        run_classify(sample_config, only_model=model, **kwargs)
+        run_classify(sample_config, only_model=model)
 
     with pytest.raises(ProviderError):  # cca done, greenfaith fails
         classify_with(FlakyProvider(fail_on_call=2))
@@ -780,7 +837,8 @@ def test_classify_resume_does_not_resend_finished_files(sample_config, monkeypat
     assert len(labels) == len(cca_lines)
 
     other = FlakyProvider()  # another provider's results are not reused
-    classify_with(other, provider_override="openai-batch")
+    _switch_provider(sample_config, "openai-batch")
+    classify_with(other)
     assert len(other.sent) == 4
 
 
@@ -826,7 +884,8 @@ def test_classify_ignores_another_providers_pending_state(sample_config, monkeyp
     state_path.write_text(json.dumps({"batch_id": "batch_from_openai"}))  # no provider named
     provider = FlakyProvider()
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
-    run_classify(sample_config, only_model=model, provider_override="groq-batch")
+    _switch_provider(sample_config, "groq-batch")
+    run_classify(sample_config, only_model=model)
     assert len(provider.states) == 4
     assert not any("batch_id" in state for state in provider.states)
     assert json.loads(state_path.read_text()) == {"provider": "groq-batch", "done": True}
@@ -855,8 +914,9 @@ def test_classify_pending_state_names_its_provider(sample_config, monkeypatch):
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
 
     def classify(provider_name):
+        _switch_provider(sample_config, provider_name)
         with pytest.raises(ProviderError):
-            run_classify(sample_config, only_model=model, provider_override=provider_name)
+            run_classify(sample_config, only_model=model)
         return provider.states[-1]
 
     assert classify("openai-batch") == {}
