@@ -175,11 +175,12 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
 
     pol = _expect(raw, "policy", dict, default={})
     _reject_unknown_keys(pol, _field_names(FetchPolicy), "policy", "[policy]")
+    default = FetchPolicy()
     policy = FetchPolicy(
-        rate_per_host=float(_expect(pol, "rate_per_host", _NUMBER, "policy", 1.0)),
-        retries=_expect(pol, "retries", int, "policy", 3),
-        timeout=float(_expect(pol, "timeout", _NUMBER, "policy", 20.0)),
-        backoff=float(_expect(pol, "backoff", _NUMBER, "policy", 2.0)),
+        rate_per_host=float(_expect(pol, "rate_per_host", _NUMBER, "policy", default.rate_per_host)),
+        retries=_expect(pol, "retries", int, "policy", default.retries),
+        timeout=float(_expect(pol, "timeout", _NUMBER, "policy", default.timeout)),
+        backoff=float(_expect(pol, "backoff", _NUMBER, "policy", default.backoff)),
     )
     policy.validate()
 

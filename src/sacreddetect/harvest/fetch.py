@@ -126,8 +126,8 @@ def fetch_live(
 ) -> RawDocument:
     """Fetch one URL under the policy; always returns a RawDocument.
 
-    Retryable failures (timeout, connection error, 5xx) are retried up to
-    policy.retries times with exponential backoff. The final outcome,
+    Retryable failures (timeout, connection error, 5xx, 429) are retried up
+    to policy.retries times with exponential backoff. The final outcome,
     success or not, is recorded; nothing is raised.
     """
     import requests
@@ -150,7 +150,7 @@ def fetch_live(
             status = resp.status_code
             content_type = resp.headers.get("Content-Type", "")
             body = resp.content if 200 <= status < 300 else b""
-            if status < 500:
+            if status < 500 and status != 429:  # 429: Too Many Requests
                 break
         if attempt < policy.retries:
             sleep(policy.backoff**attempt)

@@ -2,8 +2,10 @@
 
 Both supported providers accept the same OpenAI-style batch line --
 custom_id, method, url, body with chat messages -- so one emitter serves
-both. Line order is fixed to (ngo_id, doc_id, position), which makes the
-emitted file byte-deterministic for a given corpus, template and model.
+both. Lines follow the corpus file's order, which extract writes as
+(ngo_id, doc_id, position), so the emitted file is byte-deterministic for
+a given corpus, template and model. Classify joins results back by
+sentence id, so line order never reaches a label.
 
 All of a line but the custom_id and the user text is the same for every
 sentence of a file, the system prompt above all, so it is encoded once per
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from typing import Iterable
 
 from ..jsonlio import encode_json as _encode
-from ..textpipe.corpus import SentenceRecord
 from .prompts import render_prompt
 
 log = logging.getLogger(__name__)
@@ -30,12 +32,13 @@ BATCH_LIMIT = {"requests": 50_000, "bytes": 200_000_000}
 
 
 def build_batch_file(
-    corpus: list[SentenceRecord],
+    corpus: Iterable[tuple[str, str]],
     template_id: str,
     model_id: str,
     counters: Counter | None = None,
 ) -> list[str]:
-    """Request lines for a corpus; custom_id is the sentence_id.
+    """Request lines for (sentence_id, text) pairs, in their order;
+    custom_id is the sentence_id.
 
     The sentence text goes in verbatim as the user message -- the models
     judge exactly what the corpus holds. Sentences with empty text are
@@ -53,13 +56,11 @@ def build_batch_file(
 
     lines = []
     skipped = 0
-    for rec in sorted(corpus, key=lambda r: (r.ngo_id, r.doc_id, r.position)):
-        if not rec.text:
+    for sentence_id, text in corpus:
+        if not text:
             skipped += 1
             continue
-        lines.append(
-            '{"custom_id": ' + _encode(rec.sentence_id) + between + _encode(rec.text) + "}]}}"
-        )
+        lines.append('{"custom_id": ' + _encode(sentence_id) + between + _encode(text) + "}]}}")
     if skipped:
         # counters may run across calls; the warning is about this one
         counters["batch_skipped_empty"] += skipped

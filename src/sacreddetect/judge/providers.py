@@ -19,7 +19,7 @@ import logging
 import os
 import re
 import time
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 import orjson
 
@@ -42,13 +42,14 @@ class BatchProvider(Protocol):
     name: str
 
     def run_batch(
-        self, lines: list[str], state: dict | None = None, state_save=None
+        self, lines: Iterable[str], state: dict | None = None, state_save=None
     ) -> list[str]:
         """Execute a batch and return raw result lines.
 
-        Each line is a batch request as batch-build writes it: a str that
-        encodes to UTF-8. A line holding a lone surrogate cannot be in a
-        batch file, and run_batch raises ValueError on it.
+        lines is read once, in order. Each line is a batch request as
+        batch-build writes it, without its newline: a str that encodes to
+        UTF-8. A line holding a lone surrogate cannot be in a batch file,
+        and run_batch raises ValueError on it.
 
         state carries submission identifiers across attempts; state_save,
         when given, is called with the state right after submission so the
@@ -107,7 +108,7 @@ class StubProvider:
         return self._no
 
     def run_batch(
-        self, lines: list[str], state: dict | None = None, state_save=None
+        self, lines: Iterable[str], state: dict | None = None, state_save=None
     ) -> list[str]:
         out = []
         for line in lines:
@@ -152,11 +153,11 @@ class _HttpBatchProvider:
         return resp
 
     def run_batch(
-        self, lines: list[str], state: dict | None = None, state_save=None
+        self, lines: Iterable[str], state: dict | None = None, state_save=None
     ) -> list[str]:
         state = state if state is not None else {}
         if "batch_id" not in state:
-            payload = ("\n".join(lines) + "\n").encode("utf-8")
+            payload = "".join(line + "\n" for line in lines).encode("utf-8")
             upload = self._request(
                 "POST",
                 "/files",
@@ -175,7 +176,10 @@ class _HttpBatchProvider:
             state["batch_id"] = batch["id"]
             if state_save is not None:
                 state_save(state)
-            log.info("%s: submitted batch %s (%d requests)", self.name, batch["id"], len(lines))
+            log.info(
+                "%s: submitted batch %s (%d requests)",
+                self.name, batch["id"], payload.count(b"\n"),
+            )
 
         batch = self._poll(state["batch_id"])
         if batch.get("status") != "completed":
@@ -221,7 +225,7 @@ def get_provider(name: str) -> BatchProvider:
     raise ProviderError(f"unknown provider {name!r}")
 
 
-def parse_result_lines(lines: list[str]) -> dict[str, str]:
+def parse_result_lines(lines: Iterable[str]) -> dict[str, str]:
     """custom_id -> assistant message content; unusable rows are dropped
     (their sentences then surface as malformed, reason "missing"). A line
     is decoded by orjson, or by the stdlib json if orjson refuses it.

@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
-from ..textpipe.corpus import SentenceRecord
 from .tree import Lexicon
 
 
@@ -60,8 +60,14 @@ class Match:
 class MatchResult:
     sentence_id: str
     matches: tuple[Match, ...]
-    match_count: int
-    label: str  # yes | no
+
+    @property
+    def match_count(self) -> int:
+        return len(self.matches)
+
+    @property
+    def label(self) -> str:
+        return "yes" if self.matches else "no"
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +205,7 @@ def match_sentence(matcher: Matcher, text: str, sentence_id: str = "") -> MatchR
         # equal lengths mean no character lowered to several; Σ alone lowers
         # by context, so otherwise low is the normalized view's lowering
         if len(low) == len(text) and "Σ" not in text and not matcher.prefilter.search(low):
-            return MatchResult(sentence_id, (), 0, "no")
+            return MatchResult(sentence_id, ())
     return _match_exact(matcher, text, sentence_id)
 
 
@@ -234,15 +240,9 @@ def _match_exact(matcher: Matcher, text: str, sentence_id: str) -> MatchResult:
         span = (origins[s], origins[e - 1] + 1)
         matches.append(Match(variant=pattern.text, path=pattern.path, span=span))
     matches.sort(key=lambda m: (m.span, m.variant))
-
-    return MatchResult(
-        sentence_id=sentence_id,
-        matches=tuple(matches),
-        match_count=len(matches),
-        label="yes" if matches else "no",
-    )
+    return MatchResult(sentence_id, tuple(matches))
 
 
-def classify_corpus(matcher: Matcher, corpus: list[SentenceRecord]) -> list[MatchResult]:
-    """One MatchResult per sentence, in corpus order."""
-    return [match_sentence(matcher, rec.text, rec.sentence_id) for rec in corpus]
+def classify_corpus(matcher: Matcher, corpus: Iterable[tuple[str, str]]) -> list[MatchResult]:
+    """One MatchResult per (sentence_id, text) pair, in corpus order."""
+    return [match_sentence(matcher, text, sentence_id) for sentence_id, text in corpus]

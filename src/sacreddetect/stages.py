@@ -53,12 +53,7 @@ from .judge.verdicts import REASONS, VERDICT_ROW_VERSION
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import RunManifest, is_current, read_manifest, write_manifest
-from .textpipe.corpus import (
-    CleanDocument,
-    SentenceRecord,
-    build_sentence_corpus,
-    filter_corpus,
-)
+from .textpipe.corpus import CleanDocument, build_sentence_corpus, filter_corpus
 from .textpipe.htmltext import extract_main_text
 from .textpipe.langid import detect_language
 from .textpipe.sentences import SPLITTER_VERSION
@@ -411,6 +406,13 @@ def run_extract(config: PipelineConfig) -> None:
 # --- match ------------------------------------------------------------------
 
 
+def load_corpus(path: Path) -> Iterator[tuple[str, str]]:
+    """(sentence_id, text) of each row of one corpus file, in file order:
+    all that match, batch-build, classify and analyze read of the corpus."""
+    for row in read_jsonl(path):
+        yield row["sentence_id"], row["text"]
+
+
 def run_match(config: PipelineConfig) -> None:
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
@@ -425,8 +427,7 @@ def run_match(config: PipelineConfig) -> None:
             write_text(out / "lexicon.json", lexicon_to_json(lexicon))  # canonical export
             counters: Counter = Counter()
             for path in sorted(layout.corpus.glob("*.jsonl")):
-                corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
-                results = classify_corpus(matcher, corpus)
+                results = classify_corpus(matcher, load_corpus(path))
                 write_jsonl(out / path.name, (r.to_dict() for r in results))
                 # a corpus file holds one NGO's sentences
                 yes = sum(r.label == "yes" for r in results)
@@ -469,7 +470,7 @@ def run_batch_build(config: PipelineConfig) -> None:
             counters = {out_dir: Counter() for out_dir in tmps}
             for path in sorted(layout.corpus.glob("*.jsonl")):
                 # decoded once for every stale model
-                corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(path)]
+                corpus = list(load_corpus(path))
                 for out_dir, tmp in tmps.items():
                     lines = batch_mod.build_batch_file(
                         corpus, config.prompt_template, models[out_dir].model_id, counters[out_dir]
@@ -507,12 +508,11 @@ def _request_files(batch_dir: Path) -> list[Path]:
     ]
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_lines(path: Path) -> Iterator[str]:
     # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
-    # like raw, and str.splitlines would break at them. Read line by line,
-    # so the file's whole text is never held as well.
+    # like raw, and str.splitlines would break at them
     with open(path, encoding="utf-8", newline="\n") as fh:
-        return [ln.removesuffix("\n") for ln in fh if ln != "\n"]
+        yield from (ln.removesuffix("\n") for ln in fh if ln != "\n")
 
 
 def run_classify(
@@ -580,7 +580,7 @@ def run_classify(
                 # one NGO's ids at a time, decoded once for every stale model
                 corpus_path = layout.corpus / name
                 sentence_ids = (
-                    [row["sentence_id"] for row in read_jsonl(corpus_path)]
+                    [sentence_id for sentence_id, _ in load_corpus(corpus_path)]
                     if corpus_path.is_file()
                     else []
                 )
@@ -674,12 +674,6 @@ def _classify_file(
 
 
 # --- analyze ----------------------------------------------------------------
-
-
-def load_corpus(path: Path) -> Iterator[tuple[str, str]]:
-    """(sentence_id, text) of each row of one corpus file."""
-    for row in read_jsonl(path):
-        yield row["sentence_id"], row["text"]
 
 
 def _load_tree_results(path: Path) -> Iterator[tuple[str, str]]:

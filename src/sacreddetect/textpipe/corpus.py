@@ -55,16 +55,6 @@ class SentenceRecord:
             "text": self.text,
         }
 
-    @staticmethod
-    def from_dict(row: dict) -> "SentenceRecord":
-        return SentenceRecord(
-            sentence_id=row["sentence_id"],
-            doc_id=row["doc_id"],
-            ngo_id=row["ngo_id"],
-            position=int(row["position"]),
-            text=row["text"],
-        )
-
 
 def filter_corpus(
     docs: list[CleanDocument], counters: Counter | None = None

@@ -80,6 +80,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 self._send(503, b"try later", "text/html")
             else:
                 self._send(200, b"<p>recovered at last, " + b"word " * 12 + b"</p>", "text/html")
+        elif self.path.startswith("/throttled"):
+            srv.throttled_hits += 1
+            if srv.throttled_hits <= 2:
+                self._send(429, b"slow down", "text/html")
+            else:
+                self._send(200, b"<p>let through at last, " + b"word " * 12 + b"</p>", "text/html")
         else:
             body = b"<html><body><p>" + b"plain words " * 10 + b"</p></body></html>"
             self._send(200, body, "text/html")
@@ -97,6 +103,7 @@ def http_server():
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.request_log = []
     server.flaky_hits = 0
+    server.throttled_hits = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -105,3 +112,4 @@ def http_server():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()

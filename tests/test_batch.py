@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import dict_batch_line
 
 from sacreddetect.judge import TEMPLATE_IDS, build_batch_file, render_prompt
-from sacreddetect.textpipe.corpus import SentenceRecord
 
 # characters JSON escapes (quote, backslash, C0 controls) or leaves raw
 # (DEL, U+0085, U+2028, U+2029), and non-ASCII up to the astral planes
@@ -19,10 +18,14 @@ TRICKY = st.one_of(
 
 def corpus3():
     return [
-        SentenceRecord.make("d1", "a", 0, "First sentence here."),
-        SentenceRecord.make("d1", "a", 1, "Second sentence here."),
-        SentenceRecord.make("d2", "b", 0, "Third sentence here."),
+        ("s1", "First sentence here."),
+        ("s2", "Second sentence here."),
+        ("s3", "Third sentence here."),
     ]
+
+
+def pairs(records):
+    return [(rec.sentence_id, rec.text) for rec in records]
 
 
 def test_one_line_per_sentence_distinct_custom_ids():
@@ -35,8 +38,9 @@ def test_one_line_per_sentence_distinct_custom_ids():
 def test_byte_identical_across_runs():
     corpus = corpus3()
     first = build_batch_file(corpus, "revised", "gpt-4o-mini")
-    second = build_batch_file(list(reversed(corpus)), "revised", "gpt-4o-mini")
-    assert first == second  # order fixed by (ngo, doc, position), not input order
+    assert build_batch_file(iter(corpus), "revised", "gpt-4o-mini") == first
+    # lines keep the input's order, which extract fixed in the corpus file
+    assert build_batch_file(corpus[::-1], "revised", "gpt-4o-mini") == first[::-1]
 
 
 def test_line_shape():
@@ -51,7 +55,7 @@ def test_line_shape():
 
 
 def test_sample_corpus_embeds_full_revised_prompt(sample_corpus):
-    lines = build_batch_file(sample_corpus, "revised", "gpt-4o-mini")
+    lines = build_batch_file(pairs(sample_corpus), "revised", "gpt-4o-mini")
     assert len(lines) == 10
     system = render_prompt("revised")
     for line in lines:
@@ -60,14 +64,14 @@ def test_sample_corpus_embeds_full_revised_prompt(sample_corpus):
 
 
 def test_user_text_verbatim(sample_corpus):
-    lines = build_batch_file(sample_corpus, "revised", "m")
+    lines = build_batch_file(pairs(sample_corpus), "revised", "m")
     by_id = {json.loads(l)["custom_id"]: json.loads(l) for l in lines}
     for rec in sample_corpus:
         assert by_id[rec.sentence_id]["body"]["messages"][1]["content"] == rec.text
 
 
 def test_empty_text_skipped_with_count():
-    corpus = corpus3() + [SentenceRecord("sid-empty", "d9", "c", 0, "")]
+    corpus = corpus3() + [("sid-empty", "")]
     counters = Counter()
     lines = build_batch_file(corpus, "revised", "m", counters=counters)
     assert len(lines) == 3
@@ -81,6 +85,5 @@ def test_empty_text_skipped_with_count():
     model_id=st.text(st.one_of(st.sampled_from(['"', "\\", "é", "模"]), st.characters()), min_size=1),
 )
 def test_lines_equal_the_whole_dict_encoding(rows, template_id, model_id):
-    corpus = [SentenceRecord(sid, "d", "n", i, text) for i, (sid, text) in enumerate(rows)]
     expected = [dict_batch_line(sid, text, template_id, model_id) for sid, text in rows if text]
-    assert build_batch_file(corpus, template_id, model_id) == expected
+    assert build_batch_file(rows, template_id, model_id) == expected

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from sacreddetect.config import (
+    FetchPolicy,
     default_config_path,
     sample_config_path,
     validate_config,
@@ -53,6 +54,10 @@ def test_minimal_config_parses(tmp_path):
     config = validate_config(write_config(tmp_path, MINIMAL))
     assert config.sources[0].ngo_id == "a"
     assert config.output_root == (tmp_path / "out").resolve()
+
+
+def test_no_policy_table_yields_the_fetch_policy_defaults(tmp_path):
+    assert validate_config(write_config(tmp_path, MINIMAL)).policy == FetchPolicy()
 
 
 def test_duplicate_ngo_id_rejected(tmp_path):

@@ -34,6 +34,22 @@ def test_fetch_retries_5xx_until_success(http_server):
     assert server.flaky_hits == 3
 
 
+def test_fetch_retries_429_with_the_5xx_backoff_and_no_other_4xx(http_server):
+    # a stored URL is never fetched again, so a rate-limited page stored as
+    # failed would be lost from the corpus for good
+    server, base = http_server
+    policy = FetchPolicy(rate_per_host=1000.0, retries=3, timeout=5.0, backoff=2.0)
+    waits = []
+    doc = fetch_live(f"{base}/throttled", policy, ngo_id="x", sleep=waits.append)
+    assert doc.status == 200
+    assert b"let through at last" in doc.body
+    assert server.throttled_hits == 3
+    assert waits == [1.0, 2.0]
+    doc = fetch_live(f"{base}/missing", policy, ngo_id="x", sleep=waits.append)
+    assert doc.status == 404
+    assert [path for path, _ in server.request_log].count("/missing") == 1
+
+
 def test_fetch_unreachable_is_recorded_not_raised():
     policy = FetchPolicy(rate_per_host=1000.0, retries=1, timeout=0.2, backoff=1.0)
     doc = fetch_live("http://127.0.0.1:1/none", policy, ngo_id="x", sleep=lambda s: None)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sacreddetect import stages
 from sacreddetect.errors import ProviderError
 from sacreddetect.judge.providers import (
     GroqBatchProvider,
@@ -25,6 +26,7 @@ class FakeBatchSession:
 
     def __init__(self, polls_until_done=2, final_status="completed", reply=None):
         self.calls = []
+        self.uploads = []  # the bytes of each uploaded file
         self.reply = reply or '{"Religious":"No","Certainty":"90%","Argumentation":"x"}'
         self.polls = 0
         self.polls_until_done = polls_until_done
@@ -33,6 +35,7 @@ class FakeBatchSession:
     def request(self, method, url, headers=None, **kwargs):
         self.calls.append((method, url))
         if method == "POST" and url.endswith("/files"):
+            self.uploads.append(kwargs["files"]["file"][1])
             return FakeResponse(payload={"id": "file-in"})
         if method == "POST" and url.endswith("/batches"):
             return FakeResponse(payload={"id": "batch-1", "status": "validating"})
@@ -89,6 +92,17 @@ def test_happy_path_uploads_polls_downloads():
     methods = [f"{m} {u.split('/v1')[-1]}" for m, u in session.calls]
     assert methods[0] == "POST /files"
     assert methods[1] == "POST /batches"
+
+
+def test_upload_is_the_request_file_read_line_by_line(tmp_path, caplog):
+    path = tmp_path / "cca.jsonl"
+    # raw U+2028 and U+0085 inside a JSON string do not end a line
+    path.write_bytes('{"custom_id":"s1","x":"a\u2028b"}\n{"custom_id":"s2","x":"c\x85d"}\n'.encode())
+    session = FakeBatchSession()
+    caplog.set_level("INFO")
+    make_provider(session).run_batch(stages._read_lines(path))
+    assert session.uploads == [path.read_bytes()]
+    assert "submitted batch batch-1 (2 requests)" in caplog.text
 
 
 def test_resume_skips_upload():

@@ -18,7 +18,6 @@ from sacreddetect.lexicon import (
 from sacreddetect.lexicon import matcher as matcher_module
 from sacreddetect.lexicon.matcher import _match_exact, classify_corpus
 from sacreddetect.lexicon.tree import normalize_form
-from sacreddetect.textpipe.corpus import SentenceRecord
 
 
 def lex(variants_by_node: dict[str, list[str]], exclusions: list[str] = ()) -> Lexicon:
@@ -135,13 +134,9 @@ def test_monotonicity_adding_exclusion_never_adds():
 
 
 def test_classify_corpus_order_preserving(starter_matcher):
-    corpus = [
-        SentenceRecord.make("d", "n", 0, "We pray."),
-        SentenceRecord.make("d", "n", 1, "Nothing."),
-        SentenceRecord.make("d", "n", 2, "Sacred."),
-    ]
-    results = classify_corpus(starter_matcher, corpus)
-    assert [r.sentence_id for r in results] == [c.sentence_id for c in corpus]
+    corpus = [("s1", "We pray."), ("s2", "Nothing."), ("s3", "Sacred.")]
+    results = classify_corpus(starter_matcher, iter(corpus))
+    assert [r.sentence_id for r in results] == ["s1", "s2", "s3"]
     assert [r.label for r in results] == ["yes", "no", "yes"]
 
 
@@ -324,7 +319,7 @@ def test_negative_sentences_never_build_the_offset_map(starter_matcher, monkeypa
         "The ungodly heat scared the demigods' sacredness away.",
         "The café’s owner planted trees along the road.",
     ):
-        assert match_sentence(starter_matcher, text) == MatchResult("", (), 0, "no")
+        assert match_sentence(starter_matcher, text) == MatchResult("", ())
 
 
 def test_large_lexicon_and_long_variant_compile_and_agree_with_exact_path():

@@ -15,11 +15,11 @@ from sacreddetect.judge.providers import (
     join_verdicts,
     parse_result_lines,
 )
-from sacreddetect.textpipe.corpus import SentenceRecord
 
 
 def corpus(*texts):
-    return [SentenceRecord.make("d", "n", i, t) for i, t in enumerate(texts)]
+    """(sentence_id, text) pairs, as stages.load_corpus yields them."""
+    return [(f"s{i}", t) for i, t in enumerate(texts)]
 
 
 def classify(corpus, template_id, model_id, provider):
@@ -27,7 +27,7 @@ def classify(corpus, template_id, model_id, provider):
     each NGO file; returns (verdicts, raw result lines)."""
     raw_lines = provider.run_batch(build_batch_file(corpus, template_id, model_id))
     results = parse_result_lines(raw_lines)
-    return join_verdicts([r.sentence_id for r in corpus], results), raw_lines
+    return join_verdicts([sid for sid, _ in corpus], results), raw_lines
 
 
 class DropsSomeProvider:
@@ -92,9 +92,9 @@ def test_parse_result_lines_drops_garbage():
 def test_join_verdicts_parses_content():
     c = corpus("Holy ground here.")
     lines = StubProvider().run_batch(build_batch_file(c, "revised", "m"))
-    verdicts = join_verdicts([r.sentence_id for r in c], parse_result_lines(lines))
+    verdicts = join_verdicts([sid for sid, _ in c], parse_result_lines(lines))
     assert verdicts[0].label == "yes"
-    assert verdicts[0].sentence_id == c[0].sentence_id
+    assert verdicts[0].sentence_id == c[0][0]
 
 
 def test_get_provider_names():
@@ -143,11 +143,7 @@ TRICKY_IDS = st.text(
 )
 def test_stub_lines_equal_the_per_term_whole_dict_oracle(rows):
     stub = StubProvider()
-    lines = build_batch_file(
-        [SentenceRecord(sid, "d", "n", i, text) for i, (sid, text) in enumerate(rows)],
-        "revised",
-        "m",
-    )
+    lines = build_batch_file(rows, "revised", "m")
     assert stub.run_batch(lines) == naive_stub_run_batch(lines)
     for _, text in rows:  # the one combined search misses iff every term misses
         assert bool(stub._any_term.search(text)) == (naive_stub_term(text) is not None)
@@ -172,7 +168,7 @@ def test_a_lone_surrogate_is_refused(monkeypatch, live):
     monkeypatch.setenv("OPENAI_API_KEY", "test-key")
     session = RecordingSession()
     provider = OpenAIBatchProvider(session=session, poll_interval=0.0) if live else StubProvider()
-    lines = build_batch_file([SentenceRecord("\ud800", "d", "n", 0, "We pray.")], "revised", "m")
+    lines = build_batch_file([("\ud800", "We pray.")], "revised", "m")
     with pytest.raises(ValueError):
         provider.run_batch(lines)
     assert session.calls == []
@@ -227,6 +223,6 @@ def test_a_line_nested_too_deep_or_with_a_huge_int_is_dropped():
         good[3],
     ]
     results = parse_result_lines(lines)
-    assert set(results) == {c[0].sentence_id, c[3].sentence_id}
-    verdicts = join_verdicts([r.sentence_id for r in c], results)
+    assert set(results) == {c[0][0], c[3][0]}
+    verdicts = join_verdicts([sid for sid, _ in c], results)
     assert [v.reason for v in verdicts] == [None, "missing", "missing", None]

@@ -464,13 +464,13 @@ def test_batch_build_records_requests_and_bytes_per_file(sample_config, monkeypa
     assert over and warned == over
 
 
-def _extract_with_extra_cca_sentences(config, texts):
+def _extract_with_extra_cca_sentences(config, texts, doc_id="extra"):
     run_harvest(config, sample=True)
     run_extract(config)
     corpus = Layout(config.output_root).corpus
     with open(corpus / "cca.jsonl", "a", encoding="utf-8") as fh:
         for i, text in enumerate(texts):
-            row = SentenceRecord.make("extra", "cca", i, text).to_dict()
+            row = SentenceRecord.make(doc_id, "cca", i, text).to_dict()
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
@@ -486,10 +486,24 @@ def test_batch_build_files_equal_the_joined_lines_of_each_model(sample_config):
         names = sorted(p.name for p in batch_dir.glob("*.jsonl"))
         assert names == sorted(p.name for p in layout.corpus.glob("*.jsonl"))
         for name in names:
-            corpus = [SentenceRecord.from_dict(row) for row in read_jsonl(layout.corpus / name)]
+            corpus = stages.load_corpus(layout.corpus / name)
             lines = build_batch_file(corpus, sample_config.prompt_template, model.model_id)
             expected = "\n".join(lines) + "\n"
             assert (batch_dir / name).read_bytes() == expected.encode("utf-8")
+
+
+def test_batch_lines_follow_the_corpus_file_order(sample_config):
+    # appended rows whose doc_id sorts before every hashed one: a re-sort on
+    # (ngo_id, doc_id, position) would move them to the top
+    _extract_with_extra_cca_sentences(sample_config, ["Sacred rivers run.", "We pray."], "0")
+    layout = Layout(sample_config.output_root)
+    run_batch_build(sample_config)
+    for model in sample_config.models:
+        for path in sorted(layout.corpus.glob("*.jsonl")):
+            batch = layout.batches(model.model_id) / path.name
+            assert [row["custom_id"] for row in read_jsonl(batch)] == [
+                sentence_id for sentence_id, _ in stages.load_corpus(path)
+            ]
 
 
 def test_batch_build_warns_once_per_model_about_empty_sentences(sample_config, caplog):
@@ -771,7 +785,7 @@ def test_read_lines_splits_at_newline_only(tmp_path):
     path = tmp_path / "lines.jsonl"
     for text in ["", "\n", "a\n\nb\n", "a\r\nb\rc\x85d\n\n", "last line open", "x\u2028y\u2029z\n"]:
         path.write_bytes(text.encode("utf-8"))
-        assert stages._read_lines(path) == [ln for ln in text.split("\n") if ln]
+        assert list(stages._read_lines(path)) == [ln for ln in text.split("\n") if ln]
 
 
 def test_classify_rerun_hashes_no_saved_results(sample_config, monkeypatch):
@@ -808,6 +822,7 @@ class FlakyProvider:
         self.fail_on_call = fail_on_call
 
     def run_batch(self, lines, state=None, state_save=None):
+        lines = list(lines)
         self.sent.append(lines)
         self.states.append(dict(state or {}))
         if len(self.sent) == self.fail_on_call:
