@@ -4,7 +4,9 @@ Each stage is its own subcommand because the expensive ones (live harvests,
 hosted batch inference) run for hours and get scheduled independently;
 operators launch stages and read files. Every setting of a run lives in
 its config file, and the global --config and --output-root choose which
-run. Exit codes: 0 success, 2 config error, 3 prerequisite error, 4
+run. The config's [[models]] list decides which judges batch-build,
+classify and analyze run: a config with none runs the rule-based tree
+alone. Exit codes: 0 success, 2 config error, 3 prerequisite error, 4
 provider failure (resumable).
 """
 
@@ -35,8 +37,8 @@ EXIT_PREREQUISITE = 3
 EXIT_PROVIDER = 4
 
 
-def _load_config(ctx: click.Context, tree_only: bool = False) -> PipelineConfig:
-    config = validate_config(ctx.obj["config_path"], tree_only=tree_only)
+def _load_config(ctx: click.Context) -> PipelineConfig:
+    config = validate_config(ctx.obj["config_path"])
     if ctx.obj["output_root"]:
         config.output_root = Path(ctx.obj["output_root"]).resolve()
     return config
@@ -70,11 +72,10 @@ def main(ctx, config_path, output_root, verbose):
 
 
 @main.command()
-@click.option("--tree-only", is_flag=True, help="Accept configs without models.")
 @click.pass_context
-def validate(ctx, tree_only):
+def validate(ctx):
     """Parse and invariant-check the configuration."""
-    config = _load_config(ctx, tree_only=tree_only)
+    config = _load_config(ctx)
     groups = {}
     for s in config.sources:
         groups[s.group] = groups.get(s.group, 0) + 1
@@ -94,21 +95,21 @@ def harvest(ctx, sample):
 
     A URL already stored, fetched or failed, is never fetched again.
     """
-    stages.run_harvest(_load_config(ctx, tree_only=True), sample=sample)
+    stages.run_harvest(_load_config(ctx), sample=sample)
 
 
 @main.command()
 @click.pass_context
 def extract(ctx):
     """Clean HTML, drop non-English documents, split into sentences."""
-    stages.run_extract(_load_config(ctx, tree_only=True))
+    stages.run_extract(_load_config(ctx))
 
 
 @main.command()
 @click.pass_context
 def match(ctx):
     """Label every sentence with the configured lexicon tree."""
-    stages.run_match(_load_config(ctx, tree_only=True))
+    stages.run_match(_load_config(ctx))
 
 
 @main.command("batch-build")
@@ -119,38 +120,30 @@ def batch_build(ctx):
 
 
 @main.command()
-@click.option("--model", default=None, help="Classify with this model only.")
 @click.option("--stub", is_flag=True, help="Use the deterministic stub provider.")
-@click.option("--strict-json", is_flag=True, help="Require whole-message JSON responses.")
 @click.pass_context
-def classify(ctx, model, stub, strict_json):
-    """Run the LLM judges (or the stub) over the batch files.
+def classify(ctx, stub):
+    """Run every configured model's judge (or the stub) over its batch files.
 
     The prompt template is a batch-build input: to change it, edit the
     config and re-run batch-build.
     """
-    stages.run_classify(
-        _load_config(ctx),
-        stub=stub,
-        only_model=model,
-        strict_json=strict_json,
-    )
+    stages.run_classify(_load_config(ctx), stub=stub)
 
 
 @main.command()
-@click.option("--tree-only", is_flag=True, help="Analyze the rule-based labels alone.")
 @click.pass_context
-def analyze(ctx, tree_only):
-    """Join labels and compute rates, agreement, ratios, term reports."""
-    config = _load_config(ctx, tree_only=tree_only)
-    stages.run_analyze(config, tree_only=tree_only)
+def analyze(ctx):
+    """Join the tree's and every configured model's labels and compute
+    rates, agreement, ratios, term reports."""
+    stages.run_analyze(_load_config(ctx))
 
 
 @main.command()
 @click.pass_context
 def report(ctx):
     """Render the report bundle from the analysis results."""
-    stages.run_report(_load_config(ctx, tree_only=True))
+    stages.run_report(_load_config(ctx))
 
 
 def run() -> int:

@@ -117,8 +117,9 @@ def sample_config_path() -> Path:
     return bundled_path("sample.toml")
 
 
-def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig:
-    """Parse and invariant-check a configuration file.
+def validate_config(path: str | Path) -> PipelineConfig:
+    """Parse and invariant-check a configuration file. A config without
+    models runs the rule-based classifier alone.
 
     Raises ConfigError naming the offending field path.
     """
@@ -164,11 +165,6 @@ def validate_config(path: str | Path, tree_only: bool = False) -> PipelineConfig
         )
         spec.validate(where)
         models.append(spec)
-    if not models and not tree_only:
-        raise ConfigError(
-            "models: configure at least one model, or pass --tree-only to run "
-            "the rule-based classifier alone"
-        )
     model_ids = [m.model_id for m in models]
     if len(set(model_ids)) != len(model_ids):
         raise ConfigError("models: duplicate model_id")

@@ -8,7 +8,8 @@ end-to-end runs.
 
 Run-level failures (auth, quota, network) raise ProviderError; the caller
 persists the submission state so an interrupted live run resumes by
-polling the same batch instead of re-uploading. Per-sentence anomalies
+polling the same batch instead of re-uploading, and a batch that ended
+failed, expired or cancelled is submitted again. Per-sentence anomalies
 never abort a run -- they become malformed verdicts.
 """
 
@@ -53,7 +54,8 @@ class BatchProvider(Protocol):
 
         state carries submission identifiers across attempts; state_save,
         when given, is called with the state right after submission so the
-        caller can persist it before the long poll begins.
+        caller can persist it before the long poll begins, and again
+        without the batch id when the batch ends unfinished.
         """
         ...
 
@@ -183,8 +185,14 @@ class _HttpBatchProvider:
 
         batch = self._poll(state["batch_id"])
         if batch.get("status") != "completed":
+            # polling a batch that ended gives the same answer forever, so
+            # it is forgotten, and the next run submits the lines again
+            batch_id = state.pop("batch_id")
+            if state_save is not None:
+                state_save(state)
             raise ProviderError(
-                f"{self.name}: batch {state['batch_id']} ended in status {batch.get('status')!r}"
+                f"{self.name}: batch {batch_id} ended in status {batch.get('status')!r}; "
+                "re-run to submit it again"
             )
         output_file = batch.get("output_file_id")
         if not output_file:
@@ -245,9 +253,7 @@ def parse_result_lines(lines: Iterable[str]) -> dict[str, str]:
     return results
 
 
-def join_verdicts(
-    sentence_ids: list[str], results: dict[str, str], strict_json: bool = False
-) -> list[Verdict]:
+def join_verdicts(sentence_ids: list[str], results: dict[str, str]) -> list[Verdict]:
     """One verdict per sentence id, in the order given, always: sentences
     the provider did not answer become malformed verdicts with reason
     "missing".
@@ -258,5 +264,5 @@ def join_verdicts(
         if raw is None:
             verdicts.append(Verdict(sentence_id, "malformed", None, None, "missing"))
         else:
-            verdicts.append(parse_verdict(sentence_id, raw, strict=strict_json))
+            verdicts.append(parse_verdict(sentence_id, raw))
     return verdicts

@@ -1,4 +1,4 @@
-"""Strict verdict parsing with malformed-output accounting.
+"""Verdict parsing with malformed-output accounting.
 
 A model response is a valid verdict only when it contains a JSON object
 with (case-insensitive) keys Religious, Certainty and Argumentation, the
@@ -9,10 +9,9 @@ failed (the raw reply stays in the batch results file for audit) --
 malformed output is a finding about the model, not an error condition, so
 nothing here ever raises.
 
-By default the response is decoded as one JSON value starting at its
-first ``{``, and any text before or after that value is ignored, because
-models routinely wrap their JSON in prose or code fences; strict mode
-requires the whole message to be the JSON object. orjson decodes a bare
+The response is decoded as one JSON value starting at its first ``{``,
+and any text before or after that value is ignored, because models
+routinely wrap their JSON in prose or code fences. orjson decodes a bare
 reply, and the stdlib json what orjson refuses (see loads_external), so
 the verdict is the one the stdlib alone gives.
 """
@@ -97,7 +96,7 @@ def _encodes_to_utf8(text: str) -> bool:
     return True
 
 
-def parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verdict:
+def parse_verdict(sentence_id: str, raw_text: str) -> Verdict:
     """Total over arbitrary input: always returns a Verdict, never raises."""
 
     def malformed(reason: str) -> Verdict:
@@ -105,17 +104,13 @@ def parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verd
 
     if not isinstance(raw_text, str):
         return malformed("no_json")
+    start = raw_text.find("{")
+    if start < 0:
+        return malformed("no_json")
     try:
-        if strict:
-            obj = loads_external(raw_text.strip())
-        else:
-            start = raw_text.find("{")
-            if start < 0:
-                return malformed("no_json")
-            obj = loads_external(raw_text[start:], _first_value)
+        # what starts with "{" decodes to a dict or not at all
+        obj = loads_external(raw_text[start:], _first_value)
     except (ValueError, RecursionError):  # ValueError: also an int past str's digit limit
-        return malformed("bad_json" if "{" in raw_text else "no_json")
-    if not isinstance(obj, dict):
         return malformed("bad_json")
 
     fields = {k.lower(): v for k, v in obj.items() if isinstance(k, str)}

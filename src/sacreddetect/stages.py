@@ -439,7 +439,6 @@ def run_match(config: PipelineConfig) -> None:
                 )
             return {
                 layout.labels_tree: {
-                    "lexicon": str(config.lexicon_path),
                     "patterns": matcher.pattern_count,
                     "counters": dict(counters),
                 }
@@ -451,7 +450,16 @@ def run_match(config: PipelineConfig) -> None:
 # --- batch-build ------------------------------------------------------------
 
 
+def _require_models(config: PipelineConfig, command: str) -> None:
+    if not config.models:
+        raise ConfigError(
+            f"models: {command} runs the configured models, and the config lists "
+            "none; a config without [[models]] runs the rule-based tree alone"
+        )
+
+
 def run_batch_build(config: PipelineConfig) -> None:
+    _require_models(config, "batch-build")
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         _require_manifest(layout.corpus, "extract")
@@ -515,21 +523,14 @@ def _read_lines(path: Path) -> Iterator[str]:
         yield from (ln.removesuffix("\n") for ln in fh if ln != "\n")
 
 
-def run_classify(
-    config: PipelineConfig,
-    stub: bool = False,
-    only_model: str | None = None,
-    strict_json: bool = False,
-) -> None:
+def run_classify(config: PipelineConfig, stub: bool = False) -> None:
+    _require_models(config, "classify")
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
-        models = [m for m in config.models if only_model in (None, m.model_id)]
-        if not models:
-            raise ConfigError(f"no configured model matches {only_model!r}")
         corpus_inputs = _hash_dir_files(layout.corpus)
         jobs: dict[Path, _ClassifyJob] = {}
         outputs: dict[Path, dict[str, str]] = {}
-        for model in models:
+        for model in config.models:
             batch_dir = layout.batches(model.model_id)
             batch_manifest = _require_manifest(batch_dir, "batch-build")
             built_from = {
@@ -556,7 +557,6 @@ def run_classify(
                     # the prompt the batch lines carry, as batch-build recorded it
                     "template": batch_manifest.params["template"],
                     "prompt_sha256": batch_manifest.inputs["prompt"],
-                    "strict_json": strict_json,
                     "row_version": VERDICT_ROW_VERSION,
                     # No decoding parameters are sent; the provider's own
                     # defaults apply and that fact is the record.
@@ -568,7 +568,6 @@ def run_classify(
             outputs[labels_dir] = {
                 **{name: sha256_file(p) for name, p in job.request_files.items()},
                 "provider": sha256_text(provider_name),
-                "strict_json": sha256_text(str(strict_json)),
                 # rows of an older shape are rewritten from the saved results
                 "row_version": sha256_text(VERDICT_ROW_VERSION),
             }
@@ -589,7 +588,7 @@ def run_classify(
                     path = job.request_files.get(name)
                     if path is None:
                         continue
-                    counts = _classify_file(job, path, sentence_ids, tmp, strict_json)
+                    counts = _classify_file(job, path, sentence_ids, tmp)
                     for key, value in counts.items():
                         counters[labels_dir][f"{key}:{path.stem}"] = value
             return {
@@ -613,7 +612,7 @@ class _ClassifyJob:
 
 
 def _classify_file(
-    job: _ClassifyJob, path: Path, sentence_ids: list[str], out: Path, strict_json: bool
+    job: _ClassifyJob, path: Path, sentence_ids: list[str], out: Path
 ) -> dict[str, int]:
     """Classify one batch file into out, returning its verdict counts: the
     malformed ones in total and by reason, zeros included.
@@ -657,7 +656,7 @@ def _classify_file(
         write_text(results_path, (line + "\n" for line in raw_lines))
         save_state({"done": True})
     results = providers_mod.parse_result_lines(raw_lines)
-    verdicts = providers_mod.join_verdicts(sentence_ids, results, strict_json=strict_json)
+    verdicts = providers_mod.join_verdicts(sentence_ids, results)
     write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
     reasons = Counter(v.reason for v in verdicts)
     counts = {
@@ -754,16 +753,16 @@ def _misaligned(label_path: Path, row, corpus_path: Path, sentence_id, line: int
     )
 
 
-def run_analyze(config: PipelineConfig, tree_only: bool = False) -> None:
+def run_analyze(config: PipelineConfig) -> None:
+    """Analyze the tree's labels and every configured model's."""
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         _require_manifest(layout.labels_tree, "match")
-        model_ids = [] if tree_only else [m.model_id for m in config.models]
+        model_ids = [m.model_id for m in config.models]
         for model_id in model_ids:
             if read_manifest(layout.labels_model(model_id)) is None:
                 raise PrerequisiteError(
-                    f"no verdicts for model {model_id!r}; run `sacreddetect classify` "
-                    "first (or pass --tree-only)"
+                    f"no verdicts for model {model_id!r}; run `sacreddetect classify` first"
                 )
         # table 1's counts, as extract recorded them
         extracted = _require_manifest(layout.corpus, "extract").params.get("counters", {})

@@ -203,18 +203,19 @@ def first_balanced_object(text: str) -> str | None:
 
 def naive_parse_verdict(sentence_id: str, raw_text: str) -> Verdict:
     """parse_verdict by scanning for the first balanced block, then parsing
-    that block alone in strict mode. Without a block the reply is no_json
-    if it holds no "{" at all, else bad_json (a block left open)."""
+    that block alone. Without a block the reply is no_json if it holds no
+    "{" at all, else bad_json (a block left open)."""
     block = first_balanced_object(raw_text)
     if block is None:
         reason = "bad_json" if "{" in raw_text else "no_json"
         return Verdict(sentence_id, "malformed", None, None, reason)
-    return parse_verdict(sentence_id, block, strict=True)
+    return parse_verdict(sentence_id, block)
 
 
 # --- stdlib-only reply decoding ---------------------------------------------
 # parse_verdict and parse_result_lines as they were when the stdlib json
-# alone decoded replies and result lines, copied unchanged. Their faults
+# alone decoded replies and result lines, copied unchanged but for the
+# strict whole-message mode, which the package no longer has. Their faults
 # are kept: a line nested too deep for the stdlib raises RecursionError
 # here, where the package drops it; a lone surrogate escape in an
 # argumentation makes a valid verdict here, where the package answers
@@ -244,20 +245,17 @@ def _stdlib_parse_certainty(value) -> int | None:
     return max(0, min(100, round(number)))
 
 
-def stdlib_parse_verdict(sentence_id: str, raw_text: str, strict: bool = False) -> Verdict:
+def stdlib_parse_verdict(sentence_id: str, raw_text: str) -> Verdict:
     def malformed(reason: str) -> Verdict:
         return Verdict(sentence_id, "malformed", None, None, reason)
 
     if not isinstance(raw_text, str):
         return malformed("no_json")
     try:
-        if strict:
-            obj = json.loads(raw_text.strip())
-        else:
-            start = raw_text.find("{")
-            if start < 0:
-                return malformed("no_json")
-            obj, _ = _STDLIB_DECODER.raw_decode(raw_text, start)
+        start = raw_text.find("{")
+        if start < 0:
+            return malformed("no_json")
+        obj, _ = _STDLIB_DECODER.raw_decode(raw_text, start)
     except (json.JSONDecodeError, RecursionError):
         return malformed("bad_json" if "{" in raw_text else "no_json")
     if not isinstance(obj, dict):

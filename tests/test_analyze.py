@@ -112,8 +112,9 @@ def test_analyze_refuses_a_missing_model_label_file(sample):
 def test_analyze_refuses_a_label_file_without_a_corpus_file(sample):
     config, layout = sample
     (layout.corpus / "icsd.jsonl").unlink()
+    config.models = []
     with pytest.raises(CoverageError, match=r"tree/icsd\.jsonl: labels of no corpus file"):
-        run_analyze(config, tree_only=True)
+        run_analyze(config)
 
 
 def test_analyze_refuses_one_sentence_id_in_two_ngos(sample):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -73,8 +74,7 @@ def test_provider_failure_exit_code(monkeypatch, tmp_path):
     assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 0
     assert run_cli([*config, "extract"], monkeypatch) == 0
     assert run_cli([*config, "batch-build"], monkeypatch) == 0
-    code = run_cli([*config, "classify", "--model", "gpt-4o-mini"], monkeypatch)
-    assert code == 4  # a run-level provider failure
+    assert run_cli([*config, "classify"], monkeypatch) == 4  # a run-level provider failure
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
@@ -96,13 +96,13 @@ def test_each_command_has_only_its_pinned_options():
 
     assert options(cli.main) == ["--config", "--output-root", "-v/--verbose"]
     assert {name: options(command) for name, command in cli.main.commands.items()} == {
-        "validate": ["--tree-only"],
+        "validate": [],
         "harvest": ["--sample"],
         "extract": [],
         "match": [],
         "batch-build": [],
-        "classify": ["--model", "--stub", "--strict-json"],
-        "analyze": ["--tree-only"],
+        "classify": ["--stub"],
+        "analyze": [],
         "report": [],
     }
 
@@ -114,13 +114,26 @@ def test_help_lists_all_commands():
         assert command in result.output
 
 
-def test_unknown_model_is_config_error(monkeypatch, tmp_path):
-    root = str(tmp_path / "run")
-    config = ["--config", str(sample_config_path()), "--output-root", root]
-    assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 0
-    assert run_cli([*config, "extract"], monkeypatch) == 0
-    assert run_cli([*config, "batch-build"], monkeypatch) == 0
-    assert run_cli([*config, "classify", "--model", "no-such-model"], monkeypatch) == 2
+def test_a_config_without_models_runs_the_tree_alone(monkeypatch, tmp_path, caplog):
+    text = sample_config_path().read_text(encoding="utf-8")
+    path = tmp_path / "tree.toml"
+    path.write_text(
+        "\n\n".join(b for b in text.split("\n\n") if not b.startswith("[[models]]")),
+        encoding="utf-8",
+    )
+    root = tmp_path / "run"
+    config = ["--config", str(path), "--output-root", str(root)]
+    for command in (["harvest", "--sample"], ["extract"], ["match"], ["analyze"], ["report"]):
+        assert run_cli([*config, *command], monkeypatch) == 0, command
+    stats = json.loads((root / "analysis" / "stats.json").read_text(encoding="utf-8"))
+    assert stats["classifiers"] == ["tree"]
+    assert not (root / "reports" / "table4.md").exists()  # no pair of models to compare
+    for command in (["batch-build"], ["classify", "--stub"]):
+        caplog.clear()
+        assert run_cli([*config, *command], monkeypatch) == 2, command
+        assert "models:" in caplog.text
+    assert not (root / "batches").exists()
+    assert sorted(p.name for p in (root / "labels").iterdir()) == ["tree"]
 
 
 def test_corrupt_stage_file_exits_1_naming_the_file_and_line(monkeypatch, tmp_path, caplog):

@@ -103,13 +103,11 @@ def test_bad_group_rejected(tmp_path):
         validate_config(write_config(tmp_path, body))
 
 
-def test_no_models_needs_tree_only(tmp_path):
+def test_a_config_without_models_validates(tmp_path):
     body = MINIMAL.replace('[[models]]\nmodel_id = "m"\nprovider = "stub"\n', "")
-    path = write_config(tmp_path, body)
-    with pytest.raises(ConfigError, match="tree-only"):
-        validate_config(path)
-    config = validate_config(path, tree_only=True)
-    assert config.models == []
+    assert "[[models]]" not in body
+    config = validate_config(write_config(tmp_path, body))
+    assert config.models == []  # the rule-based tree alone
 
 
 def test_unknown_provider_rejected(tmp_path):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sacreddetect import stages
+from sacreddetect.config import ModelSpec, sample_config_path, validate_config
 from sacreddetect.errors import ProviderError
 from sacreddetect.judge.providers import (
     GroqBatchProvider,
@@ -22,7 +23,13 @@ class FakeResponse:
 
 
 class FakeBatchSession:
-    """Scripted OpenAI-style batch endpoints; records every request."""
+    """Scripted OpenAI-style batch endpoints; records every request.
+
+    Batches are numbered batch-1, batch-2, ... as they are created.
+    final_status is the status every batch ends in, or a tuple of the
+    status each batch ends in, by number, the last one for the batches
+    past its end.
+    """
 
     def __init__(self, polls_until_done=2, final_status="completed", reply=None):
         self.calls = []
@@ -31,6 +38,12 @@ class FakeBatchSession:
         self.polls = 0
         self.polls_until_done = polls_until_done
         self.final_status = final_status
+        self.batches = 0
+
+    def _final_status(self, number):
+        if isinstance(self.final_status, str):
+            return self.final_status
+        return self.final_status[min(number, len(self.final_status)) - 1]
 
     def request(self, method, url, headers=None, **kwargs):
         self.calls.append((method, url))
@@ -38,15 +51,17 @@ class FakeBatchSession:
             self.uploads.append(kwargs["files"]["file"][1])
             return FakeResponse(payload={"id": "file-in"})
         if method == "POST" and url.endswith("/batches"):
-            return FakeResponse(payload={"id": "batch-1", "status": "validating"})
-        if method == "GET" and "/batches/batch-1" in url:
+            self.batches += 1
+            return FakeResponse(payload={"id": f"batch-{self.batches}", "status": "validating"})
+        if method == "GET" and "/batches/batch-" in url:
+            batch_id = url.rsplit("/", 1)[1]
             self.polls += 1
             if self.polls < self.polls_until_done:
-                return FakeResponse(payload={"id": "batch-1", "status": "in_progress"})
+                return FakeResponse(payload={"id": batch_id, "status": "in_progress"})
             return FakeResponse(
                 payload={
-                    "id": "batch-1",
-                    "status": self.final_status,
+                    "id": batch_id,
+                    "status": self._final_status(int(batch_id.removeprefix("batch-"))),
                     "output_file_id": "file-out",
                 }
             )
@@ -118,6 +133,33 @@ def test_terminal_failure_raises_provider_error():
     provider = make_provider(session)
     with pytest.raises(ProviderError, match="expired"):
         provider.run_batch(['{"custom_id":"s1"}'])
+
+
+def test_a_batch_that_ended_failed_is_submitted_again_on_the_rerun(tmp_path, monkeypatch):
+    config = validate_config(sample_config_path())
+    config.output_root = tmp_path / "run"
+    config.models = [ModelSpec("gpt-4o-mini", "openai-batch")]
+    stages.run_harvest(config, sample=True)
+    stages.run_extract(config)
+    stages.run_batch_build(config)
+    batches = stages.Layout(config.output_root).batches("gpt-4o-mini")
+    session = FakeBatchSession(polls_until_done=1, final_status=("failed", "completed"))
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: make_provider(session))
+
+    with pytest.raises(ProviderError, match="batch-1 ended in status 'failed'"):
+        stages.run_classify(config)
+    assert json.loads((batches / "cca.state.json").read_text()) == {"provider": "openai-batch"}
+    stages.run_classify(config)  # batch-1 is not polled again: cca goes out in batch-2
+    assert len(session.uploads) == 1 + len(stages._request_files(batches))
+    assert session.uploads[:2] == [(batches / "cca.jsonl").read_bytes()] * 2
+    assert session.calls.count(("GET", f"{OpenAIBatchProvider.base_url}/batches/batch-1")) == 1
+    assert json.loads((batches / "cca.state.json").read_text()) == {
+        "provider": "openai-batch", "done": True
+    }
+    labels = stages.Layout(config.output_root).labels_model("gpt-4o-mini")
+    assert (labels / "cca.jsonl").read_text().count("\n") == len(
+        (batches / "cca.jsonl").read_text().splitlines()
+    )
 
 
 def test_http_error_raises_provider_error():

@@ -55,7 +55,7 @@ def test_match_before_extract_names_command(sample_config):
 
 def test_analyze_before_match_names_command(sample_config):
     with pytest.raises(PrerequisiteError, match="sacreddetect match"):
-        run_analyze(sample_config, tree_only=True)
+        run_analyze(sample_config)
 
 
 def test_analyze_before_classify_names_command(sample_config):
@@ -63,7 +63,7 @@ def test_analyze_before_classify_names_command(sample_config):
     run_extract(sample_config)
     run_match(sample_config)
     with pytest.raises(PrerequisiteError, match="classify"):
-        run_analyze(sample_config)  # model verdicts missing, tree-only not set
+        run_analyze(sample_config)  # model verdicts missing
 
 
 def test_report_before_analyze_names_command(sample_config):
@@ -170,6 +170,28 @@ def test_a_lexicon_edit_in_the_config_reruns_match_and_analyze_only(sample_confi
     assert (layout.reports / "stats.json").read_text() == (layout.analysis / "stats.json").read_text()
 
 
+def test_match_manifests_do_not_depend_on_where_the_lexicon_lies(tmp_path):
+    """Two copies of one lexicon in two directories give equal match
+    manifests: the lexicon is recorded by its hash and its export."""
+    config_text = sample_config_path().read_text(encoding="utf-8")
+    manifests = []
+    for name in ("a", "b"):
+        directory = tmp_path / name
+        directory.mkdir()
+        shutil.copyfile(bundled_path("starter.tree"), directory / "copy.tree")
+        (directory / "config.toml").write_text(
+            config_text.replace('lexicon = "starter"', 'lexicon = "copy.tree"'), encoding="utf-8"
+        )
+        config = validate_config(directory / "config.toml")
+        config.output_root = directory / "run"
+        run_harvest(config, sample=True)
+        run_extract(config)
+        run_match(config)
+        manifests.append(read_manifest(Layout(config.output_root).labels_tree))
+    first, second = manifests
+    assert (first.inputs, first.params) == (second.inputs, second.params)
+
+
 def test_sample_rows_decode_equal_under_json_and_orjson(sample_config):
     """read_jsonl's orjson gives every row the sample run writes exactly as
     the stdlib json does."""
@@ -192,10 +214,11 @@ def test_sample_rows_decode_equal_under_json_and_orjson(sample_config):
 
 
 def test_tree_only_analysis(sample_config):
+    sample_config.models = []  # a config that lists no model
     run_harvest(sample_config, sample=True)
     run_extract(sample_config)
     run_match(sample_config)
-    run_analyze(sample_config, tree_only=True)
+    run_analyze(sample_config)
     run_report(sample_config)
     layout = Layout(sample_config.output_root)
     assert (layout.reports / "table2.csv").is_file()
@@ -334,15 +357,16 @@ def test_produce_removes_a_killed_runs_siblings_beside_a_current_output(tmp_path
 
 
 def test_dropped_source_leaves_corpus_and_labels(sample_config):
+    sample_config.models = []
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)
     run_extract(sample_config)
     run_match(sample_config)
-    run_analyze(sample_config, tree_only=True)
+    run_analyze(sample_config)
     sample_config.sources = [s for s in sample_config.sources if s.ngo_id != "ien"]
     run_extract(sample_config)
     run_match(sample_config)
-    run_analyze(sample_config, tree_only=True)
+    run_analyze(sample_config)
 
     assert (layout.raw / "ien.jsonl").is_file()  # the raw store is append-only
     assert not (layout.corpus / "ien.jsonl").exists()
@@ -603,7 +627,7 @@ def test_classify_keeps_saved_results_whole_at_unicode_line_separators(sample_co
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in results), encoding="utf-8"
     )
     (batch_dir / "cca.state.json").write_text(json.dumps({"provider": "stub", "done": True}))
-    run_classify(sample_config, stub=True, only_model=model)
+    run_classify(_only(sample_config, model), stub=True)
     verdicts = list(read_jsonl(layout.labels_model(model) / "cca.jsonl"))
     assert [v["label"] for v in verdicts] == ["yes"] * len(ids)
     assert verdicts[0]["argumentation"] == "a\u2028b\x85c"
@@ -617,7 +641,7 @@ def test_classify_records_verdict_counters_per_file(sample_config):
         fh.write(json.dumps(SentenceRecord.make("extra", "cca", 0, "").to_dict()) + "\n")
     run_batch_build(sample_config)  # skips the empty sentence
     model = "gpt-4o-mini"
-    run_classify(sample_config, stub=True, only_model=model)
+    run_classify(_only(sample_config, model), stub=True)
     labels = layout.labels_model(model)
     counters = read_manifest(labels).params["counters"]
     for path in sorted(labels.glob("*.jsonl")):
@@ -630,7 +654,8 @@ def test_classify_records_verdict_counters_per_file(sample_config):
     assert counters["verdicts:cca"] == 6 and counters["malformed:cca"] == 1
     inputs = read_manifest(labels).inputs
 
-    run_classify(sample_config, stub=True, only_model=model, strict_json=True)
+    (labels / "manifest.json").unlink()  # so that classify runs again
+    run_classify(_only(sample_config, model), stub=True)
     counters = read_manifest(labels).params["counters"]  # every file read back
     assert {k: v for k, v in counters.items() if k.startswith("reused:")} == {
         f"reused:{path.stem}": 1 for path in labels.glob("*.jsonl")
@@ -679,7 +704,7 @@ def test_classify_rows_name_the_malformed_reason_and_count_each(sample_config, m
     model = "gpt-4o-mini"
     provider = MalformedRepliesProvider()
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
-    run_classify(sample_config, only_model=model)
+    run_classify(_only(sample_config, model))
     assert sorted(provider.reasons.values()) == sorted(REASONS)
 
     labels = layout.labels_model(model)
@@ -722,7 +747,7 @@ def test_a_lone_surrogate_argumentation_is_malformed_and_its_saved_results_rerea
     run_batch_build(sample_config)
     model = "gpt-4o-mini"
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: LoneSurrogateProvider())
-    run_classify(sample_config, only_model=model)
+    run_classify(_only(sample_config, model))
     labels = layout.labels_model(model)
     first = {path.name: path.read_bytes() for path in labels.glob("*.jsonl")}
     rows = [row for path in sorted(labels.glob("*.jsonl")) for row in read_jsonl(path)]
@@ -734,7 +759,7 @@ def test_a_lone_surrogate_argumentation_is_malformed_and_its_saved_results_rerea
     shutil.rmtree(labels)
     provider = FlakyProvider()
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
-    run_classify(sample_config, only_model=model)
+    run_classify(_only(sample_config, model))
     assert provider.sent == []
     assert {path.name: path.read_bytes() for path in labels.glob("*.jsonl")} == first
 
@@ -747,7 +772,7 @@ def test_classify_rewrites_an_old_format_labels_directory_from_saved_results(
     run_extract(sample_config)
     run_batch_build(sample_config)
     model = "gpt-4o-mini"
-    run_classify(sample_config, stub=True, only_model=model)
+    run_classify(_only(sample_config, model), stub=True)
     labels = layout.labels_model(model)
     fresh = {path.name: path.read_bytes() for path in labels.glob("*.jsonl")}
 
@@ -772,7 +797,7 @@ def test_classify_rewrites_an_old_format_labels_directory_from_saved_results(
 
     provider = FlakyProvider()
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
-    run_classify(sample_config, stub=True, only_model=model)
+    run_classify(_only(sample_config, model), stub=True)
     assert provider.sent == []  # read back from the results files, not sent again
     counters = read_manifest(labels).params["counters"]
     assert {k: v for k, v in counters.items() if k.startswith("reused:")} == {
@@ -808,6 +833,11 @@ def test_classify_rerun_hashes_no_saved_results(sample_config, monkeypatch):
     assert not [p for p in hashed if p.endswith(".results.jsonl")]
 
 
+def _only(config, model_id):
+    """config listing model_id as its one model."""
+    return dataclasses.replace(config, models=[m for m in config.models if m.model_id == model_id])
+
+
 def _switch_provider(config, provider_name):
     """Configure every model on provider_name, as an edit of the config file does."""
     config.models = [dataclasses.replace(m, provider=provider_name) for m in config.models]
@@ -840,7 +870,7 @@ def test_classify_resume_does_not_resend_finished_files(sample_config, monkeypat
 
     def classify_with(provider):
         monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
-        run_classify(sample_config, only_model=model)
+        run_classify(_only(sample_config, model))
 
     with pytest.raises(ProviderError):  # cca done, greenfaith fails
         classify_with(FlakyProvider(fail_on_call=2))
@@ -900,7 +930,7 @@ def test_classify_ignores_another_providers_pending_state(sample_config, monkeyp
     provider = FlakyProvider()
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
     _switch_provider(sample_config, "groq-batch")
-    run_classify(sample_config, only_model=model)
+    run_classify(_only(sample_config, model))
     assert len(provider.states) == 4
     assert not any("batch_id" in state for state in provider.states)
     assert json.loads(state_path.read_text()) == {"provider": "groq-batch", "done": True}
@@ -931,7 +961,7 @@ def test_classify_pending_state_names_its_provider(sample_config, monkeypatch):
     def classify(provider_name):
         _switch_provider(sample_config, provider_name)
         with pytest.raises(ProviderError):
-            run_classify(sample_config, only_model=model)
+            run_classify(_only(sample_config, model))
         return provider.states[-1]
 
     assert classify("openai-batch") == {}
@@ -1031,6 +1061,7 @@ def test_extract_reads_each_raw_file_once_with_a_stale_index(sample_config, monk
 
 
 def test_analyze_refuses_a_tree_label_file_that_repeats_a_sentence_id(sample_config):
+    sample_config.models = []
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)
     run_extract(sample_config)
@@ -1044,7 +1075,7 @@ def test_analyze_refuses_a_tree_label_file_that_repeats_a_sentence_id(sample_con
     with pytest.raises(
         CoverageError, match=rf"icsd\.jsonl: line {n_rows}: sentence id {sentence_id} is past the end"
     ):
-        run_analyze(sample_config, tree_only=True)
+        run_analyze(sample_config)
     assert not layout.analysis.exists()
 
 
@@ -1084,12 +1115,13 @@ def test_analyze_reruns_when_groups_phrases_or_model_order_change(sample_config)
 
 
 def test_a_group_flip_leaves_extract_alone_and_reaches_table_1(sample_config):
+    sample_config.models = []
     layout = Layout(sample_config.output_root)
     stages_in_order = [
         lambda: run_harvest(sample_config, sample=True),
         lambda: run_extract(sample_config),
         lambda: run_match(sample_config),
-        lambda: run_analyze(sample_config, tree_only=True),
+        lambda: run_analyze(sample_config),
         lambda: run_report(sample_config),
     ]
     for run in stages_in_order:
@@ -1114,8 +1146,9 @@ def test_analyze_without_a_corpus_manifest_names_extract(sample_config):
     run_extract(sample_config)
     run_match(sample_config)
     (layout.corpus / "manifest.json").unlink()
+    sample_config.models = []  # so that no model's missing verdicts are named first
     with pytest.raises(PrerequisiteError, match="sacreddetect extract"):
-        run_analyze(sample_config, tree_only=True)
+        run_analyze(sample_config)
     assert not layout.analysis.exists()
 
 

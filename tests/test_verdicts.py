@@ -39,17 +39,6 @@ def test_valid_label_implies_certainty_and_argumentation():
             assert verdict.argumentation is not None
 
 
-def test_strict_mode_rejects_prose_wrapping():
-    wrapped = 'Sure: {"Religious":"Yes","Certainty":"90%","Argumentation":"a"}'
-    assert parse_verdict("s", wrapped).label == "yes"
-    assert parse_verdict("s", wrapped, strict=True).reason == "bad_json"
-    bare = '{"Religious":"Yes","Certainty":"90%","Argumentation":"a"}'
-    assert parse_verdict("s", bare, strict=True).label == "yes"
-    # strict mode alone decodes a value that is not an object
-    assert parse_verdict("s", '["yes"]', strict=True).reason == "bad_json"
-    assert parse_verdict("s", "Yes.", strict=True).reason == "no_json"
-
-
 @given(st.text(max_size=300))
 def test_never_raises_on_arbitrary_text(text):
     verdict = parse_verdict("s", text)
@@ -60,7 +49,6 @@ def test_never_raises_on_arbitrary_text(text):
 def test_non_finite_certainty_is_malformed(certainty):
     text = f'{{"Religious": "Yes", "Certainty": {certainty}, "Argumentation": "a"}}'
     assert parse_verdict("s", text).label == "malformed"
-    assert parse_verdict("s", text, strict=True).label == "malformed"
 
 
 def test_never_raises_on_random_bytes_seeded():
@@ -127,6 +115,7 @@ def test_fenced_and_wrapped_replies_match_the_oracle():
     ):
         assert parse_verdict("s", text) == naive_parse_verdict("s", text)
     assert parse_verdict("s", f"```json\n{body}\n```").label == "yes"
+    assert parse_verdict("s", f"Sure: {body}").label == "yes"  # prose-wrapped JSON reads as yes
     assert parse_verdict("s", f"{{not json}} {body}").label == "malformed"
 
 
@@ -190,40 +179,36 @@ def without_lone_surrogates(verdict: Verdict) -> Verdict:
 
 
 @settings(max_examples=600, deadline=None)
-@given(text=REPLIES, strict=st.booleans())
-def test_equals_the_stdlib_only_parser(text, strict):
-    expected = without_lone_surrogates(stdlib_parse_verdict("s", text, strict=strict))
-    assert parse_verdict("s", text, strict=strict) == expected
+@given(text=REPLIES)
+def test_equals_the_stdlib_only_parser(text):
+    assert parse_verdict("s", text) == without_lone_surrogates(stdlib_parse_verdict("s", text))
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 @pytest.mark.parametrize("argumentation", ['"\\ud800 broken"', '"\ud800 broken"', '"\\udc00"'])
-def test_a_lone_surrogate_argumentation_is_bad_argumentation(strict, argumentation):
+def test_a_lone_surrogate_argumentation_is_bad_argumentation(argumentation):
     text = f'{{"Religious": "Yes", "Certainty": "90%", "Argumentation": {argumentation}}}'
-    verdict = parse_verdict("s", text, strict=strict)
+    verdict = parse_verdict("s", text)
     assert (verdict.label, verdict.reason) == ("malformed", "bad_argumentation")
     # a surrogate pair is one character, and fine
     paired = text.replace(argumentation, '"\\ud83d\\ude00"')
-    assert parse_verdict("s", paired, strict=strict).argumentation == "\U0001f600"
+    assert parse_verdict("s", paired).argumentation == "\U0001f600"
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
-def test_integers_past_float_range_and_str_digit_limit_never_raise(strict):
+def test_integers_past_float_range_and_str_digit_limit_never_raise():
     def reply(certainty: str) -> str:
         return f'{{"Religious": "No", "Certainty": {certainty}, "Argumentation": "a"}}'
 
     # float() overflows past 1e308; the integer clamps as a smaller one would
-    assert parse_verdict("s", reply("1" + "0" * 400), strict=strict).certainty == 100
-    assert parse_verdict("s", reply("-1" + "0" * 400), strict=strict).certainty == 0
+    assert parse_verdict("s", reply("1" + "0" * 400)).certainty == 100
+    assert parse_verdict("s", reply("-1" + "0" * 400)).certainty == 0
     # past sys.get_int_max_str_digits() the stdlib json refuses to read it
-    assert parse_verdict("s", reply("9" * 5_000), strict=strict).reason == "bad_json"
+    assert parse_verdict("s", reply("9" * 5_000)).reason == "bad_json"
 
 
 @pytest.mark.parametrize("depth", [100, 1_100, 100_000])
-@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
-def test_nested_replies_equal_the_stdlib_only_parser(depth, strict):
+def test_nested_replies_equal_the_stdlib_only_parser(depth):
     """Outside hypothesis, which raises the recursion limit while a test
     runs, 1,100 levels are past the stdlib decoder's limit."""
     nested = "[" * depth + "]" * depth
     text = f'{{"Religious": "Yes", "Certainty": "90%", "Argumentation": "a", "note": {nested}}}'
-    assert parse_verdict("s", text, strict=strict) == stdlib_parse_verdict("s", text, strict=strict)
+    assert parse_verdict("s", text) == stdlib_parse_verdict("s", text)
