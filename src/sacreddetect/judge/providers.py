@@ -184,19 +184,22 @@ class _HttpBatchProvider:
             )
 
         batch = self._poll(state["batch_id"])
-        if batch.get("status") != "completed":
+        output_file = batch.get("output_file_id")
+        if batch.get("status") != "completed" or not output_file:
             # polling a batch that ended gives the same answer forever, so
             # it is forgotten, and the next run submits the lines again
             batch_id = state.pop("batch_id")
             if state_save is not None:
                 state_save(state)
+            if batch.get("status") != "completed":
+                problem = f"ended in status {batch.get('status')!r}"
+            else:
+                problem = "completed with no output file"
+                if batch.get("error_file_id"):
+                    problem += f" (error file {batch['error_file_id']})"
             raise ProviderError(
-                f"{self.name}: batch {batch_id} ended in status {batch.get('status')!r}; "
-                "re-run to submit it again"
+                f"{self.name}: batch {batch_id} {problem}; re-run to submit it again"
             )
-        output_file = batch.get("output_file_id")
-        if not output_file:
-            raise ProviderError(f"{self.name}: batch {state['batch_id']} has no output file")
         content = self._request("GET", f"/files/{output_file}/content").text
         # not splitlines: JSON strings may hold U+2028, U+0085 and the like raw
         return [line for line in content.split("\n") if line.strip()]

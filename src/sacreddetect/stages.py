@@ -54,7 +54,7 @@ from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import RunManifest, is_current, read_manifest, write_manifest
 from .textpipe.corpus import CleanDocument, build_sentence_corpus, filter_corpus
-from .textpipe.htmltext import extract_main_text
+from .textpipe.htmltext import EXTRACTOR_VERSION, extract_main_text
 from .textpipe.langid import detect_language
 from .textpipe.sentences import SPLITTER_VERSION
 
@@ -344,6 +344,7 @@ def run_extract(config: PipelineConfig) -> None:
             s.ngo_id for s in config.sources if (layout.raw / f"{s.ngo_id}.jsonl").is_file()
         )
         inputs = {f"{n}.jsonl": sha256_file(layout.raw / f"{n}.jsonl") for n in ngo_ids}
+        inputs["extractor_version"] = sha256_text(EXTRACTOR_VERSION)
         inputs["splitter_version"] = sha256_text(SPLITTER_VERSION)
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
@@ -397,7 +398,11 @@ def run_extract(config: PipelineConfig) -> None:
                     "extract %s: %d documents -> %d sentences", ngo_id, len(kept), len(records)
                 )
                 del docs, kept, records  # freed before the next source is read
-            params = {"splitter_version": SPLITTER_VERSION, "counters": dict(counters)}
+            params = {
+                "extractor_version": EXTRACTOR_VERSION,
+                "splitter_version": SPLITTER_VERSION,
+                "counters": dict(counters),
+            }
             return {layout.corpus: params}
 
         _produce("extract", {layout.corpus: inputs}, build)

@@ -11,6 +11,13 @@ confidence is the softmax posterior of the best profile, damped by an
 evidence factor ``min(1, len(text)/80)`` so that texts under 40 characters
 can never exceed confidence 0.5: two words prove very little.
 
+Words are split off in C too: ``str.translate`` with ``_WORD_CHARS`` maps
+every character that is not a word character to a space, and ``split``
+cuts the rest into the same words ``_WORD_RE.findall`` finds. The table
+learns a code point from ``_WORD_RE`` the first time it sees it, and is
+emptied when full (2**14 code points), so no text can grow it without
+bound.
+
 Both per-trigram loops run in C. A word's trigrams are sliced once and kept
 in a bounded cache (``_word_trigrams``, 2**14 words, about 8 MiB when
 full), and the bag is counted from the chained tuples, so it holds the same
@@ -123,14 +130,33 @@ _SEEDS = {
 LANGUAGES = tuple(_SEEDS)
 
 
-@lru_cache(maxsize=1 << 14)
+_CACHE_SIZE = 1 << 14
+
+
+class _WordChars(dict):
+    """``str.translate`` table: a code point to itself when ``_WORD_RE``
+    counts it as a word character, else to a space. Filled the first time
+    each code point is seen, and emptied when it holds _CACHE_SIZE."""
+
+    def __missing__(self, code: int) -> int:
+        if len(self) >= _CACHE_SIZE:
+            self.clear()
+        value = self[code] = code if _WORD_RE.match(chr(code)) else 32
+        return value
+
+
+_WORD_CHARS = _WordChars()
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _word_trigrams(word: str) -> tuple[str, ...]:
     padded = f" {word} "
     return tuple(padded[i : i + 3] for i in range(len(padded) - 2))
 
 
 def _trigram_bag(text: str) -> Counter:
-    return Counter(chain.from_iterable(map(_word_trigrams, _WORD_RE.findall(text.lower()))))
+    words = text.lower().translate(_WORD_CHARS).split()
+    return Counter(chain.from_iterable(map(_word_trigrams, words)))
 
 
 def _log_table(seed: str) -> tuple[dict[str, float], float]:

@@ -8,11 +8,13 @@ recomputed per trigram instead of precomputed tables, a char-by-char
 brace scan instead of decoding JSON from the first brace, a whole
 request dict encoded per batch line instead of spliced pieces, and one
 regex search per stub term with a whole result dict encoded per reply
-instead of one combined search and pre-encoded replies, and analyze's
+instead of one combined search and pre-encoded replies, analyze's
 former column matrix (every text and label held, one phrase scan per
 phrase, duplicates grouped on the text itself) instead of one pass that
-keeps only tallies, and the stdlib json alone decoding provider result
-lines and model replies instead of orjson first. They must stay dumb.
+keeps only tallies, the stdlib json alone decoding provider result
+lines and model replies instead of orjson first, and html.parser
+tokenizing pages instead of the extractor's own scanner. They must stay
+dumb.
 """
 
 from __future__ import annotations
@@ -23,10 +25,19 @@ import json
 import math
 import re
 from collections import Counter
+from html.parser import HTMLParser
 
 from sacreddetect.analytics.terms import phrase_in_text
 from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.judge.verdicts import Verdict, parse_verdict
+from sacreddetect.textpipe.htmltext import (
+    _RESIDUAL_TAG_START,
+    BLOCK_TAGS,
+    MIN_DENSITY,
+    MIN_WORDS,
+    SKIP_SUBTREES,
+    _Block,
+)
 from sacreddetect.textpipe.langid import _SEEDS, LANGUAGES
 from sacreddetect.textpipe.sentences import (
     _NEWLINE_RE,
@@ -287,6 +298,85 @@ def stdlib_parse_result_lines(lines: list[str]) -> dict[str, str]:
         if isinstance(custom_id, str) and isinstance(content, str):
             results[custom_id] = content
     return results
+
+
+# --- HTML extraction oracle -------------------------------------------------
+# The extractor as it was before its own scanner: an html.parser subclass
+# building the same blocks, copied unchanged. html.parser's reading of
+# unclosed markup changed across CPython patch releases (CVE-2025-6069), so
+# compare with it only on markup every release reads alike.
+
+
+class _BlockParser(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.blocks: list[_Block] = []
+        self._parts: list[str] = []
+        self._tag_count = 0
+        self._skip_depth = 0
+
+    def handle_starttag(self, tag, attrs):
+        if tag in SKIP_SUBTREES:
+            self._skip_depth += 1
+            return
+        if self._skip_depth:
+            return
+        if tag in BLOCK_TAGS:
+            self._flush()
+        else:
+            self._tag_count += 1
+
+    def handle_startendtag(self, tag, attrs):
+        if self._skip_depth:
+            return
+        if tag in BLOCK_TAGS:
+            self._flush()
+        elif tag not in SKIP_SUBTREES:
+            self._tag_count += 1
+
+    def handle_endtag(self, tag):
+        if tag in SKIP_SUBTREES:
+            self._skip_depth = max(0, self._skip_depth - 1)
+            return
+        if self._skip_depth:
+            return
+        if tag in BLOCK_TAGS:
+            self._flush()
+
+    def handle_data(self, data):
+        if not self._skip_depth and data:
+            self._parts.append(data)
+
+    def _flush(self) -> None:
+        words = _RESIDUAL_TAG_START.sub("", "".join(self._parts)).split()
+        if words:
+            self.blocks.append(_Block(" ".join(words), len(words), self._tag_count))
+        self._parts = []
+        self._tag_count = 0
+
+    def finish(self) -> list[_Block]:
+        self._flush()
+        return self.blocks
+
+
+def naive_blocks(text: str) -> list[_Block]:
+    """The page's text blocks, as html.parser tokenizes it."""
+    parser = _BlockParser()
+    parser.feed(text)
+    parser.close()
+    return parser.finish()
+
+
+def naive_extract_main_text(html: bytes | str) -> str:
+    """extract_main_text with html.parser as the tokenizer."""
+    text = html.decode("utf-8", errors="replace") if isinstance(html, bytes) else html
+    blocks = naive_blocks(text)
+    by_threshold = [b.words >= MIN_WORDS and b.density >= MIN_DENSITY for b in blocks]
+    kept = list(by_threshold)
+    for i in range(1, len(blocks) - 1):
+        if not kept[i] and by_threshold[i - 1] and by_threshold[i + 1]:
+            kept[i] = True
+    return "\n".join(b.text for b, keep in zip(blocks, kept) if keep)
 
 
 # --- language-ID oracle -----------------------------------------------------

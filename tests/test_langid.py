@@ -5,7 +5,14 @@ from oracles import _naive_trigram_bag, naive_detect_language
 
 from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.textpipe import detect_language
-from sacreddetect.textpipe.langid import _SEEDS, _trigram_bag, _word_trigrams
+from sacreddetect.textpipe.langid import (
+    _CACHE_SIZE,
+    _SEEDS,
+    _WORD_CHARS,
+    _WORD_RE,
+    _trigram_bag,
+    _word_trigrams,
+)
 
 DUTCH_PARAGRAPH = (
     "De aarde warmt op en de zeespiegel stijgt, maar er is nog steeds hoop "
@@ -134,6 +141,32 @@ def test_results_do_not_depend_on_word_cache_history():
     words = ("".join(chr(97 + int(d)) for d in str(i)) for i in range(maxsize + 1000))
     detect_language(" ".join(words))
     assert _word_trigrams.cache_info().currsize == maxsize
+    assert [detect_language(text) for text in SALAD] == warm
+    assert [_trigram_bag(text) for text in SALAD[:300]] == [
+        _naive_trigram_bag(text) for text in SALAD[:300]
+    ]
+
+
+def test_the_word_table_splits_every_code_point_as_the_word_pattern_does():
+    mismatches = []
+    for code in range(0x110000):
+        if 0xD800 <= code <= 0xDFFF:  # surrogates
+            continue
+        for text in (chr(code), f"a{chr(code)}b"):
+            lowered = text.lower()
+            if lowered.translate(_WORD_CHARS).split() != _WORD_RE.findall(lowered):
+                mismatches.append(code)
+    assert mismatches == []
+
+
+def test_results_do_not_depend_on_word_table_history():
+    warm = [detect_language(text) for text in SALAD]
+    _WORD_CHARS.clear()
+    assert [detect_language(text) for text in SALAD] == warm
+    # more distinct letters than the table holds: CJK ideographs
+    letters = "".join(map(chr, range(0x4E00, 0x4E00 + _CACHE_SIZE + 1000)))
+    detect_language(letters)
+    assert 0 < len(_WORD_CHARS) <= _CACHE_SIZE
     assert [detect_language(text) for text in SALAD] == warm
     assert [_trigram_bag(text) for text in SALAD[:300]] == [
         _naive_trigram_bag(text) for text in SALAD[:300]

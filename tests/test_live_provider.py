@@ -28,10 +28,12 @@ class FakeBatchSession:
     Batches are numbered batch-1, batch-2, ... as they are created.
     final_status is the status every batch ends in, or a tuple of the
     status each batch ends in, by number, the last one for the batches
-    past its end.
+    past its end. A batch ends with output_file_id and, when it is set,
+    error_file_id.
     """
 
-    def __init__(self, polls_until_done=2, final_status="completed", reply=None):
+    def __init__(self, polls_until_done=2, final_status="completed", reply=None,
+                 output_file_id="file-out", error_file_id=None):
         self.calls = []
         self.uploads = []  # the bytes of each uploaded file
         self.reply = reply or '{"Religious":"No","Certainty":"90%","Argumentation":"x"}'
@@ -39,6 +41,8 @@ class FakeBatchSession:
         self.polls_until_done = polls_until_done
         self.final_status = final_status
         self.batches = 0
+        self.output_file_id = output_file_id
+        self.error_file_id = error_file_id
 
     def _final_status(self, number):
         if isinstance(self.final_status, str):
@@ -58,13 +62,14 @@ class FakeBatchSession:
             self.polls += 1
             if self.polls < self.polls_until_done:
                 return FakeResponse(payload={"id": batch_id, "status": "in_progress"})
-            return FakeResponse(
-                payload={
-                    "id": batch_id,
-                    "status": self._final_status(int(batch_id.removeprefix("batch-"))),
-                    "output_file_id": "file-out",
-                }
-            )
+            batch = {
+                "id": batch_id,
+                "status": self._final_status(int(batch_id.removeprefix("batch-"))),
+                "output_file_id": self.output_file_id,
+            }
+            if self.error_file_id:
+                batch["error_file_id"] = self.error_file_id
+            return FakeResponse(payload=batch)
         if method == "GET" and url.endswith("/files/file-out/content"):
             lines = [
                 json.dumps(
@@ -160,6 +165,21 @@ def test_a_batch_that_ended_failed_is_submitted_again_on_the_rerun(tmp_path, mon
     assert (labels / "cca.jsonl").read_text().count("\n") == len(
         (batches / "cca.jsonl").read_text().splitlines()
     )
+
+
+def test_a_completed_batch_without_an_output_file_is_submitted_again():
+    # as when every request in it errored: only an error file came back
+    session = FakeBatchSession(polls_until_done=1, output_file_id=None, error_file_id="file-err")
+    provider = make_provider(session)
+    state, saved = {}, []
+    with pytest.raises(ProviderError, match="batch-1 completed with no output file.*file-err"):
+        provider.run_batch(['{"custom_id":"s1"}'], state=state, state_save=saved.append)
+    assert state == {} and saved[-1] == {}  # forgotten
+    session.output_file_id = "file-out"
+    lines = provider.run_batch(['{"custom_id":"s1"}'], state=state, state_save=saved.append)
+    assert session.uploads == [b'{"custom_id":"s1"}\n'] * 2  # sent again, as batch-2
+    assert state == {"batch_id": "batch-2"}
+    assert [json.loads(line)["custom_id"] for line in lines] == ["s1"]
 
 
 def test_http_error_raises_provider_error():

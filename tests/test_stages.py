@@ -23,6 +23,7 @@ from sacreddetect.judge.verdicts import REASONS
 from sacreddetect.lexicon import parse_lexicon_text
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
+from sacreddetect.textpipe.htmltext import EXTRACTOR_VERSION
 from sacreddetect.stages import (
     Layout,
     run_analyze,
@@ -1138,6 +1139,37 @@ def test_a_group_flip_leaves_extract_alone_and_reaches_table_1(sample_config):
         run()
     assert (manifest.stat().st_ino, manifest.read_bytes()) == before  # extract was a no-op
     assert "| cca | secular |" in (layout.reports / "table1.md").read_text()
+
+
+def test_a_corpus_from_the_html_parser_extractor_reruns_extract_alone(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    # the corpus manifest as extract wrote it before it recorded its version
+    path = layout.corpus / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["inputs"]["extractor_version"], manifest["params"]["extractor_version"]
+    path.write_text(json.dumps(manifest))
+    corpus = {p.name: p.read_bytes() for p in layout.corpus.glob("*.jsonl")}
+    models = [m.model_id for m in sample_config.models]
+    downstream = [layout.labels_tree]
+    downstream += [layout.batches(m) for m in models] + [layout.labels_model(m) for m in models]
+    before = {d: (d / "manifest.json").read_bytes() for d in downstream}
+
+    run_extract(sample_config)
+    assert read_manifest(layout.corpus).params["extractor_version"] == EXTRACTOR_VERSION
+    assert {p.name: p.read_bytes() for p in layout.corpus.glob("*.jsonl")} == corpus
+    rerun = path.read_bytes()
+    run_extract(sample_config)
+    assert path.read_bytes() == rerun  # once
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    # the corpus bytes are equal, so every later stage is still current
+    assert {d: (d / "manifest.json").read_bytes() for d in downstream} == before
 
 
 def test_analyze_without_a_corpus_manifest_names_extract(sample_config):
