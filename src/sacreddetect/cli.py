@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -76,12 +77,10 @@ def main(ctx, config_path, output_root, verbose):
 def validate(ctx):
     """Parse and invariant-check the configuration."""
     config = _load_config(ctx)
-    groups = {}
-    for s in config.sources:
-        groups[s.group] = groups.get(s.group, 0) + 1
+    groups = Counter(s.group for s in config.sources)
     click.echo(
         f"ok: {len(config.sources)} sources "
-        f"({groups.get('secular', 0)} secular, {groups.get('religious', 0)} religious), "
+        f"({groups['secular']} secular, {groups['religious']} religious), "
         f"{len(config.models)} models, template '{config.prompt_template}', "
         f"output root {config.output_root}"
     )

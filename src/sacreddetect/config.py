@@ -13,16 +13,16 @@ from __future__ import annotations
 import difflib
 import math
 import tomllib
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .analytics.reports import phrase_slug
 from .errors import ConfigError
 from .judge.prompts import TEMPLATE_IDS
+from .judge.providers import PROVIDERS
 
 GROUPS = ("religious", "secular")
-PROVIDERS = ("openai-batch", "groq-batch", "stub")
 
 DEFAULT_REPORT_PHRASES = ("mother earth", "sacred earth", "ubuntu")
 
@@ -78,16 +78,16 @@ class FetchPolicy:
     timeout: float = 20.0
     backoff: float = 2.0  # exponential base for retry delays
 
-    def validate(self) -> None:
+    def validate(self, where: str = "policy") -> None:
         # NaN fails every comparison, so each bound is written to fail on it
         if not 0 < self.rate_per_host < math.inf:
-            raise ConfigError("policy.rate_per_host: must be a finite number > 0")
+            raise ConfigError(f"{where}.rate_per_host: must be a finite number > 0")
         if self.retries < 0:
-            raise ConfigError("policy.retries: must be >= 0")
+            raise ConfigError(f"{where}.retries: must be >= 0")
         if not 0 < self.timeout < math.inf:
-            raise ConfigError("policy.timeout: must be a finite number > 0")
+            raise ConfigError(f"{where}.timeout: must be a finite number > 0")
         if not 0 <= self.backoff < math.inf:
-            raise ConfigError("policy.backoff: must be a finite number >= 0")
+            raise ConfigError(f"{where}.backoff: must be a finite number >= 0")
 
 
 @dataclass
@@ -134,19 +134,10 @@ def validate_config(path: str | Path) -> PipelineConfig:
     base = path.parent
     _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "", "the top level")
 
-    sources = []
-    for i, entry in enumerate(_expect_list(raw, "sources")):
-        where = f"sources[{i}]"
-        _reject_unknown_keys(entry, _field_names(SourceSpec), where, "[[sources]]")
-        spec = SourceSpec(
-            ngo_id=_expect(entry, "ngo_id", str, where),
-            group=_expect(entry, "group", str, where),
-            base_url=_expect(entry, "base_url", str, where),
-            from_year=_expect(entry, "from_year", int, where),
-            to_year=_expect(entry, "to_year", int, where),
-        )
-        spec.validate(where)
-        sources.append(spec)
+    sources = [
+        _read_table(entry, SourceSpec, f"sources[{i}]", "[[sources]]")
+        for i, entry in enumerate(_expect_list(raw, "sources"))
+    ]
     if not sources:
         raise ConfigError("sources: at least one source is required")
     seen: set[str] = set()
@@ -155,30 +146,15 @@ def validate_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"sources[{i}].ngo_id: duplicate id {s.ngo_id!r}")
         seen.add(s.ngo_id)
 
-    models = []
-    for i, entry in enumerate(_expect_list(raw, "models")):
-        where = f"models[{i}]"
-        _reject_unknown_keys(entry, _field_names(ModelSpec), where, "[[models]]")
-        spec = ModelSpec(
-            model_id=_expect(entry, "model_id", str, where),
-            provider=_expect(entry, "provider", str, where),
-        )
-        spec.validate(where)
-        models.append(spec)
+    models = [
+        _read_table(entry, ModelSpec, f"models[{i}]", "[[models]]")
+        for i, entry in enumerate(_expect_list(raw, "models"))
+    ]
     model_ids = [m.model_id for m in models]
     if len(set(model_ids)) != len(model_ids):
         raise ConfigError("models: duplicate model_id")
 
-    pol = _expect(raw, "policy", dict, default={})
-    _reject_unknown_keys(pol, _field_names(FetchPolicy), "policy", "[policy]")
-    default = FetchPolicy()
-    policy = FetchPolicy(
-        rate_per_host=float(_expect(pol, "rate_per_host", _NUMBER, "policy", default.rate_per_host)),
-        retries=_expect(pol, "retries", int, "policy", default.retries),
-        timeout=float(_expect(pol, "timeout", _NUMBER, "policy", default.timeout)),
-        backoff=float(_expect(pol, "backoff", _NUMBER, "policy", default.backoff)),
-    )
-    policy.validate()
+    policy = _read_table(_expect(raw, "policy", dict, default={}), FetchPolicy, "policy", "[policy]")
 
     lexicon_raw = _expect(raw, "lexicon", str, default="starter")
     if lexicon_raw == "starter":
@@ -230,11 +206,6 @@ _TOP_LEVEL_KEYS = (
 )
 
 
-def _field_names(spec: type) -> tuple[str, ...]:
-    """The keys of a table that maps field for field onto spec."""
-    return tuple(f.name for f in fields(spec))
-
-
 def _reject_unknown_keys(table: dict, known: tuple[str, ...], where: str, table_name: str) -> None:
     """ConfigError naming the first key of table that is not in known, with
     the closest known key as a suggestion."""
@@ -253,7 +224,9 @@ _NUMBER = (int, float)
 _TYPE_NAMES = {
     str: "a string", int: "an integer", _NUMBER: "a number", dict: "a table", list: "an array"
 }
-_MISSING = object()
+# the field types a table's dataclass may use; a float field takes an
+# integer too, and stores it as a float
+_FIELD_TYPES = {"str": str, "int": int, "float": _NUMBER}
 
 
 def _expect_list(table: dict, key: str, item_type: type = dict, where: str = "", default=()):
@@ -266,12 +239,26 @@ def _expect_list(table: dict, key: str, item_type: type = dict, where: str = "",
     return value
 
 
-def _expect(table: dict, key: str, typ, where: str = "", default=_MISSING):
+def _read_table(table: dict, spec: type, where: str, table_name: str):
+    """spec built from table, whose keys are spec's fields: each value is
+    checked against its field's type, and a field with a default may be
+    left out. The result validates itself before it is returned."""
+    _reject_unknown_keys(table, tuple(f.name for f in fields(spec)), where, table_name)
+    values = {}
+    for f in fields(spec):
+        value = _expect(table, f.name, _FIELD_TYPES[f.type], where, f.default)
+        values[f.name] = float(value) if f.type == "float" else value
+    result = spec(**values)
+    result.validate(where)
+    return result
+
+
+def _expect(table: dict, key: str, typ, where: str = "", default=MISSING):
     """table[key], checked to be typ; default when the key is absent, or a
     ConfigError naming the field when no default is given."""
     name = f"{where}.{key}" if where else key
     if key not in table:
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(f"{name}: missing")
         return default
     value = table[key]

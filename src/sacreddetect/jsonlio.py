@@ -98,19 +98,9 @@ def read_jsonl(path: str | Path, on_bad_line=None) -> Iterator[dict[str, Any]]:
             yield row
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
-    """Write rows as one JSON object per line; returns the row count."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    n = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(encode_json(row))
-            fh.write("\n")
-            n += 1
-    os.replace(tmp, path)
-    return n
+def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
+    """Write rows as one JSON object per line."""
+    write_text(path, (encode_json(row) + "\n" for row in rows))
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:

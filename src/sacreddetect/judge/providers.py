@@ -226,14 +226,14 @@ class GroqBatchProvider(_HttpBatchProvider):
     key_env = "GROQ_API_KEY"
 
 
+# the provider names a config's [[models]] may use, each to its class
+PROVIDERS = {cls.name: cls for cls in (OpenAIBatchProvider, GroqBatchProvider, StubProvider)}
+
+
 def get_provider(name: str) -> BatchProvider:
-    if name == "stub":
-        return StubProvider()
-    if name == "openai-batch":
-        return OpenAIBatchProvider()
-    if name == "groq-batch":
-        return GroqBatchProvider()
-    raise ProviderError(f"unknown provider {name!r}")
+    if name not in PROVIDERS:
+        raise ProviderError(f"unknown provider {name!r}")
+    return PROVIDERS[name]()
 
 
 def parse_result_lines(lines: Iterable[str]) -> dict[str, str]:

@@ -8,11 +8,12 @@ no-op, and otherwise the stage builds a fresh sibling directory and swaps
 it in whole, so no file of an earlier run survives and a crash leaves the
 previous complete output. Running a stage before its prerequisites raises
 PrerequisiteError naming the command to run. One stage executes per output
-root at a time, enforced with a lock file.
+root at a time, enforced with an flock on a lock file.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -20,7 +21,7 @@ import shutil
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from itertools import takewhile, zip_longest
@@ -120,37 +121,35 @@ def _remove_while_empty(dirs: list[Path]) -> None:
 
 @contextmanager
 def stage_lock(root: Path):
-    """One stage execution per output root; stale locks from dead processes
-    are stolen. A stage that raises leaves behind none of the directories
-    the lock created for the root, while they are empty."""
+    """One stage execution per output root: an flock on root/.lock. The
+    kernel drops the flock when its holder dies, so a killed stage's lock
+    never blocks. A holder unlinks the file before it lets go, so a flock
+    won on a file that is no longer root/.lock was won too late. A stage
+    that raises leaves behind none of the directories the lock created for
+    the root, while they are empty."""
     made = _missing_dirs(root)
     root.mkdir(parents=True, exist_ok=True)
     lock_path = root / ".lock"
-    if lock_path.is_file():
-        try:
-            pid = int(lock_path.read_text().strip())
-            os.kill(pid, 0)
-        except (ValueError, ProcessLookupError):
-            lock_path.unlink(missing_ok=True)  # stale
-        except PermissionError:
-            raise StageLockedError(f"output root is locked by pid in {lock_path}") from None
-        else:
-            raise StageLockedError(
-                f"another stage (pid {pid}) is running on this output root"
-            )
+    fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:  # another process created it since the check
-        raise StageLockedError(f"another stage took the lock {lock_path} first") from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        locked = os.fstat(fd).st_ino == os.stat(lock_path).st_ino
+    except OSError:  # held by another stage, or unlinked by one since our open
+        locked = False
+    if not locked:
         os.close(fd)
+        raise StageLockedError(
+            f"another stage is running on this output root (it holds {lock_path})"
+        ) from None
+    try:
         yield
     except BaseException:
         lock_path.unlink(missing_ok=True)
+        os.close(fd)
         _remove_while_empty(made)
         raise
     lock_path.unlink(missing_ok=True)
+    os.close(fd)
 
 
 def _hash_dir_files(directory: Path, pattern: str = "*.jsonl") -> dict[str, str]:
@@ -221,13 +220,7 @@ def _produce(stage: str, outputs: dict[Path, dict[str, str]], build) -> None:
 
 
 def _sources_fingerprint(config: PipelineConfig) -> str:
-    payload = json.dumps(
-        [
-            [s.ngo_id, s.group, s.base_url, s.from_year, s.to_year]
-            for s in config.sources
-        ]
-    )
-    return sha256_text(payload)
+    return sha256_text(json.dumps([astuple(s) for s in config.sources]))
 
 
 # --- harvest ----------------------------------------------------------------
@@ -513,14 +506,6 @@ def run_batch_build(config: PipelineConfig) -> None:
 # --- classify ---------------------------------------------------------------
 
 
-def _request_files(batch_dir: Path) -> list[Path]:
-    """The batch files of a batch directory, without the results saved beside them."""
-    return [
-        p for p in sorted(batch_dir.glob("*.jsonl"))
-        if p.is_file() and not p.name.endswith(".results.jsonl")
-    ]
-
-
 def _read_lines(path: Path) -> Iterator[str]:
     # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
     # like raw, and str.splitlines would break at them
@@ -550,12 +535,17 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
                     f"batches for model {model.model_id!r} were built from an older "
                     "corpus; run `sacreddetect batch-build` first"
                 )
+            # batch-build wrote one request file per corpus file
+            for name in corpus_inputs:
+                if not (batch_dir / name).is_file():
+                    raise PrerequisiteError(
+                        f"missing batch file {batch_dir / name}; run `sacreddetect batch-build` first"
+                    )
             provider_name = "stub" if stub else model.provider
             job = _ClassifyJob(
                 model_id=model.model_id,
                 provider_name=provider_name,
                 provider=providers_mod.get_provider(provider_name),
-                request_files={p.name: p for p in _request_files(batch_dir)},
                 params={
                     "provider": provider_name,
                     "model_id": model.model_id,
@@ -571,7 +561,7 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
             labels_dir = layout.labels_model(model.model_id)
             jobs[labels_dir] = job
             outputs[labels_dir] = {
-                **{name: sha256_file(p) for name, p in job.request_files.items()},
+                **{name: sha256_file(batch_dir / name) for name in corpus_inputs},
                 "provider": sha256_text(provider_name),
                 # rows of an older shape are rewritten from the saved results
                 "row_version": sha256_text(VERDICT_ROW_VERSION),
@@ -579,21 +569,12 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             counters = {labels_dir: Counter() for labels_dir in tmps}
-            names = sorted({name for labels_dir in tmps for name in jobs[labels_dir].request_files})
-            for name in names:
+            for name in corpus_inputs:
                 # one NGO's ids at a time, decoded once for every stale model
-                corpus_path = layout.corpus / name
-                sentence_ids = (
-                    [sentence_id for sentence_id, _ in load_corpus(corpus_path)]
-                    if corpus_path.is_file()
-                    else []
-                )
+                sentence_ids = [sentence_id for sentence_id, _ in load_corpus(layout.corpus / name)]
                 for labels_dir, tmp in tmps.items():
-                    job = jobs[labels_dir]
-                    path = job.request_files.get(name)
-                    if path is None:
-                        continue
-                    counts = _classify_file(job, path, sentence_ids, tmp)
+                    path = layout.batches(jobs[labels_dir].model_id) / name
+                    counts = _classify_file(jobs[labels_dir], path, sentence_ids, tmp)
                     for key, value in counts.items():
                         counters[labels_dir][f"{key}:{path.stem}"] = value
             return {
@@ -606,13 +587,12 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
 
 @dataclass
 class _ClassifyJob:
-    """One model's classify run: its provider, its batch files by name and
-    its manifest params but the counters."""
+    """One model's classify run: its provider and its manifest params but
+    the counters."""
 
     model_id: str
     provider_name: str
     provider: providers_mod.BatchProvider
-    request_files: dict[str, Path]
     params: dict
 
 

@@ -1,9 +1,13 @@
+import json
 import re
+from dataclasses import MISSING, fields
 
 import pytest
 
 from sacreddetect.config import (
     FetchPolicy,
+    ModelSpec,
+    SourceSpec,
     default_config_path,
     sample_config_path,
     validate_config,
@@ -120,6 +124,44 @@ def test_missing_field_names_path(tmp_path):
     body = MINIMAL.replace('base_url = "a.org"\n', "")
     with pytest.raises(ConfigError, match=r"sources\[0\].base_url"):
         validate_config(write_config(tmp_path, body))
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        (where, f.name)
+        for where, spec in (("sources[0]", SourceSpec), ("models[0]", ModelSpec))
+        for f in fields(spec)
+        if f.default is MISSING
+    ],
+)
+def test_each_missing_required_field_names_its_path(tmp_path, where, key):
+    body = re.sub(rf"^{key} = .*\n", "", MINIMAL, count=1, flags=re.MULTILINE)
+    assert body != MINIMAL
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)}\.{key}: missing$"):
+        validate_config(write_config(tmp_path, body))
+
+
+# one table of each kind, every field away from its default
+TABLES = {
+    "[[sources]]": SourceSpec("b", "religious", "b.org", 2015, 2020),
+    "[[models]]": ModelSpec("m2", "openai-batch"),
+    "[policy]": FetchPolicy(rate_per_host=0.5, retries=7, timeout=3.0, backoff=1.5),
+}
+
+
+@pytest.mark.parametrize("header", TABLES)
+def test_the_keys_a_table_accepts_are_its_dataclass_fields(tmp_path, header):
+    body = "".join(
+        f"{name}\n" + "".join(f"{f.name} = {json.dumps(getattr(spec, f.name))}\n" for f in fields(spec))
+        for name, spec in TABLES.items()
+    )
+    config = validate_config(write_config(tmp_path, body))
+    read = {"[[sources]]": config.sources, "[[models]]": config.models, "[policy]": [config.policy]}
+    assert read[header] == [TABLES[header]]  # every field is read from its key
+    extra = body.replace(f"{header}\n", f"{header}\nextra = 1\n")
+    with pytest.raises(ConfigError, match=rf"\.extra: unknown key in {re.escape(header)}$"):
+        validate_config(write_config(tmp_path, extra))  # and no other key is
 
 
 def test_missing_file_is_config_error(tmp_path):

@@ -22,7 +22,7 @@ ROWS = [
 
 def test_write_jsonl_bytes_equal_json_dumps(tmp_path):
     path = tmp_path / "rows.jsonl"
-    assert write_jsonl(path, iter(ROWS)) == len(ROWS)
+    write_jsonl(path, iter(ROWS))
     expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in ROWS)
     assert path.read_bytes() == expected.encode("utf-8")
 

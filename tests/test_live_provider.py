@@ -155,7 +155,8 @@ def test_a_batch_that_ended_failed_is_submitted_again_on_the_rerun(tmp_path, mon
         stages.run_classify(config)
     assert json.loads((batches / "cca.state.json").read_text()) == {"provider": "openai-batch"}
     stages.run_classify(config)  # batch-1 is not polled again: cca goes out in batch-2
-    assert len(session.uploads) == 1 + len(stages._request_files(batches))
+    corpus = stages.Layout(config.output_root).corpus
+    assert len(session.uploads) == 1 + len(list(corpus.glob("*.jsonl")))
     assert session.uploads[:2] == [(batches / "cca.jsonl").read_bytes()] * 2
     assert session.calls.count(("GET", f"{OpenAIBatchProvider.base_url}/batches/batch-1")) == 1
     assert json.loads((batches / "cca.state.json").read_text()) == {

@@ -1,4 +1,5 @@
 import dataclasses
+import fcntl
 import json
 import os
 import re
@@ -249,10 +250,23 @@ def test_harvest_sample_idempotent(sample_config):
 def test_stage_lock_blocks_concurrent_runs(sample_config, tmp_path):
     root = tmp_path / "locked"
     root.mkdir()
-    (root / ".lock").write_text(str(os.getpid()))  # a live pid: ours
-    with pytest.raises(StageLockedError):
-        with stage_lock(root):
-            pass
+    with open(root / ".lock", "w") as holder:  # another stage's open file
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        with pytest.raises(StageLockedError):
+            with stage_lock(root):
+                pass
+        assert (root / ".lock").is_file()  # the holder's lock stays
+
+
+@pytest.mark.parametrize("pid", [os.getpid(), 1], ids=["our-pid", "pid-1"])
+def test_a_leftover_lock_naming_a_live_pid_is_taken(tmp_path, pid):
+    # a killed stage's .lock; its pid may since belong to a live process
+    root = tmp_path / "leftover"
+    root.mkdir()
+    (root / ".lock").write_text(str(pid))
+    with stage_lock(root):
+        assert (root / ".lock").is_file()
+    assert not (root / ".lock").exists()
 
 
 def test_stage_lock_steals_stale_lock(tmp_path):
@@ -289,20 +303,36 @@ def test_crash_safety_partial_outputs_rerun(sample_config):
     run_match(sample_config)
 
 
+def _release_before_flock(monkeypatch, root, rival: bool) -> None:
+    """Between stage_lock's open and its flock, the holder unlinks root/.lock
+    and lets go; with rival, another stage then creates a new one."""
+    real_flock = fcntl.flock
+
+    def flock_after_release(fd, operation):
+        (root / ".lock").unlink()
+        if rival:
+            (root / ".lock").write_text("rival")
+        return real_flock(fd, operation)
+
+    monkeypatch.setattr(stages.fcntl, "flock", flock_after_release)
+
+
 def test_stage_lock_race_raises_locked_error(monkeypatch, tmp_path):
     root = tmp_path / "race"
-    real_open = os.open
-
-    def open_after_rival(path, flags, *args):
-        # another process creates the lock between the check and the open
-        (root / ".lock").write_text("12345")
-        return real_open(path, flags, *args)
-
-    monkeypatch.setattr(stages.os, "open", open_after_rival)
+    _release_before_flock(monkeypatch, root, rival=True)
     with pytest.raises(StageLockedError):
         with stage_lock(root):
             pass
-    assert (root / ".lock").read_text() == "12345"  # the rival's lock stays
+    assert (root / ".lock").read_text() == "rival"  # the rival's lock stays
+
+
+def test_stage_lock_won_on_an_unlinked_file_raises_locked_error(monkeypatch, tmp_path):
+    root = tmp_path / "race"
+    _release_before_flock(monkeypatch, root, rival=False)
+    with pytest.raises(StageLockedError):
+        with stage_lock(root):
+            pass
+    assert not (root / ".lock").exists()
 
 
 def _write(name, text="x"):
@@ -1046,6 +1076,20 @@ def test_classify_checks_every_model_before_sending(sample_config, monkeypatch):
     provider = FlakyProvider()
     monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
     with pytest.raises(PrerequisiteError, match=rf"{models[1].model_id!r}.*batch-build"):
+        run_classify(sample_config)
+    assert provider.sent == []
+    assert not (sample_config.output_root / "labels").exists()
+
+
+def test_a_deleted_request_file_is_a_prerequisite_error(sample_config, monkeypatch):
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    missing = Layout(sample_config.output_root).batches(sample_config.models[1].model_id) / "ien.jsonl"
+    missing.unlink()
+    provider = FlakyProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    with pytest.raises(PrerequisiteError, match=rf"{re.escape(str(missing))}.*sacreddetect batch-build"):
         run_classify(sample_config)
     assert provider.sent == []
     assert not (sample_config.output_root / "labels").exists()
