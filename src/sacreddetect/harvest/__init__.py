@@ -1,6 +1,6 @@
 """Web-archive index queries, worklist derivation and polite live fetching."""
 
-from .cdx import CdxRecord, build_cdx_query, parse_cdx_response, snapshot_timestamps
+from .cdx import CdxRecord, build_cdx_query, parse_cdx_response
 from .fetch import HostGate, RobotsCache, fetch_live
 from .store import DocumentStore, RawDocument
 from .worklist import derive_worklist, normalize_url
@@ -16,5 +16,4 @@ __all__ = [
     "fetch_live",
     "normalize_url",
     "parse_cdx_response",
-    "snapshot_timestamps",
 ]

@@ -91,41 +91,16 @@ def parse_cdx_response(body: str, counters: Counter | None = None) -> list[CdxRe
 
     records = []
     for row in payload[1:]:
-        if not isinstance(row, list) or len(row) < len(header):
-            counters["cdx_rows_skipped"] += 1
-            continue
-        values = {f: row[index[f]] for f in REQUIRED_FIELDS}
-        if not all(isinstance(v, str) and v for v in values.values()):
-            counters["cdx_rows_skipped"] += 1
-            continue
-        if not _valid_timestamp(values["timestamp"]):
-            counters["cdx_rows_skipped"] += 1
-            continue
-        records.append(
-            CdxRecord(
-                original_url=values["original"],
-                timestamp=values["timestamp"],
-                mimetype=values["mimetype"],
-                statuscode=values["statuscode"],
-            )
-        )
+        if isinstance(row, list) and len(row) >= len(header):
+            values = [row[index[f]] for f in REQUIRED_FIELDS]  # CdxRecord's field order
+            record = CdxRecord(*values)
+            if all(isinstance(v, str) and v for v in values) and _valid_timestamp(record.timestamp):
+                records.append(record)
+                continue
+        counters["cdx_rows_skipped"] += 1
     if counters["cdx_rows_skipped"]:
         log.warning("skipped %d malformed CDX rows", counters["cdx_rows_skipped"])
     return records
-
-
-def snapshot_timestamps(records: list[CdxRecord]) -> dict[str, str]:
-    """Latest snapshot timestamp per normalized URL, kept for provenance."""
-    from .worklist import normalize_url
-
-    latest: dict[str, str] = {}
-    for rec in records:
-        url = normalize_url(rec.original_url)
-        if url is None:
-            continue
-        if url not in latest or rec.timestamp > latest[url]:
-            latest[url] = rec.timestamp
-    return latest
 
 
 def _valid_timestamp(ts: str) -> bool:

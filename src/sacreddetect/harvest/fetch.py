@@ -1,9 +1,12 @@
 """Polite live fetching: per-host rate limiting, retries, robots.txt.
 
-Failures never abort a harvest. Timeouts, connection errors and HTTP error
-statuses all become RawDocuments with the status recorded and an empty
-body, so a re-run can pick up exactly where the last one stopped. Network
-failures that never produced an HTTP status are recorded as status 0.
+Every request a harvest sends, the CDX index query, robots.txt and each
+page, goes through get, so each is spaced by its host's gate and retried.
+Page failures never abort a harvest. Timeouts, connection errors and HTTP
+error statuses all become RawDocuments with the status recorded and an
+empty body, so a re-run can pick up exactly where the last one stopped.
+Network failures that never produced an HTTP status are recorded as
+status 0.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
 
@@ -59,16 +63,11 @@ class HostGate:
         self._hosts: dict[str, tuple[threading.Lock, list[float]]] = {}
         self._registry = threading.Lock()
 
-    def _entry(self, host: str) -> tuple[threading.Lock, list[float]]:
-        with self._registry:
-            if host not in self._hosts:
-                self._hosts[host] = (threading.Lock(), [0.0])
-            return self._hosts[host]
-
     @contextmanager
     def slot(self, host: str):
         """Hold the host for one request, after waiting out its spacing."""
-        lock, next_ok = self._entry(host)
+        with self._registry:
+            lock, next_ok = self._hosts.setdefault(host, (threading.Lock(), [0.0]))
         with lock:
             now = self._clock.monotonic()
             if now < next_ok[0]:
@@ -80,18 +79,21 @@ class HostGate:
 
 
 class RobotsCache:
-    """robots.txt verdicts, fetched once per host."""
+    """robots.txt verdicts, fetched once per host through get."""
 
-    def __init__(self, session: requests.Session, timeout: float = 10.0):
-        self._session = session
-        self._timeout = timeout
+    def __init__(self, session: requests.Session, policy: FetchPolicy, gate: HostGate):
+        self._get = partial(get, policy=policy, session=session, gate=gate)
         self._parsers: dict[str, robotparser.RobotFileParser | None] = {}
+        self._locks: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
 
     def allowed(self, url: str) -> bool:
         parts = urlsplit(url)
         key = f"{parts.scheme}://{parts.netloc}"
         with self._lock:
+            origin_lock = self._locks.setdefault(key, threading.Lock())
+        # one lock per origin: a robots.txt in retry holds up no other host
+        with origin_lock:
             if key not in self._parsers:
                 self._parsers[key] = self._fetch(key)
             parser = self._parsers[key]
@@ -102,17 +104,48 @@ class RobotsCache:
     def _fetch(self, origin: str) -> robotparser.RobotFileParser | None:
         from urllib import robotparser
 
-        import requests
-
-        try:
-            resp = self._session.get(f"{origin}/robots.txt", timeout=self._timeout)
-        except requests.RequestException:
-            return None
-        if resp.status_code != 200:
+        status, _, body = self._get(f"{origin}/robots.txt")
+        if status != 200:
             return None
         parser = robotparser.RobotFileParser()
-        parser.parse(resp.text.splitlines())
+        parser.parse(body.decode("utf-8", "replace").splitlines())
         return parser
+
+
+def get(
+    url: str,
+    policy: FetchPolicy,
+    session: requests.Session,
+    gate: HostGate,
+    timeout: float | None = None,
+    sleep=None,
+) -> tuple[int, str, bytes]:
+    """One GET under the policy, each attempt in its host's gate slot:
+    (status, content type, body), the body empty unless the status is 2xx.
+    Retryable failures (timeout, connection error, 5xx, 429) are retried up
+    to policy.retries times with exponential backoff through sleep, by
+    default time.sleep as it is at the call. Nothing is raised.
+    """
+    import requests
+
+    host = urlsplit(url).netloc
+    status, content_type, body = 0, "", b""
+    for attempt in range(policy.retries + 1):
+        try:
+            with gate.slot(host):
+                resp = session.get(url, timeout=timeout or policy.timeout)
+        except requests.RequestException as exc:
+            log.debug("GET %s attempt %d failed: %s", url, attempt + 1, exc)
+            status, content_type, body = 0, "", b""
+        else:
+            status = resp.status_code
+            content_type = resp.headers.get("Content-Type", "")
+            body = resp.content if 200 <= status < 300 else b""
+            if status < 500 and status != 429:  # 429: Too Many Requests
+                break
+        if attempt < policy.retries:
+            (sleep or time.sleep)(policy.backoff**attempt)
+    return status, content_type, body
 
 
 def fetch_live(
@@ -122,38 +155,13 @@ def fetch_live(
     session: requests.Session | None = None,
     gate: HostGate | None = None,
     snapshot_ts: str | None = None,
-    sleep=time.sleep,
+    sleep=None,
 ) -> RawDocument:
-    """Fetch one URL under the policy; always returns a RawDocument.
-
-    Retryable failures (timeout, connection error, 5xx, 429) are retried up
-    to policy.retries times with exponential backoff. The final outcome,
-    success or not, is recorded; nothing is raised.
-    """
-    import requests
-
+    """Fetch one URL through get; the outcome, success or not, is the
+    returned RawDocument."""
     session = session or make_session()
     gate = gate or HostGate(policy.rate_per_host)
-    host = urlsplit(url).netloc
-
-    status = 0
-    content_type = ""
-    body = b""
-    for attempt in range(policy.retries + 1):
-        try:
-            with gate.slot(host):
-                resp = session.get(url, timeout=policy.timeout)
-        except requests.RequestException as exc:
-            log.debug("fetch %s attempt %d failed: %s", url, attempt + 1, exc)
-            status, content_type, body = 0, "", b""
-        else:
-            status = resp.status_code
-            content_type = resp.headers.get("Content-Type", "")
-            body = resp.content if 200 <= status < 300 else b""
-            if status < 500 and status != 429:  # 429: Too Many Requests
-                break
-        if attempt < policy.retries:
-            sleep(policy.backoff**attempt)
+    status, content_type, body = get(url, policy, session, gate, sleep=sleep)
     return RawDocument.make(
         ngo_id=ngo_id,
         url=url,
@@ -166,21 +174,21 @@ def fetch_live(
 
 def harvest_source(
     spec: SourceSpec,
-    worklist: list[str],
-    snapshots: dict[str, str],
+    worklist: dict[str, str],
     store: DocumentStore,
     policy: FetchPolicy,
     session: requests.Session,
     gate: HostGate,
     robots: RobotsCache | None = None,
 ) -> Counter:
-    """Fetch a source's worklist into the store; returns outcome counters.
+    """Fetch a source's worklist, each URL with its latest snapshot
+    timestamp, into the store; returns outcome counters.
 
     URLs already present in the store, fetched or failed, are skipped, so
     an interrupted harvest continues rather than refetching.
     """
     counters: Counter = Counter()
-    for url in worklist:
+    for url, snapshot_ts in worklist.items():
         if store.has_url(url):
             counters["skipped_existing"] += 1
             continue
@@ -193,7 +201,7 @@ def harvest_source(
             ngo_id=spec.ngo_id,
             session=session,
             gate=gate,
-            snapshot_ts=snapshots.get(url),
+            snapshot_ts=snapshot_ts,
         )
         store.append(doc)
         counters["fetched_ok" if doc.ok else "fetched_failed"] += 1

@@ -29,19 +29,20 @@ def normalize_url(url: str) -> str | None:
     return urlunsplit((scheme, parts.netloc.lower(), parts.path, parts.query, ""))
 
 
-def derive_worklist(records: list[CdxRecord], counters: Counter | None = None) -> list[str]:
-    """Normalize and deduplicate original URLs, preserving first-seen order.
+def derive_worklist(records: list[CdxRecord], counters: Counter | None = None) -> dict[str, str]:
+    """Normalized original URL -> its latest snapshot timestamp, kept for
+    provenance; URLs in first-seen order.
 
     Unparseable URLs are dropped and counted under ``urls_dropped``.
     """
     counters = counters if counters is not None else Counter()
-    seen: dict[str, None] = {}
+    latest: dict[str, str] = {}
     for rec in records:
-        normalized = normalize_url(rec.original_url)
-        if normalized is None:
+        url = normalize_url(rec.original_url)
+        if url is None:
             counters["urls_dropped"] += 1
-            continue
-        seen.setdefault(normalized, None)
+        elif rec.timestamp > latest.get(url, ""):
+            latest[url] = rec.timestamp
     if counters["urls_dropped"]:
         log.warning("dropped %d unparseable URLs", counters["urls_dropped"])
-    return list(seen)
+    return latest

@@ -41,6 +41,7 @@ from .errors import (
     CoverageError,
     PrerequisiteError,
     ProviderError,
+    SacredDetectError,
     StageLockedError,
 )
 from .harvest import cdx, worklist
@@ -53,7 +54,7 @@ from .judge.prompts import prompt_hash
 from .judge.verdicts import REASONS, VERDICT_ROW_VERSION
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
-from .manifest import RunManifest, is_current, read_manifest, write_manifest
+from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
 from .textpipe.corpus import CleanDocument, build_sentence_corpus, filter_corpus
 from .textpipe.htmltext import EXTRACTOR_VERSION, extract_main_text
 from .textpipe.langid import detect_language
@@ -272,45 +273,41 @@ def _harvest_sample(config: PipelineConfig, layout: Layout) -> None:
 
 
 def _harvest_live(config: PipelineConfig, layout: Layout) -> None:
-    # the network stack loads here, so that no offline command pays for it
-    import requests
-
+    # the network stack loads with fetch, so that no offline command pays for it
     from .harvest import fetch
 
     started = datetime.now(timezone.utc).isoformat()
+    policy = config.policy
     store = DocumentStore(layout.raw)
     session = fetch.make_session()
-    gate = fetch.HostGate(config.policy.rate_per_host)
-    robots = fetch.RobotsCache(session, timeout=config.policy.timeout)
-    totals: Counter = Counter()
+    gate = fetch.HostGate(policy.rate_per_host)
+    robots = fetch.RobotsCache(session, policy, gate)
 
     def harvest_one(spec) -> Counter:
         counters: Counter = Counter()
-        query = cdx.build_cdx_query(spec)
         log.info("harvest %s: querying CDX index", spec.ngo_id)
-        try:
-            resp = session.get(query, timeout=max(config.policy.timeout, 60.0))
-            resp.raise_for_status()
-            records = cdx.parse_cdx_response(resp.text, counters)
-        except (requests.RequestException, CdxParseError) as exc:
-            log.error("harvest %s: CDX query failed: %s", spec.ngo_id, exc)
+        status, _, body = fetch.get(
+            cdx.build_cdx_query(spec), policy, session, gate, timeout=max(policy.timeout, 60.0)
+        )
+        try:  # the body of a failed request is empty, so it does not parse
+            records = cdx.parse_cdx_response(body.decode("utf-8", "replace"), counters)
+        except CdxParseError as exc:
+            log.error("harvest %s: CDX query failed (status %d): %s", spec.ngo_id, status, exc)
             counters["cdx_failed"] = 1
             return counters
         urls = worklist.derive_worklist(records, counters)
-        snapshots = cdx.snapshot_timestamps(records)
         log.info("harvest %s: %d snapshot records, %d live URLs", spec.ngo_id, len(records), len(urls))
-        counters.update(
-            fetch.harvest_source(
-                spec, urls, snapshots, store, config.policy, session, gate, robots
-            )
-        )
+        counters.update(fetch.harvest_source(spec, urls, store, policy, session, gate, robots))
         return counters
 
     # One worker per source: sources are distinct hosts, so this is the
-    # per-host serial queue, and the HostGate still guards any shared host.
+    # per-host serial queue, and the HostGate spaces the requests to a
+    # shared host, as every source's CDX query is to the archive's.
     with ThreadPoolExecutor(max_workers=max(1, len(config.sources))) as pool:
-        for counters in pool.map(harvest_one, config.sources):
-            totals.update(counters)
+        outcomes = list(pool.map(harvest_one, config.sources))
+    totals: Counter = Counter()
+    for counters in outcomes:
+        totals.update(counters)
     store.flush_index()
     inputs = {"sources": _sources_fingerprint(config)}
     inputs.update(_hash_dir_files(layout.raw))
@@ -318,10 +315,15 @@ def _harvest_live(config: PipelineConfig, layout: Layout) -> None:
         layout.raw,
         "harvest",
         inputs,
-        {"mode": "live", "policy": vars(config.policy), "counters": dict(totals)},
+        {"mode": "live", "policy": vars(policy), "counters": dict(totals)},
         started,
     )
     log.info("harvest: %s", dict(totals))
+    failed = [s.ngo_id for s, c in zip(config.sources, outcomes) if c["cdx_failed"]]
+    if failed:
+        raise SacredDetectError(
+            f"CDX query failed for {', '.join(failed)}; run `sacreddetect harvest` again"
+        )
 
 
 # --- extract ----------------------------------------------------------------
@@ -333,9 +335,13 @@ def run_extract(config: PipelineConfig) -> None:
         _require_manifest(layout.raw, "harvest")
         # only the configured sources: a dropped source's raw file stays in
         # the append-only store but must leave the corpus
-        ngo_ids = sorted(
-            s.ngo_id for s in config.sources if (layout.raw / f"{s.ngo_id}.jsonl").is_file()
-        )
+        ngo_ids = sorted(s.ngo_id for s in config.sources)
+        unharvested = [n for n in ngo_ids if not (layout.raw / f"{n}.jsonl").is_file()]
+        if unharvested:
+            raise PrerequisiteError(
+                f"{layout.raw}: no raw file for configured source(s) {', '.join(unharvested)}; "
+                "run `sacreddetect harvest` first"
+            )
         inputs = {f"{n}.jsonl": sha256_file(layout.raw / f"{n}.jsonl") for n in ngo_ids}
         inputs["extractor_version"] = sha256_text(EXTRACTOR_VERSION)
         inputs["splitter_version"] = sha256_text(SPLITTER_VERSION)
@@ -682,10 +688,7 @@ def _label_paths(
     label_dirs = [layout.labels_tree, *map(layout.labels_model, model_ids)]
     for path in corpus_paths:
         if path.stem not in groups:
-            raise PrerequisiteError(
-                f"{path}: {path.stem!r} is not a configured source; "
-                "run `sacreddetect extract` to rebuild the corpus from the configured sources"
-            )
+            raise _unconfigured(path, path.stem)
     names = {path.name for path in corpus_paths}
     for directory in label_dirs:
         for path in sorted(directory.glob("*.jsonl")):
@@ -700,6 +703,13 @@ def _label_paths(
             if not label_path.is_file():
                 raise CoverageError(f"{label_path}: missing; {path} has no labels there")
     return out
+
+
+def _unconfigured(where: Path, ngo_id: str) -> PrerequisiteError:
+    return PrerequisiteError(
+        f"{where}: {ngo_id!r} is not a configured source; "
+        "run `sacreddetect extract` to rebuild the corpus from the configured sources"
+    )
 
 
 def _aligned_rows(corpus_path: Path, label_paths: list[Path]) -> Iterator[Row]:
@@ -780,6 +790,7 @@ def run_analyze(config: PipelineConfig) -> None:
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             groups = config.groups()
             label_paths = _label_paths(layout, model_ids, groups)
+            table1 = _table1_rows(layout, corpus_counts, groups)
             rows = (
                 row for path, paths in label_paths.items() for row in _aligned_rows(path, paths)
             )
@@ -787,7 +798,7 @@ def run_analyze(config: PipelineConfig) -> None:
                 rows, ["tree", *model_ids], groups, config.report_phrases
             )
             bundle = {
-                "corpus": _table1_rows(corpus_counts, groups),
+                "corpus": table1,
                 # explicit presentation order: stats.json is written with
                 # sorted keys, so key order cannot carry it
                 "classifiers": list(matrix.classifiers),
@@ -811,19 +822,24 @@ def run_analyze(config: PipelineConfig) -> None:
         _produce("analyze", {layout.analysis: inputs}, build)
 
 
-def _table1_rows(corpus_counts: dict[str, int], groups: dict[str, str]) -> list[dict]:
-    """Table 1's rows: one per NGO extract kept documents of, in key
-    order, each NGO's group taken from groups, as the scopes take it."""
+def _table1_rows(layout: Layout, corpus_counts: dict[str, int], groups: dict[str, str]) -> list[dict]:
+    """Table 1's rows: one per NGO extract counted, in key order, a 0 row
+    for one it kept no document of, each NGO's group taken from groups, as
+    the scopes take it."""
+    ngo_ids = [
+        key.removeprefix("documents:") for key in sorted(corpus_counts) if key.startswith("documents:")
+    ]
+    for ngo_id in ngo_ids:
+        if ngo_id not in groups:  # counted, yet no corpus file for _label_paths to refuse
+            raise _unconfigured(layout.corpus / MANIFEST_NAME, ngo_id)
     return [
         {
             "ngo_id": ngo_id,
             "group": groups[ngo_id],
-            "n_documents": n_documents,
+            "n_documents": corpus_counts[f"documents:{ngo_id}"],
             "n_sentences": corpus_counts[f"sentences:{ngo_id}"],
         }
-        for key, n_documents in sorted(corpus_counts.items())
-        if key.startswith("documents:") and n_documents > 0
-        for ngo_id in [key.removeprefix("documents:")]
+        for ngo_id in ngo_ids
     ]
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from sacreddetect.config import SourceSpec
 from sacreddetect.errors import CdxParseError
-from sacreddetect.harvest import build_cdx_query, parse_cdx_response, snapshot_timestamps
+from sacreddetect.harvest import build_cdx_query, parse_cdx_response
 
 ICSD = SourceSpec("icsd", "religious", "interfaithsustain.com", 2014, 2024)
 
@@ -101,14 +101,3 @@ def test_parse_realistic_full_header():
     records = parse_cdx_response(body)
     assert len(records) == 2
     assert records[1].mimetype == "application/pdf"
-
-
-def test_snapshot_timestamps_keep_latest():
-    body = (
-        '[["original","timestamp","mimetype","statuscode"],'
-        '["http://A.com/p","20150101000000","text/html","200"],'
-        '["http://a.com/p","20180101000000","text/html","200"],'
-        '["http://a.com/p","20160101000000","text/html","200"]]'
-    )
-    records = parse_cdx_response(body)
-    assert snapshot_timestamps(records) == {"http://a.com/p": "20180101000000"}

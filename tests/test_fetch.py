@@ -82,12 +82,12 @@ def test_harvest_resume_skips_stored_urls(tmp_path, http_server):
     store = DocumentStore(tmp_path / "raw")
     session = make_session()
     gate = HostGate(1000.0)
-    urls = [f"{base}/p1", f"{base}/p2"]
-    counters = harvest_source(spec, urls, {}, store, FAST, session, gate)
+    urls = {f"{base}/p1": "20200101000000", f"{base}/p2": "20200101000000"}
+    counters = harvest_source(spec, urls, store, FAST, session, gate)
     assert counters["fetched_ok"] == 2
     requests_before = len(server.request_log)
 
-    counters = harvest_source(spec, urls, {}, store, FAST, session, gate)
+    counters = harvest_source(spec, urls, store, FAST, session, gate)
     assert counters["skipped_existing"] == 2
     assert len(server.request_log) == requests_before  # no new requests
 
@@ -97,15 +97,15 @@ def test_robots_disallowed_paths_skipped(tmp_path, http_server):
     spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
     store = DocumentStore(tmp_path / "raw")
     session = make_session()
-    robots = RobotsCache(session)
+    gate = HostGate(1000.0)
+    robots = RobotsCache(session, FAST, gate)
     counters = harvest_source(
         spec,
-        [f"{base}/private/secret", f"{base}/public"],
-        {},
+        {f"{base}/private/secret": "20200101000000", f"{base}/public": "20200101000000"},
         store,
         FAST,
         session,
-        HostGate(1000.0),
+        gate,
         robots=robots,
     )
     assert counters["skipped_robots"] == 1
@@ -116,7 +116,7 @@ def test_robots_disallowed_paths_skipped(tmp_path, http_server):
 def test_robots_fetched_once_per_host(http_server):
     server, base = http_server
     session = make_session()
-    robots = RobotsCache(session)
+    robots = RobotsCache(session, FAST, HostGate(1000.0))
     assert robots.allowed(f"{base}/a")
     assert not robots.allowed(f"{base}/private/x")
     robots_requests = [p for p, _ in server.request_log if p == "/robots.txt"]
@@ -129,7 +129,7 @@ def test_snapshot_timestamp_recorded(tmp_path, http_server):
     store = DocumentStore(tmp_path / "raw")
     url = f"{base}/page"
     harvest_source(
-        spec, [url], {url: "20200202000000"}, store, FAST, make_session(), HostGate(1000.0)
+        spec, {url: "20200202000000"}, store, FAST, make_session(), HostGate(1000.0)
     )
     [doc] = list(store.iter_ngo("x"))
     assert doc.snapshot_ts == "20200202000000"
@@ -140,7 +140,7 @@ def test_failed_fetch_spacing_still_resumable(tmp_path, http_server):
     spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
     store = DocumentStore(tmp_path / "raw")
     harvest_source(
-        spec, [f"{base}/missing"], {}, store, FAST, make_session(), HostGate(1000.0)
+        spec, {f"{base}/missing": "20200101000000"}, store, FAST, make_session(), HostGate(1000.0)
     )
     [doc] = list(store.iter_ngo("x"))
     assert doc.status == 404
@@ -178,9 +178,8 @@ def test_resume_rebuilds_a_missing_index_from_the_raw_store(tmp_path):
 
     session = FakeSession()
     store = DocumentStore(tmp_path / "raw")
-    counters = harvest_source(
-        spec, [*stored, "https://example.org/c"], {}, store, FAST, session, HostGate(1000.0)
-    )
+    worklist = dict.fromkeys([*stored, "https://example.org/c"], "20200101000000")
+    counters = harvest_source(spec, worklist, store, FAST, session, HostGate(1000.0))
     assert counters["skipped_existing"] == 2
     assert counters["fetched_ok"] == 1
     assert session.urls == ["https://example.org/c"]
@@ -202,8 +201,8 @@ def test_resume_rebuilds_an_index_older_than_the_raw_store(tmp_path):
     os.utime(index, ns=(stamp, stamp))  # flushed a second before the last append
 
     counters = harvest_source(
-        spec, ["https://example.org/a", "https://example.org/b"], {}, DocumentStore(raw),
-        FAST, FakeSession(), HostGate(1000.0),
+        spec, dict.fromkeys(["https://example.org/a", "https://example.org/b"], "20200101000000"),
+        DocumentStore(raw), FAST, FakeSession(), HostGate(1000.0),
     )
     assert counters["skipped_existing"] == 2
 

@@ -409,6 +409,64 @@ def test_dropped_source_leaves_corpus_and_labels(sample_config):
     assert bundle["rates"]["tree|total"]["n"] < 10
 
 
+def test_extract_refuses_a_configured_source_with_no_raw_file(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    corpus = {p.name: p.read_bytes() for p in layout.corpus.iterdir()}
+    # a source with no bundled page: the sample harvest warns and stores nothing
+    sample_config.sources.append(
+        dataclasses.replace(sample_config.sources[0], ngo_id="arocha", base_url="arocha.org")
+    )
+    run_harvest(sample_config, sample=True)
+    assert not (layout.raw / "arocha.jsonl").exists()
+    with pytest.raises(PrerequisiteError, match=r"arocha; run `sacreddetect harvest`"):
+        run_extract(sample_config)
+    assert {p.name: p.read_bytes() for p in layout.corpus.iterdir()} == corpus
+
+
+def _extract_with_ien_unfetched(config) -> Layout:
+    """The sample store with ien's one page a failed fetch, extracted:
+    extract counts ien, but keeps no document of it."""
+    config.models = []
+    layout = Layout(config.output_root)
+    run_harvest(config, sample=True)
+    (layout.raw / "ien.jsonl").unlink()
+    DocumentStore(layout.raw).append(
+        RawDocument.make("ien", "https://www.ienearth.org/?p=2075", 404, "text/html", b"")
+    )
+    run_extract(config)
+    run_match(config)
+    return layout
+
+
+def test_table_1_keeps_a_row_for_a_source_with_no_document(sample_config):
+    layout = _extract_with_ien_unfetched(sample_config)
+    counters = read_manifest(layout.corpus).params["counters"]
+    assert (counters["documents:ien"], counters["sentences:ien"]) == (0, 0)
+    assert not (layout.corpus / "ien.jsonl").exists()
+    run_analyze(sample_config)
+    run_report(sample_config)
+
+    bundle = json.loads((layout.analysis / "stats.json").read_text())
+    assert [row["ngo_id"] for row in bundle["corpus"]] == ["cca", "greenfaith", "icsd", "ien"]
+    assert bundle["corpus"][-1] == {
+        "ngo_id": "ien", "group": "religious", "n_documents": 0, "n_sentences": 0
+    }
+    assert "| ien | religious | 0 | 0 |" in (layout.reports / "table1.md").read_text()
+
+
+def test_analyze_refuses_a_counted_source_without_documents_the_config_no_longer_names(
+    sample_config,
+):
+    layout = _extract_with_ien_unfetched(sample_config)
+    sample_config.sources = [s for s in sample_config.sources if s.ngo_id != "ien"]
+    message = r"'ien' is not a configured source; run `sacreddetect extract`"
+    with pytest.raises(PrerequisiteError, match=message):
+        run_analyze(sample_config)
+    assert not layout.analysis.exists()
+
+
 def test_classify_records_the_template_the_batches_carry(sample_config):
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)

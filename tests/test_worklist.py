@@ -3,7 +3,7 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sacreddetect.harvest import derive_worklist, normalize_url
+from sacreddetect.harvest import derive_worklist, normalize_url, parse_cdx_response
 from sacreddetect.harvest.cdx import CdxRecord
 
 
@@ -12,12 +12,12 @@ def rec(url: str, ts: str = "20200101000000") -> CdxRecord:
 
 
 def test_normalization_collapses_case_and_fragment():
-    urls = derive_worklist([rec("http://A.com/p#frag"), rec("http://a.com/p")])
+    urls = list(derive_worklist([rec("http://A.com/p#frag"), rec("http://a.com/p")]))
     assert urls == ["http://a.com/p"]
 
 
 def test_empty_input():
-    assert derive_worklist([]) == []
+    assert list(derive_worklist([])) == []
 
 
 def test_same_url_three_timestamps_dedupes():
@@ -26,12 +26,12 @@ def test_same_url_three_timestamps_dedupes():
         rec("https://a.com/page", "20160101000000"),
         rec("https://a.com/page", "20170101000000"),
     ]
-    assert derive_worklist(records) == ["https://a.com/page"]
+    assert list(derive_worklist(records)) == ["https://a.com/page"]
 
 
 def test_trailing_slash_and_query_preserved():
     records = [rec("https://a.com/dir/"), rec("https://a.com/dir"), rec("https://a.com/?p=2075")]
-    assert derive_worklist(records) == [
+    assert list(derive_worklist(records)) == [
         "https://a.com/dir/",
         "https://a.com/dir",
         "https://a.com/?p=2075",
@@ -40,16 +40,27 @@ def test_trailing_slash_and_query_preserved():
 
 def test_unparseable_urls_dropped_and_counted():
     counters = Counter()
-    urls = derive_worklist(
+    urls = list(derive_worklist(
         [rec("ftp://a.com/x"), rec("nonsense"), rec("https://ok.com/y")], counters
-    )
+    ))
     assert urls == ["https://ok.com/y"]
     assert counters["urls_dropped"] == 2
 
 
 def test_first_seen_order_preserved():
     records = [rec("http://b.com/2"), rec("http://a.com/1"), rec("http://b.com/2")]
-    assert derive_worklist(records) == ["http://b.com/2", "http://a.com/1"]
+    assert list(derive_worklist(records)) == ["http://b.com/2", "http://a.com/1"]
+
+
+def test_snapshot_timestamps_keep_latest():
+    body = (
+        '[["original","timestamp","mimetype","statuscode"],'
+        '["http://A.com/p","20150101000000","text/html","200"],'
+        '["http://a.com/p","20180101000000","text/html","200"],'
+        '["http://a.com/p","20160101000000","text/html","200"]]'
+    )
+    records = parse_cdx_response(body)
+    assert derive_worklist(records) == {"http://a.com/p": "20180101000000"}
 
 
 _url_strategy = st.builds(
@@ -64,10 +75,10 @@ _url_strategy = st.builds(
 @given(st.lists(_url_strategy, max_size=30))
 def test_worklist_properties(urls):
     records = [rec(u) for u in urls]
-    out = derive_worklist(records)
+    out = list(derive_worklist(records))
     assert len(out) <= len(records)
     assert len(set(out)) == len(out)
     normalized_inputs = {normalize_url(u) for u in urls}
     assert set(out) <= normalized_inputs
     # idempotent: renormalizing the output changes nothing
-    assert derive_worklist([rec(u) for u in out]) == out
+    assert list(derive_worklist([rec(u) for u in out])) == out
