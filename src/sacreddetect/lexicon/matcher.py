@@ -1,12 +1,11 @@
 """Sentence matching against every lexicon form with word-boundary semantics.
 
 The matcher merges every lexicon variant (and every exclusion form) into
-one character trie and walks it over a normalized view of the sentence --
-case-folded, whitespace runs collapsed -- from each position that no letter
-or digit precedes. Each step follows one child, so a walk takes at most as
-many steps as the longest form (12 characters, ``mother earth``, in the
-starter lexicon), however many forms the lexicon holds; a sentence costs
-at most that many dictionary lookups per start.
+one character trie and walks it over the lowered sentence from each
+position where a form starts. Each step follows one child, so a walk takes
+at most as many steps as the longest form (12 characters, ``mother
+earth``, in the starter lexicon), however many forms the lexicon holds; a
+sentence costs at most that many dictionary lookups per start.
 
 Semantics:
 
@@ -25,17 +24,21 @@ Semantics:
 Spans refer to character offsets in the original sentence; the spanned
 text, case-folded and space-normalized, equals the variant.
 
-Fast negative path: most sentences hold no variant, so the compiled
-matcher also writes the trie out as one ``re`` pattern over every variant
-form (not the exclusion forms, which only suppress hits). Its cost per
-character does not grow with the number of variants; a space in a form
-matches a whitespace run, and each form is bounded by the walk's rule
-(``[^\\W_]`` is exactly ``str.isalnum``). When ``text.lower()`` equals the
-per-character lowering of the normalized view -- it keeps the length (no
-``İ``) and the text holds no ``Σ``, whose lowering depends on its context
--- a sentence the pattern does not match is labelled ``no`` with neither
-the offset map nor the walk. Every other sentence takes the exact path,
-which alone decides spans, overlaps, exclusions and paths.
+One path: most sentences hold no form, so the compiled matcher also
+writes the trie out as one zero-width ``re`` pattern over every form,
+exclusions included, that finds each position where some form starts
+with a word boundary on both sides (``[^\\W_]`` is exactly
+``str.isalnum``, and a space in a form matches a whitespace run). Its
+cost per character does not grow with the number of forms. A sentence
+with no start is labelled ``no`` without a walk; the trie is walked only
+from the starts. Both run over the lowered sentence: ``text.lower()``,
+whose offsets are the sentence's own, when it keeps the length (no
+``İ``) and the text holds no ``Σ``, whose lowering depends on its
+context; otherwise the per-character lowering, with each character's
+offset recorded. Whitespace is never collapsed: a form's space consumes
+one whole whitespace run. A start counts only when the sentence
+character before it is no letter or digit, so a form right after ``İ``
+(lowered to ``i`` and a combining dot) is not bounded.
 
 The compiled matcher is immutable and safe to share across threads.
 """
@@ -104,7 +107,7 @@ class Matcher:
             for ch in pattern.text:
                 node = node.setdefault(ch, {})
             node[_END] = pid
-        self.prefilter = _prefilter_pattern(self.trie, patterns)
+        self.starts = _starts_pattern(self.trie)
 
     @property
     def pattern_count(self) -> int:
@@ -114,22 +117,23 @@ class Matcher:
 _NOT_AFTER_ALNUM = r"(?<![^\W_])"
 _NOT_BEFORE_ALNUM = r"(?![^\W_])"
 # re's parser and compiler recurse once per nested group; a lexicon whose
-# trie nests deeper than this (forms "a", "aa", "aaa", ...) gets no
-# prefilter rather than a RecursionError.
-_MAX_PREFILTER_NESTING = 100
+# trie nests deeper than this (forms "a", "aa", "aaa", ...) gets no start
+# pattern, and its sentences are walked from every position, rather than
+# a RecursionError.
+_MAX_PATTERN_NESTING = 100
 
 
-def _prefilter_pattern(trie: dict, patterns: list[_Pattern]) -> re.Pattern | None:
-    """One pattern that matches lowered text wherever a variant could match
-    with word boundaries, or None when there is no variant or the trie nests
+def _starts_pattern(trie: dict) -> re.Pattern | None:
+    """One zero-width pattern that matches lowered text wherever some form
+    starts with word boundaries on both sides, or None when the trie is
+    empty (an empty lookahead would match even at the text's end) or nests
     too deep for re.
 
     The trie is written out bottom-up with an explicit stack, so a form
     thousands of characters long adds no recursion. A node with one way on
-    is written as a plain sequence; only branch points open a group. A
-    subtree that ends no variant is left out.
+    is written as a plain sequence; only branch points open a group.
     """
-    written: dict[int, tuple[str, int] | None] = {}  # id(node) -> (regex, nesting)
+    written: dict[int, tuple[str, int]] = {}  # id(node) -> (regex, nesting)
     stack = [(trie, False)]
     while stack:
         node, children_done = stack.pop()
@@ -141,24 +145,19 @@ def _prefilter_pattern(trie: dict, patterns: list[_Pattern]) -> re.Pattern | Non
         nesting = 0
         for key, child in node.items():
             if key == _END:
-                if patterns[child].is_variant:
-                    alternatives.append(_NOT_BEFORE_ALNUM)
+                alternatives.append(_NOT_BEFORE_ALNUM)
                 continue
-            rest = written.pop(id(child))
-            if rest is None:
-                continue
-            alternatives.append((r"\s+" if key == " " else re.escape(key)) + rest[0])
-            nesting = max(nesting, rest[1])
-        if not alternatives:
-            written[id(node)] = None
-        elif len(alternatives) == 1:
+            rest, depth = written.pop(id(child))
+            alternatives.append((r"\s+" if key == " " else re.escape(key)) + rest)
+            nesting = max(nesting, depth)
+        if len(alternatives) == 1:
             written[id(node)] = (alternatives[0], nesting)
         else:
             written[id(node)] = ("(?:" + "|".join(alternatives) + ")", nesting + 1)
-    root = written[id(trie)]
-    if root is None or root[1] > _MAX_PREFILTER_NESTING:
+    forms, nesting = written[id(trie)]
+    if not trie or nesting > _MAX_PATTERN_NESTING:
         return None
-    return re.compile(_NOT_AFTER_ALNUM + root[0])
+    return re.compile(_NOT_AFTER_ALNUM + "(?=" + forms + ")")
 
 
 def compile_matcher(lexicon: Lexicon) -> Matcher:
@@ -172,26 +171,12 @@ def compile_matcher(lexicon: Lexicon) -> Matcher:
     return Matcher(list(by_text.values()))
 
 
-def _normalized_view(text: str) -> tuple[str, list[int]]:
-    """Case-folded, space-collapsed view plus per-char original offsets.
-
-    Returns (normalized, origins) where normalized[i] originates from
-    text[origins[i]]. Whitespace runs become a single space mapped to the
-    run's first character.
-    """
+def _lowered_per_character(text: str) -> tuple[str, list[int]]:
+    """Each character lowered on its own, plus the offset in text of each
+    character of the result."""
     chars: list[str] = []
     origins: list[int] = []
-    pending_space_at = -1
     for o, ch in enumerate(text):
-        if ch.isspace():
-            if pending_space_at < 0:
-                pending_space_at = o
-            continue
-        if pending_space_at >= 0:
-            if chars:  # leading whitespace is dropped, inner runs collapse
-                chars.append(" ")
-                origins.append(pending_space_at)
-            pending_space_at = -1
         for low in ch.lower():
             chars.append(low)
             origins.append(o)
@@ -200,37 +185,45 @@ def _normalized_view(text: str) -> tuple[str, list[int]]:
 
 def match_sentence(matcher: Matcher, text: str, sentence_id: str = "") -> MatchResult:
     """Match one sentence; label is yes iff at least one variant survives."""
-    if matcher.prefilter is not None:
-        low = text.lower()
-        # equal lengths mean no character lowered to several; Σ alone lowers
-        # by context, so otherwise low is the normalized view's lowering
-        if len(low) == len(text) and "Σ" not in text and not matcher.prefilter.search(low):
+    view, origins = text.lower(), range(len(text))
+    # equal lengths mean no character lowered to several; Σ alone lowers by
+    # context, so then view is the per-character lowering, offsets and all
+    if len(view) != len(text) or "Σ" in text:
+        view, origins = _lowered_per_character(text)
+    n = len(view)
+    if matcher.starts is None:
+        starts = range(n)
+    else:
+        starts = [m.start() for m in matcher.starts.finditer(view)]
+        if not starts:
             return MatchResult(sentence_id, ())
-    return _match_exact(matcher, text, sentence_id)
-
-
-def _match_exact(matcher: Matcher, text: str, sentence_id: str) -> MatchResult:
-    """The trie walked over the normalized view, which decides every hit."""
-    norm, origins = _normalized_view(text)
-    n = len(norm)
     variant_hits: list[tuple[int, int, int]] = []
     exclusion_spans: list[tuple[int, int]] = []
-    for s, ch in enumerate(norm):
-        node = matcher.trie.get(ch)
-        if node is None or (s and norm[s - 1].isalnum()):
+    for s in starts:
+        o = origins[s]
+        # bounded in the text itself: no start inside one character's
+        # lowering, and no letter or digit before the character
+        if s and (origins[s - 1] == o or text[o - 1].isalnum()):
             continue
-        e = s + 1  # node is where norm[s:e] leads
-        while True:
+        node, e = matcher.trie, s  # node is where view[s:e] leads, a run read as " "
+        while e < n:
+            ch = view[e]
+            e += 1
+            if ch.isspace():
+                node = node.get(" ")
+                while e < n and view[e].isspace():
+                    e += 1
+            else:
+                node = node.get(ch)
+            if node is None:
+                break
             pid = node.get(_END)
-            if pid is not None and (e == n or not norm[e].isalnum()):
+            if pid is not None and (e == n or not view[e].isalnum()):
                 pattern = matcher.patterns[pid]
                 if pattern.is_exclusion:
                     exclusion_spans.append((s, e))
                 if pattern.is_variant:
                     variant_hits.append((pid, s, e))
-            if e == n or (node := node.get(norm[e])) is None:
-                break
-            e += 1
 
     matches = []
     for pid, s, e in variant_hits:

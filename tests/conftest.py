@@ -35,6 +35,16 @@ def starter_matcher(starter_lexicon):
     return compile_matcher(starter_lexicon)
 
 
+@pytest.fixture(scope="module")
+def bench_gen():
+    """The bench's synthetic workload generator, bench/gen.py."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen
+
+        yield gen
+
+
 @pytest.fixture(scope="session")
 def sample_documents():
     """The bundled ten-sentence pages, pushed through real extraction."""

@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the real ones.
 
 These deliberately use different mechanisms than the package: per-variant
-regex scans instead of one trie walked from each word start, plain row-by-row
+regex scans instead of one trie walked from each form start, the
+matcher's former exact path (the trie walked from every word start of a
+space-collapsed view with an offset map) instead of the start pattern
+over the lowered text, plain row-by-row
 recounts instead of the vectorized-ish stats code, a regex look-back from
 the start of the text instead of the splitter's bounded one, log-odds
 recomputed per trigram instead of precomputed tables, a char-by-char
@@ -30,6 +33,7 @@ from html.parser import HTMLParser
 from sacreddetect.analytics.terms import phrase_in_text
 from sacreddetect.judge.prompts import render_prompt
 from sacreddetect.judge.verdicts import Verdict, parse_verdict
+from sacreddetect.lexicon.matcher import _END, Match, Matcher, MatchResult
 from sacreddetect.textpipe.htmltext import (
     _RESIDUAL_TAG_START,
     BLOCK_TAGS,
@@ -76,6 +80,72 @@ def naive_match_spans(text: str, variants: list[str], exclusions: list[str]) -> 
 
 def naive_label(text: str, variants: list[str], exclusions: list[str]) -> str:
     return "yes" if naive_match_spans(text, variants, exclusions) else "no"
+
+
+# The matcher's exact path as it was before the start pattern, copied
+# unchanged but for one fault: it judged the character before a start in
+# its view, where "İ" lowers to "i" and a combining dot that is no letter,
+# so a form right after "İ" counted as bounded.
+
+
+def _normalized_view(text: str) -> tuple[str, list[int]]:
+    """Case-folded, space-collapsed view plus per-char original offsets.
+
+    Returns (normalized, origins) where normalized[i] originates from
+    text[origins[i]]. Whitespace runs become a single space mapped to the
+    run's first character.
+    """
+    chars: list[str] = []
+    origins: list[int] = []
+    pending_space_at = -1
+    for o, ch in enumerate(text):
+        if ch.isspace():
+            if pending_space_at < 0:
+                pending_space_at = o
+            continue
+        if pending_space_at >= 0:
+            if chars:  # leading whitespace is dropped, inner runs collapse
+                chars.append(" ")
+                origins.append(pending_space_at)
+            pending_space_at = -1
+        for low in ch.lower():
+            chars.append(low)
+            origins.append(o)
+    return "".join(chars), origins
+
+
+def _match_exact(matcher: Matcher, text: str, sentence_id: str) -> MatchResult:
+    """The trie walked over the normalized view, which decides every hit."""
+    norm, origins = _normalized_view(text)
+    n = len(norm)
+    variant_hits: list[tuple[int, int, int]] = []
+    exclusion_spans: list[tuple[int, int]] = []
+    for s, ch in enumerate(norm):
+        node = matcher.trie.get(ch)
+        if node is None or (s and (origins[s - 1] == origins[s] or text[origins[s] - 1].isalnum())):
+            continue
+        e = s + 1  # node is where norm[s:e] leads
+        while True:
+            pid = node.get(_END)
+            if pid is not None and (e == n or not norm[e].isalnum()):
+                pattern = matcher.patterns[pid]
+                if pattern.is_exclusion:
+                    exclusion_spans.append((s, e))
+                if pattern.is_variant:
+                    variant_hits.append((pid, s, e))
+            if e == n or (node := node.get(norm[e])) is None:
+                break
+            e += 1
+
+    matches = []
+    for pid, s, e in variant_hits:
+        if any(xs <= s and e <= xe for xs, xe in exclusion_spans):
+            continue
+        pattern = matcher.patterns[pid]
+        span = (origins[s], origins[e - 1] + 1)
+        matches.append(Match(variant=pattern.text, path=pattern.path, span=span))
+    matches.sort(key=lambda m: (m.span, m.variant))
+    return MatchResult(sentence_id, tuple(matches))
 
 
 # --- batch line oracle ------------------------------------------------------

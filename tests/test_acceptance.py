@@ -399,9 +399,9 @@ def test_criterion_8_cdx_query_golden():
 STAGES = ("harvest", "extract", "match", "batch-build", "classify", "analyze", "report")
 
 
-def _run_pipeline(root: Path, monkeypatch) -> None:
+def _run_pipeline(root: Path, monkeypatch, stages: tuple[str, ...] = STAGES) -> None:
     base = ["sacreddetect", "--config", str(sample_config_path()), "--output-root", str(root)]
-    for stage in STAGES:
+    for stage in stages:
         argv = base + [stage]
         if stage == "harvest":
             argv.append("--sample")
@@ -487,3 +487,18 @@ def test_criterion_9_end_to_end_stub(tmp_path, monkeypatch):
     report_line("9 runtime<10s", elapsed < 10.0, f"{elapsed:.2f}s")
     assert elapsed < 10.0
     shutil.rmtree(run_b)
+
+
+# sha256 of every labels/tree/ file (manifest aside) of the sample run: the
+# spans, paths and order the matcher writes, which no report byte shows.
+TREE_LABEL_DIGESTS = Path(__file__).parent / "data" / "sample_tree_label_digests.json"
+
+
+def test_sample_tree_labels_keep_their_bytes(tmp_path, monkeypatch):
+    _run_pipeline(tmp_path, monkeypatch, ("harvest", "extract", "match"))
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in _tree_snapshot(tmp_path).items()
+        if name.startswith("labels/tree/")
+    }
+    assert digests == json.loads(TREE_LABEL_DIGESTS.read_text(encoding="utf-8"))

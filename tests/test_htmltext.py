@@ -1,7 +1,6 @@
 import re
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,15 +232,6 @@ def _assert_same_as_html_parser(page):
 @given(_pages)
 def test_well_formed_markup_reads_as_html_parser_read_it(page):
     _assert_same_as_html_parser(page)
-
-
-@pytest.fixture(scope="module")
-def bench_gen():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        import gen
-
-        yield gen
 
 
 @pytest.mark.parametrize("workload", ["paper-mix", "religious-longform"])

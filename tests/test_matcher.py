@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_match_spans
+from oracles import _match_exact, naive_match_spans
 from sacreddetect.lexicon import (
     Lexicon,
     LexiconNode,
@@ -15,9 +15,8 @@ from sacreddetect.lexicon import (
     compile_matcher,
     match_sentence,
 )
-from sacreddetect.lexicon import matcher as matcher_module
-from sacreddetect.lexicon.matcher import _match_exact, classify_corpus
-from sacreddetect.lexicon.tree import normalize_form
+from sacreddetect.lexicon.matcher import classify_corpus
+from sacreddetect.lexicon.tree import normalize_form, parse_lexicon_text
 
 
 def lex(variants_by_node: dict[str, list[str]], exclusions: list[str] = ()) -> Lexicon:
@@ -258,9 +257,11 @@ def test_ten_thousand_variants_compile_and_beat_naive():
     assert matcher_time < naive_time
 
 
-# --- fast negative path -------------------------------------------------------
-# match_sentence may answer "no" from one re search over text.lower(); the
-# exact path (_match_exact) is the reference it must always agree with.
+# --- the start pattern and the lowered view -----------------------------------
+# match_sentence walks the trie only from the starts one re pattern finds in
+# the lowered text; the former exact path (oracles._match_exact), which
+# walked a space-collapsed view from every word start, is the reference it
+# must always agree with.
 
 FAST_PATH_VARIANTS = [
     "god", "gods", "goddess", "god of rivers", "mother earth", "sacred",
@@ -310,11 +311,13 @@ def test_fast_path_keeps_hits_of_the_exact_path(text, variant):
     assert result == _match_exact(matcher, text, "")
 
 
-def test_negative_sentences_never_build_the_offset_map(starter_matcher, monkeypatch):
-    def exact_path_ran(text):
-        raise AssertionError(f"the exact path ran on {text!r}")
+class _UnwalkableTrie(dict):
+    def get(self, key, default=None):
+        raise AssertionError(f"the trie was walked at {key!r}")
 
-    monkeypatch.setattr(matcher_module, "_normalized_view", exact_path_ran)
+
+def test_negative_sentences_never_build_the_offset_map(starter_matcher, monkeypatch):
+    monkeypatch.setattr(starter_matcher, "trie", _UnwalkableTrie(starter_matcher.trie))
     for text in (
         "The ungodly heat scared the demigods' sacredness away.",
         "The café’s owner planted trees along the road.",
@@ -328,7 +331,7 @@ def test_large_lexicon_and_long_variant_compile_and_agree_with_exact_path():
     long_variant = ("sacred earth " * 231)[:3000]
     assert len(long_variant) == 3000
     matcher = compile_matcher(lex({"n": sorted(variants | {long_variant})}))
-    assert matcher.prefilter is not None
+    assert matcher.starts is not None
     picked = rng.sample(sorted(variants), 20)
     texts = [random_sentence(rng) for _ in range(30)]
     texts += [f"See {v.upper()}, not {v}y." for v in picked]
@@ -340,18 +343,82 @@ def test_large_lexicon_and_long_variant_compile_and_agree_with_exact_path():
 
 def test_deeply_nested_forms_fall_back_to_the_exact_path():
     matcher = compile_matcher(lex({"n": ["a" * k for k in range(1, 300)]}))
-    assert matcher.prefilter is None
+    assert matcher.starts is None
     assert match_sentence(matcher, "b AAA b").matches[0].span == (2, 5)
 
 
 def test_lexicon_without_variants_labels_every_sentence_no():
     matcher = compile_matcher(lex({"n": []}, exclusions=["hope"]))
     assert match_sentence(matcher, "We hope.").label == "no"
+    assert match_sentence(compile_matcher(lex({"n": []})), "We hope.").label == "no"
 
 
 def test_prefilter_classes_agree_with_str_predicates_on_every_code_point():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
     assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
-    # the exact path tests whitespace before lowering, the pattern after it
+    # the walk and the pattern read the lowered text, which keeps every
+    # whitespace character as it is and, where a character lowers to one,
+    # whether it is a letter or digit
     assert all(c.lower() == c for c in every if c.isspace())
+    assert all(c.lower().isalnum() == c.isalnum() for c in every if len(c.lower()) == 1)
+
+
+@pytest.mark.parametrize(
+    "text, variant, hit",
+    [
+        ("İgod", "god", False),  # İ is a letter, though its lowering ends in a combining dot
+        ("aİ god", "god", True),
+        ("gİ", "gi", True),  # the hit ends inside İ's lowering, as the oracle reads it
+    ],
+)
+def test_dotted_capital_i_bounds_a_word(text, variant, hit):
+    matcher = compile_matcher(lex({"n": [variant]}))
+    want = naive_match_spans(text, [variant], [])
+    assert spans(match_sentence(matcher, text)) == want
+    assert bool(want) is hit
+    assert match_sentence(matcher, text) == _match_exact(matcher, text, "")
+
+
+WHITESPACE_RUNS = ["\t", "\r\n", "\x1c", "\x85", "\xa0", "\u3000", " \t\xa0\r\n\u3000\x1c "]
+
+
+@pytest.mark.parametrize("run", WHITESPACE_RUNS)
+def test_every_whitespace_kind_joins_words_and_bounds_the_text(run):
+    matcher = compile_matcher(lex({"n": ["mother earth", "earth"]}))
+    for text in (
+        f"mother{run}earth",
+        f"{run}mother{run}earth{run}",
+        f"{run}Mother{run}{run}EARTH.{run}",
+    ):
+        result = match_sentence(matcher, text)
+        assert result == _match_exact(matcher, text, "")
+        assert spans(result) == naive_match_spans(text, ["mother earth", "earth"], [])
+        assert "mother earth" in {m.variant for m in result.matches}
+
+
+def test_exclusion_suppresses_a_variant_starting_inside_it():
+    # the variant's start lies inside the exclusion, which starts first: the
+    # start pattern must find the exclusion's start too
+    matcher = compile_matcher(lex({"n": ["cow"]}, exclusions=["sacred cow"]))
+    assert match_sentence(matcher, "the sacred cow").label == "no"
+    assert match_sentence(matcher, "the cow").label == "yes"
+
+
+@pytest.mark.parametrize("lexicon_name", ["LEXICON_A", "LEXICON_B"])
+def test_every_bench_sentence_matches_as_on_the_exact_path(bench_gen, lexicon_name):
+    from sacreddetect.textpipe.htmltext import extract_main_text
+    from sacreddetect.textpipe.sentences import segment_sentences
+
+    matcher = compile_matcher(parse_lexicon_text(getattr(bench_gen, lexicon_name)))
+    n_sentences = 0
+    for workload in ("paper-mix", "religious-longform"):
+        for seed in (1, 2, 3):
+            docs, _ = bench_gen.generate(workload, seed)
+            for doc in docs:
+                if not doc.body or doc.body.startswith(b"%PDF"):
+                    continue
+                for text in segment_sentences(extract_main_text(doc.body)):
+                    assert match_sentence(matcher, text, "s") == _match_exact(matcher, text, "s")
+                    n_sentences += 1
+    assert n_sentences == 12_813
