@@ -87,7 +87,7 @@ def validate(ctx):
 
 
 @main.command()
-@click.option("--sample", is_flag=True, help="Install the bundled sample pages instead of fetching.")
+@click.option("--sample", is_flag=True, help="Harvest the bundled pages from a recorded web, offline.")
 @click.pass_context
 def harvest(ctx, sample):
     """Query the archive index and fetch live pages into the raw store.

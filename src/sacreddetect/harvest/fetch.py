@@ -7,6 +7,10 @@ error statuses all become RawDocuments with the status recorded and an
 empty body, so a re-run can pick up exactly where the last one stopped.
 Network failures that never produced an HTTP status are recorded as
 status 0.
+
+robots.txt is read per RFC 9309: an unreachable file (status 0, 429 or 5xx
+after the retries) disallows every URL of its origin for the run, and any
+other status but 200 allows every one.
 """
 
 from __future__ import annotations
@@ -17,18 +21,17 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from datetime import datetime, timezone
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 from urllib.parse import urlsplit
 
 from ..config import FetchPolicy, SourceSpec
 from .store import DocumentStore, RawDocument
 
 if TYPE_CHECKING:
-    # imported where a fetch happens, so that offline commands never load
-    # the network stack (urllib3, ssl, http.client, email)
-    from urllib import robotparser
-
+    # imported by make_session alone, so that a harvest against a recorded
+    # web loads no network stack (urllib3, ssl, http.client, email)
     import requests
 
 log = logging.getLogger(__name__)
@@ -55,11 +58,13 @@ class HostGate:
     proceed in parallel while one host's requests stay ordered and spaced.
     The spacing runs from the end of one request to the start of the next,
     so the host sees it whatever the connection and response latency.
+    The clock (monotonic, sleep, and time, which stamps fetched_at) is the
+    time module unless a recorded web brings its own.
     """
 
     def __init__(self, rate_per_host: float, clock=time):
         self.min_interval = 1.0 / rate_per_host
-        self._clock = clock
+        self.clock = clock
         self._hosts: dict[str, tuple[threading.Lock, list[float]]] = {}
         self._registry = threading.Lock()
 
@@ -69,21 +74,21 @@ class HostGate:
         with self._registry:
             lock, next_ok = self._hosts.setdefault(host, (threading.Lock(), [0.0]))
         with lock:
-            now = self._clock.monotonic()
+            now = self.clock.monotonic()
             if now < next_ok[0]:
-                self._clock.sleep(next_ok[0] - now)
+                self.clock.sleep(next_ok[0] - now)
             try:
                 yield
             finally:
-                next_ok[0] = self._clock.monotonic() + self.min_interval
+                next_ok[0] = self.clock.monotonic() + self.min_interval
 
 
 class RobotsCache:
-    """robots.txt verdicts, fetched once per host through get."""
+    """robots.txt verdicts, fetched once per origin through get."""
 
     def __init__(self, session: requests.Session, policy: FetchPolicy, gate: HostGate):
         self._get = partial(get, policy=policy, session=session, gate=gate)
-        self._parsers: dict[str, robotparser.RobotFileParser | None] = {}
+        self._verdicts: dict[str, Callable[[str], bool]] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
 
@@ -94,22 +99,22 @@ class RobotsCache:
             origin_lock = self._locks.setdefault(key, threading.Lock())
         # one lock per origin: a robots.txt in retry holds up no other host
         with origin_lock:
-            if key not in self._parsers:
-                self._parsers[key] = self._fetch(key)
-            parser = self._parsers[key]
-        if parser is None:
-            return True
-        return parser.can_fetch(USER_AGENT, url)
+            if key not in self._verdicts:
+                self._verdicts[key] = self._fetch(key)
+        return self._verdicts[key](url)
 
-    def _fetch(self, origin: str) -> robotparser.RobotFileParser | None:
-        from urllib import robotparser
-
+    def _fetch(self, origin: str) -> Callable[[str], bool]:
         status, _, body = self._get(f"{origin}/robots.txt")
+        if status in (0, 429) or status >= 500:
+            log.warning("robots.txt of %s unreachable (status %d); skipping its URLs", origin, status)
+            return lambda url: False
         if status != 200:
-            return None
+            return lambda url: True
+        from urllib import robotparser  # late: it loads urllib.request
+
         parser = robotparser.RobotFileParser()
         parser.parse(body.decode("utf-8", "replace").splitlines())
-        return parser
+        return partial(parser.can_fetch, USER_AGENT)
 
 
 def get(
@@ -126,15 +131,13 @@ def get(
     to policy.retries times with exponential backoff through sleep, by
     default time.sleep as it is at the call. Nothing is raised.
     """
-    import requests
-
     host = urlsplit(url).netloc
     status, content_type, body = 0, "", b""
     for attempt in range(policy.retries + 1):
         try:
             with gate.slot(host):
                 resp = session.get(url, timeout=timeout or policy.timeout)
-        except requests.RequestException as exc:
+        except OSError as exc:  # requests.RequestException among them
             log.debug("GET %s attempt %d failed: %s", url, attempt + 1, exc)
             status, content_type, body = 0, "", b""
         else:
@@ -158,7 +161,7 @@ def fetch_live(
     sleep=None,
 ) -> RawDocument:
     """Fetch one URL through get; the outcome, success or not, is the
-    returned RawDocument."""
+    returned RawDocument, stamped by the gate's clock."""
     session = session or make_session()
     gate = gate or HostGate(policy.rate_per_host)
     status, content_type, body = get(url, policy, session, gate, sleep=sleep)
@@ -168,6 +171,7 @@ def fetch_live(
         status=status,
         content_type=content_type,
         body=body,
+        fetched_at=datetime.fromtimestamp(gate.clock.time(), timezone.utc),
         snapshot_ts=snapshot_ts,
     )
 

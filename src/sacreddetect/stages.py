@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import shutil
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -26,6 +27,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from itertools import takewhile, zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
 from .analytics import matrix as matrix_mod
@@ -44,9 +46,9 @@ from .errors import (
     SacredDetectError,
     StageLockedError,
 )
-from .harvest import cdx, worklist
-from .harvest.store import DocumentStore, RawDocument
-from .hashing import sha256_bytes, sha256_file, sha256_text
+from .harvest import cdx, fetch, worklist
+from .harvest.store import DocumentStore
+from .hashing import sha256_file, sha256_text
 from .jsonlio import read_jsonl, write_json, write_jsonl, write_text
 from .judge import batch as batch_mod
 from .judge import providers as providers_mod
@@ -231,56 +233,47 @@ def run_harvest(config: PipelineConfig, sample: bool = False) -> None:
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
         if sample:
-            _harvest_sample(config, layout)
+            _harvest(config, layout, _SampleWeb(config), _FROZEN_CLOCK, "sample")
         else:
-            _harvest_live(config, layout)
+            _harvest(config, layout, fetch.make_session(), time, "live")
 
 
-def _harvest_sample(config: PipelineConfig, layout: Layout) -> None:
-    started = datetime.now(timezone.utc).isoformat()
-    data = resources.files("sacreddetect").joinpath("data", "sample")
-    inputs = {"sources": _sources_fingerprint(config)}
-    pages: dict[str, bytes] = {}
-    for spec in config.sources:
-        if spec.ngo_id not in SAMPLE_PAGES:
-            log.warning("no bundled sample page for %s; skipped", spec.ngo_id)
-            continue
-        body = data.joinpath(f"{spec.ngo_id}.html").read_bytes()
-        pages[spec.ngo_id] = body
-        inputs[f"sample/{spec.ngo_id}.html"] = sha256_bytes(body)
-    if is_current(layout.raw, inputs):
-        log.info("harvest: up to date")
-        return
-    store = DocumentStore(layout.raw)
-    for ngo_id, body in pages.items():
-        url = SAMPLE_PAGES[ngo_id]
-        if store.has_url(url):
-            continue
-        store.append(
-            RawDocument.make(
-                ngo_id=ngo_id,
-                url=url,
-                status=200,
-                content_type="text/html; charset=utf-8",
-                body=body,
-                fetched_at=SAMPLE_FETCHED_AT,
-                snapshot_ts=SAMPLE_SNAPSHOT_TS,
-            )
+class _SampleWeb:
+    """The web a sample harvest reads, recorded from the bundled pages: each
+    source's CDX query lists its page at SAMPLE_SNAPSHOT_TS, or nothing for a
+    source without one, and that URL serves the page. Every other URL,
+    robots.txt included, is a 404."""
+
+    def __init__(self, config: PipelineConfig):
+        data = resources.files("sacreddetect").joinpath("data", "sample")
+        self.bodies: dict[str, bytes] = {}
+        for spec in config.sources:
+            url = SAMPLE_PAGES.get(spec.ngo_id)
+            listing = [cdx.REQUIRED_FIELDS, [url, SAMPLE_SNAPSHOT_TS, "text/html", "200"]]
+            self.bodies[cdx.build_cdx_query(spec)] = json.dumps(listing if url else []).encode()
+            if url:
+                self.bodies[url] = data.joinpath(f"{spec.ngo_id}.html").read_bytes()
+
+    def get(self, url: str, timeout: float) -> SimpleNamespace:
+        body = self.bodies.get(url)
+        return SimpleNamespace(
+            status_code=404 if body is None else 200,
+            headers={"Content-Type": "text/html; charset=utf-8"},
+            content=body or b"",
         )
-    store.flush_index()
-    write_manifest(layout.raw, "harvest", inputs, {"mode": "sample"}, started)
-    log.info("harvest: installed %d sample documents", len(pages))
 
 
-def _harvest_live(config: PipelineConfig, layout: Layout) -> None:
-    # the network stack loads with fetch, so that no offline command pays for it
-    from .harvest import fetch
+# the sample harvest's clock, stopped at SAMPLE_FETCHED_AT: a wait on it ends at once
+_FROZEN_CLOCK = SimpleNamespace(
+    time=SAMPLE_FETCHED_AT.timestamp, monotonic=lambda: 0.0, sleep=lambda seconds: None
+)
 
+
+def _harvest(config: PipelineConfig, layout: Layout, session, clock, mode: str) -> None:
     started = datetime.now(timezone.utc).isoformat()
     policy = config.policy
     store = DocumentStore(layout.raw)
-    session = fetch.make_session()
-    gate = fetch.HostGate(policy.rate_per_host)
+    gate = fetch.HostGate(policy.rate_per_host, clock)
     robots = fetch.RobotsCache(session, policy, gate)
 
     def harvest_one(spec) -> Counter:
@@ -297,6 +290,8 @@ def _harvest_live(config: PipelineConfig, layout: Layout) -> None:
             return counters
         urls = worklist.derive_worklist(records, counters)
         log.info("harvest %s: %d snapshot records, %d live URLs", spec.ngo_id, len(records), len(urls))
+        if not urls:
+            log.warning("harvest %s: the CDX listing yields no URL to fetch", spec.ngo_id)
         counters.update(fetch.harvest_source(spec, urls, store, policy, session, gate, robots))
         return counters
 
@@ -311,13 +306,11 @@ def _harvest_live(config: PipelineConfig, layout: Layout) -> None:
     store.flush_index()
     inputs = {"sources": _sources_fingerprint(config)}
     inputs.update(_hash_dir_files(layout.raw))
-    write_manifest(
-        layout.raw,
-        "harvest",
-        inputs,
-        {"mode": "live", "policy": vars(policy), "counters": dict(totals)},
-        started,
-    )
+    if is_current(layout.raw, inputs):
+        log.info("harvest: %s is up to date", layout.raw)
+    else:
+        params = {"mode": mode, "policy": vars(policy), "counters": dict(totals)}
+        write_manifest(layout.raw, "harvest", inputs, params, started)
     log.info("harvest: %s", dict(totals))
     failed = [s.ngo_id for s, c in zip(config.sources, outcomes) if c["cdx_failed"]]
     if failed:

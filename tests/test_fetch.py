@@ -1,6 +1,9 @@
 import json
 import os
+import threading
 import time
+
+import pytest
 
 from sacreddetect.config import FetchPolicy, SourceSpec
 from sacreddetect.harvest import DocumentStore, HostGate, RobotsCache, fetch_live
@@ -67,6 +70,64 @@ def test_rate_limit_spacing_one_per_second(http_server):
     times = [t for path, t in server.request_log if path in ("/one", "/two")]
     assert len(times) == 2
     assert times[1] - times[0] >= 0.95
+
+
+class FakeClock:
+    """Time that passes only by sleep and by what a test adds to now."""
+
+    def __init__(self):
+        self.now, self.waits = 0.0, []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.waits.append(seconds)
+        self.now += seconds
+
+
+def test_the_gate_spaces_each_host_alone_on_a_fake_clock():
+    clock = FakeClock()
+    gate = HostGate(2.0, clock)  # one request per 0.5 s and host
+    spans = []
+    for host in ["a", "a", "b", "a", "b", "c"]:
+        with gate.slot(host):
+            start = clock.now
+            clock.now += 0.25  # the request itself
+        spans.append((host, start, clock.now))
+    for host in "abc":
+        own = [(start, end) for h, start, end in spans if h == host]
+        assert all(later[0] - earlier[1] >= gate.min_interval for earlier, later in zip(own, own[1:]))
+    # only a's repeats wait: b's first request follows a's at once, and b's
+    # second finds its own spacing run out while a was served
+    assert clock.waits == pytest.approx([0.5, 0.25])
+    assert [start for _, start, _ in spans] == pytest.approx([0.0, 0.75, 1.0, 1.5, 1.75, 2.0])
+
+
+def test_a_held_host_holds_up_no_other_host():
+    gate = HostGate(1.0, FakeClock())
+    held, release = threading.Event(), threading.Event()
+
+    def hold_a():
+        with gate.slot("a"):
+            held.set()
+            release.wait(timeout=10)
+
+    def visit_b():
+        with gate.slot("b"):
+            pass
+
+    holder = threading.Thread(target=hold_a)
+    holder.start()
+    try:
+        assert held.wait(timeout=10)
+        other = threading.Thread(target=visit_b)
+        other.start()
+        other.join(timeout=5)
+        assert not other.is_alive()
+    finally:
+        release.set()
+        holder.join(timeout=10)
 
 
 def test_doc_id_is_deterministic_over_url_and_body(http_server):

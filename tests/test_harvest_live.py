@@ -155,7 +155,32 @@ def test_a_page_robots_txt_disallows_is_skipped(harvest):
     assert urls.count("https://alpha.example.org/robots.txt") == 1
 
 
-def test_each_raw_row_carries_its_urls_latest_snapshot(harvest):
+@pytest.mark.parametrize("status", [503, 429])
+def test_an_unreachable_robots_txt_disallows_its_origin_for_the_run(harvest, caplog, status):
+    # RFC 9309 2.3.1.4: a robots.txt that cannot be reached disallows all
+    cdx = {
+        "alpha.example.org": [_cdx_reply(["https://alpha.example.org/a", "20200101000000"])],
+        "beta.example.org": [_cdx_reply(["https://beta.example.org/b", "20210101000000"])],
+    }
+    pages = _pages("https://alpha.example.org/a", "https://beta.example.org/b")
+    robots = "https://alpha.example.org/robots.txt"
+    harvest.run(cdx, {robots: [(status, b"")], **pages})
+    assert harvest.stored("alpha") == []
+    assert [doc.url for doc in harvest.stored("beta")] == ["https://beta.example.org/b"]
+    urls = [url for url, _ in harvest.web.log]
+    assert "https://alpha.example.org/a" not in urls
+    assert urls.count(robots) == POLICY.retries + 1
+    assert (harvest.counters()["skipped_robots"], harvest.counters()["fetched_ok"]) == (1, 1)
+    assert any(
+        r.levelname == "WARNING" and "https://alpha.example.org" in r.getMessage()
+        for r in caplog.records
+    )
+    # a later run that reaches robots.txt fetches the page
+    harvest.run(cdx, {robots: [(200, b"User-agent: *\nAllow: /\n")], **pages})
+    assert [doc.url for doc in harvest.stored("alpha")] == ["https://alpha.example.org/a"]
+
+
+def test_each_raw_row_carries_its_urls_latest_snapshot(harvest, caplog):
     cdx = {
         "alpha.example.org": [
             _cdx_reply(
@@ -171,6 +196,10 @@ def test_each_raw_row_carries_its_urls_latest_snapshot(harvest):
     assert [(doc.url, doc.snapshot_ts) for doc in harvest.stored("alpha")] == [
         ("https://alpha.example.org/a", "20190101000000"),
         ("https://alpha.example.org/b", "20170101000000"),
+    ]
+    # beta's listing is empty: the harvest says so, naming the source
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        "harvest beta: the CDX listing yields no URL to fetch"
     ]
 
 

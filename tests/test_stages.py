@@ -243,8 +243,19 @@ def test_harvest_sample_idempotent(sample_config):
     run_harvest(sample_config, sample=True)
     layout = Layout(sample_config.output_root)
     raw = (layout.raw / "cca.jsonl").read_bytes()
+    files = {p.name: p.read_bytes() for p in layout.raw.iterdir()}
     run_harvest(sample_config, sample=True)
     assert (layout.raw / "cca.jsonl").read_bytes() == raw  # no duplicate append
+    # the quick start's no-op: not even the manifest is rewritten
+    assert {p.name: p.read_bytes() for p in layout.raw.iterdir()} == files
+    params = read_manifest(layout.raw).params
+    assert (params["mode"], params["counters"]["fetched_ok"]) == ("sample", 4)
+    # the recorded web's listing and frozen clock stamp every row
+    docs = [doc for n in stages.SAMPLE_PAGES for doc in DocumentStore(layout.raw).iter_ngo(n)]
+    assert {(d.fetched_at, d.snapshot_ts, d.content_type) for d in docs} == {
+        (stages.SAMPLE_FETCHED_AT, stages.SAMPLE_SNAPSHOT_TS, "text/html; charset=utf-8")
+    }
+    assert [(d.ngo_id, d.url) for d in docs] == list(stages.SAMPLE_PAGES.items())
 
 
 def test_stage_lock_blocks_concurrent_runs(sample_config, tmp_path):
@@ -409,7 +420,7 @@ def test_dropped_source_leaves_corpus_and_labels(sample_config):
     assert bundle["rates"]["tree|total"]["n"] < 10
 
 
-def test_extract_refuses_a_configured_source_with_no_raw_file(sample_config):
+def test_extract_refuses_a_configured_source_with_no_raw_file(sample_config, caplog):
     layout = Layout(sample_config.output_root)
     run_harvest(sample_config, sample=True)
     run_extract(sample_config)
@@ -420,6 +431,9 @@ def test_extract_refuses_a_configured_source_with_no_raw_file(sample_config):
     )
     run_harvest(sample_config, sample=True)
     assert not (layout.raw / "arocha.jsonl").exists()
+    assert "harvest arocha: the CDX listing yields no URL to fetch" in [
+        r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+    ]
     with pytest.raises(PrerequisiteError, match=r"arocha; run `sacreddetect harvest`"):
         run_extract(sample_config)
     assert {p.name: p.read_bytes() for p in layout.corpus.iterdir()} == corpus
