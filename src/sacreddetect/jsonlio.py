@@ -20,7 +20,10 @@ Two JSON libraries, each where its behaviour is the one needed:
 - The stdlib json encodes every file, since its separators, ensure_ascii
   and indent are the file format, and decodes CDX responses, a JSON
   lexicon, the manifests and stats.json, which it may have written with
-  NaN or Infinity.
+  NaN or Infinity. The lines written most often are spliced from fixed
+  pieces and strings its encoder encoded, to the bytes json.dumps gives
+  the whole row: batch request lines (judge.batch), the stub's result
+  lines (judge.providers) and the labels/<model>/ rows (Verdict.to_line).
 """
 
 from __future__ import annotations
@@ -69,7 +72,11 @@ def loads_external(text: str, stdlib: Callable[[str], Any] = json.loads) -> Any:
     so on such text it gives orjson's value, but for an integer beyond 64
     bits, which orjson 3.8 reads as the nearest float.
     """
-    if text.count("{") + text.count("[") < _ORJSON_MAX_BRACKETS:
+    # a text shorter than the limit holds fewer brackets, uncounted
+    if (
+        len(text) < _ORJSON_MAX_BRACKETS
+        or text.count("{") + text.count("[") < _ORJSON_MAX_BRACKETS
+    ):
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:

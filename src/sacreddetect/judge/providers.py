@@ -68,8 +68,9 @@ class StubProvider:
     templated argumentation. Exists so the whole pipeline runs offline and
     reproducibly; it is not a model of model behavior.
 
-    One search for all the terms at once decides most sentences: a miss
-    answers "No". On a hit the terms are tried one by one, so the reply
+    An ASCII text whose lowered form holds no term as a substring answers
+    "No" at once. Any other text gets one search for all the terms, whose
+    miss answers "No"; on a hit the terms are tried one by one, so the reply
     names the first matching term in TERMS order, not the leftmost one in
     the text. The seven possible replies are encoded once, and each result
     line splices in just the encoded custom_id; the bytes are those of
@@ -103,6 +104,15 @@ class StubProvider:
         self._no = line_tail("No", "No religious terms or ideas detected.")
 
     def _line_tail(self, user_text: str) -> str:
+        if user_text.isascii():
+            # on ASCII text IGNORECASE is ASCII case folding, so no term
+            # in the lowered text means no match
+            lowered = user_text.lower()
+            for term in self.TERMS:
+                if term in lowered:
+                    break
+            else:
+                return self._no
         if self._any_term.search(user_text):
             for pattern, tail in self._terms:
                 if pattern.search(user_text):

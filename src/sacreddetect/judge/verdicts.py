@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from ..jsonlio import loads_external
 
@@ -29,7 +30,7 @@ LABELS = ("yes", "no", "malformed")
 # no "{", what starts there does not decode to a JSON object, or one of the
 # three fields fails its check.
 REASONS = ("missing", "no_json", "bad_json", "bad_religious", "bad_certainty", "bad_argumentation")
-# The shape of a labels/<model>/ row (Verdict.to_dict); a new value makes
+# The shape of a labels/<model>/ row (Verdict.to_line); a new value makes
 # classify rewrite every labels directory from its saved results.
 VERDICT_ROW_VERSION = "2"
 
@@ -41,7 +42,7 @@ def _first_value(text: str):
     return _DECODER.raw_decode(text)[0]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Verdict:
     sentence_id: str
     label: str  # yes | no | malformed
@@ -49,27 +50,23 @@ class Verdict:
     argumentation: str | None
     reason: str | None = None  # one of REASONS iff the label is malformed
 
-    def to_dict(self) -> dict:
-        """The labels/<model>/ row. The model is the directory's, and the
-        raw reply stays in the batch results file, keyed by custom_id (the
-        sentence id)."""
-        return {
-            "sentence_id": self.sentence_id,
-            "label": self.label,
-            "certainty": self.certainty,
-            "argumentation": self.argumentation,
-            "reason": self.reason,
-        }
+    def to_line(self) -> str:
+        """The labels/<model>/ row and its newline. The model is the
+        directory's, and the raw reply stays in the batch results file,
+        keyed by custom_id (the sentence id). The bytes are those of
+        json.dumps(row, ensure_ascii=False) for the row dict of the five
+        fields in order; the label, one of LABELS, needs no escaping."""
+        certainty = "null" if self.certainty is None else self.certainty
+        argumentation = "null" if self.argumentation is None else encode_basestring(self.argumentation)
+        reason = "null" if self.reason is None else encode_basestring(self.reason)
+        return (
+            f'{{"sentence_id": {encode_basestring(self.sentence_id)}, "label": "{self.label}", '
+            f'"certainty": {certainty}, "argumentation": {argumentation}, "reason": {reason}}}\n'
+        )
 
 
 def _parse_certainty(value) -> int | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):  # clamped as it is: float() overflows past 1e308
-        return max(0, min(100, value))
-    if isinstance(value, float):
-        number = value
-    elif isinstance(value, str):
+    if type(value) is str:  # the schema's "90%", the common case
         token = value.strip().rstrip("%").strip()
         if not token:
             return None
@@ -77,6 +74,12 @@ def _parse_certainty(value) -> int | None:
             number = float(token)
         except ValueError:
             return None
+    elif isinstance(value, bool):
+        return None
+    elif isinstance(value, int):  # clamped as it is: float() overflows past 1e308
+        return max(0, min(100, value))
+    elif isinstance(value, float):
+        number = value
     else:
         return None
     if not math.isfinite(number):  # JSON's Infinity and NaN, or "inf%"
@@ -98,30 +101,35 @@ def _encodes_to_utf8(text: str) -> bool:
 
 def parse_verdict(sentence_id: str, raw_text: str) -> Verdict:
     """Total over arbitrary input: always returns a Verdict, never raises."""
-
-    def malformed(reason: str) -> Verdict:
-        return Verdict(sentence_id, "malformed", None, None, reason)
-
     if not isinstance(raw_text, str):
-        return malformed("no_json")
+        return Verdict(sentence_id, "malformed", None, None, "no_json")
     start = raw_text.find("{")
     if start < 0:
-        return malformed("no_json")
+        return Verdict(sentence_id, "malformed", None, None, "no_json")
     try:
         # what starts with "{" decodes to a dict or not at all
         obj = loads_external(raw_text[start:], _first_value)
     except (ValueError, RecursionError):  # ValueError: also an int past str's digit limit
-        return malformed("bad_json")
+        return Verdict(sentence_id, "malformed", None, None, "bad_json")
 
-    fields = {k.lower(): v for k, v in obj.items() if isinstance(k, str)}
-    religious = fields.get("religious")
-    if not isinstance(religious, str) or religious.strip().lower() not in ("yes", "no"):
-        return malformed("bad_religious")
-    certainty = _parse_certainty(fields.get("certainty"))
+    # keys match case-insensitively, and a later key wins over an earlier
+    # one that lowers alike; JSON object keys are always strings
+    religious = certainty = argumentation = None
+    for key, value in obj.items():
+        key = key.lower()
+        if key == "religious":
+            religious = value
+        elif key == "certainty":
+            certainty = value
+        elif key == "argumentation":
+            argumentation = value
+    label = religious.strip().lower() if type(religious) is str else None
+    if label not in ("yes", "no"):
+        return Verdict(sentence_id, "malformed", None, None, "bad_religious")
+    certainty = _parse_certainty(certainty)
     if certainty is None:
-        return malformed("bad_certainty")
-    argumentation = fields.get("argumentation")
-    if not isinstance(argumentation, str) or not _encodes_to_utf8(argumentation):
-        return malformed("bad_argumentation")
+        return Verdict(sentence_id, "malformed", None, None, "bad_certainty")
+    if type(argumentation) is not str or not _encodes_to_utf8(argumentation):
+        return Verdict(sentence_id, "malformed", None, None, "bad_argumentation")
 
-    return Verdict(sentence_id, religious.strip().lower(), certainty, argumentation)
+    return Verdict(sentence_id, label, certainty, argumentation)

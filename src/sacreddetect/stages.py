@@ -53,7 +53,7 @@ from .jsonlio import read_jsonl, write_json, write_jsonl, write_text
 from .judge import batch as batch_mod
 from .judge import providers as providers_mod
 from .judge.prompts import prompt_hash
-from .judge.verdicts import REASONS, VERDICT_ROW_VERSION
+from .judge.verdicts import REASONS, VERDICT_ROW_VERSION, Verdict
 from .lexicon.matcher import classify_corpus, compile_matcher
 from .lexicon.tree import lexicon_to_json, load_lexicon
 from .manifest import MANIFEST_NAME, RunManifest, is_current, read_manifest, write_manifest
@@ -306,7 +306,11 @@ def _harvest(config: PipelineConfig, layout: Layout, session, clock, mode: str) 
     store.flush_index()
     inputs = {"sources": _sources_fingerprint(config)}
     inputs.update(_hash_dir_files(layout.raw))
-    if is_current(layout.raw, inputs):
+    recorded = read_manifest(layout.raw)
+    # counters that recorded a failed CDX query are rewritten by the next
+    # run, so they never report a failure the last run did not have
+    failed_before = recorded is not None and recorded.params.get("counters", {}).get("cdx_failed")
+    if is_current(layout.raw, inputs) and not failed_before:
         log.info("harvest: %s is up to date", layout.raw)
     else:
         params = {"mode": mode, "policy": vars(policy), "counters": dict(totals)}
@@ -641,7 +645,7 @@ def _classify_file(
         save_state({"done": True})
     results = providers_mod.parse_result_lines(raw_lines)
     verdicts = providers_mod.join_verdicts(sentence_ids, results)
-    write_jsonl(out / f"{ngo_id}.jsonl", (v.to_dict() for v in verdicts))
+    write_text(out / f"{ngo_id}.jsonl", map(Verdict.to_line, verdicts))
     reasons = Counter(v.reason for v in verdicts)
     counts = {
         "verdicts": len(verdicts),

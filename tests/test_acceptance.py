@@ -502,3 +502,20 @@ def test_sample_tree_labels_keep_their_bytes(tmp_path, monkeypatch):
         if name.startswith("labels/tree/")
     }
     assert digests == json.loads(TREE_LABEL_DIGESTS.read_text(encoding="utf-8"))
+
+
+# sha256 of every labels/<model>/ file (manifests aside) and every saved
+# batches/<model>/ results file of the sample stub run: the stub's replies
+# and the verdict rows classify writes from them, which no report byte
+# shows in full.
+MODEL_LABEL_DIGESTS = Path(__file__).parent / "data" / "sample_model_label_digests.json"
+
+
+def test_sample_model_labels_keep_their_bytes(tmp_path, monkeypatch):
+    _run_pipeline(tmp_path, monkeypatch, ("harvest", "extract", "batch-build", "classify"))
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in _tree_snapshot(tmp_path).items()
+        if name.startswith("labels/") or name.endswith(".results.jsonl")
+    }
+    assert digests == json.loads(MODEL_LABEL_DIGESTS.read_text(encoding="utf-8"))

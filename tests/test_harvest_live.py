@@ -134,6 +134,21 @@ def test_a_cdx_query_failing_every_attempt_fails_the_harvest_after_the_others(ha
     assert harvest.counters()["cdx_failed"] == 1
 
 
+def test_a_clean_run_after_a_failed_cdx_query_rewrites_the_counters(harvest):
+    alpha = _cdx_reply(["https://alpha.example.org/a", "20200101000000"])
+    pages = _pages("https://alpha.example.org/a")
+    with pytest.raises(SacredDetectError, match=r"CDX query failed for beta;"):
+        harvest.run({"alpha.example.org": [alpha], "beta.example.org": [(503, b"busy")]}, pages)
+    assert harvest.counters()["cdx_failed"] == 1
+    # the sources and raw files are as the failed run left them
+    harvest.run({"alpha.example.org": [alpha], "beta.example.org": [_cdx_reply()]}, pages)
+    assert "cdx_failed" not in harvest.counters()
+    # and a run that changes nothing leaves the manifest alone
+    manifest = (harvest.layout.raw / "manifest.json").read_bytes()
+    harvest.run({"alpha.example.org": [alpha], "beta.example.org": [_cdx_reply()]}, pages)
+    assert (harvest.layout.raw / "manifest.json").read_bytes() == manifest
+
+
 def test_a_page_robots_txt_disallows_is_skipped(harvest):
     cdx = {
         "alpha.example.org": [

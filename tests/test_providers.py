@@ -149,6 +149,20 @@ def test_stub_lines_equal_the_per_term_whole_dict_oracle(rows):
         assert bool(stub._any_term.search(text)) == (naive_stub_term(text) is not None)
 
 
+# Non-ASCII letters that re.IGNORECASE folds into a term or into the
+# [A-Za-z] around it, so the ASCII early exit must not decide them, and
+# ASCII texts on each side of it: a term in mixed case, after "_" (no
+# letter or digit), and before a digit.
+@pytest.mark.parametrize(
+    "text",
+    ["\u017facred", "fa\u0131th", "\u0130pray", "holy\u0130", "\u212agod", "faith\u212a",
+     "GoD", "faith1", "_holy"],
+)
+def test_stub_edge_cases_equal_the_oracle(text):
+    lines = build_batch_file(corpus(text), "revised", "m")
+    assert StubProvider().run_batch(lines) == naive_stub_run_batch(lines)
+
+
 def test_stub_names_the_first_term_in_term_order_not_the_leftmost():
     verdicts, _ = classify(corpus("holy god"), "revised", "m", StubProvider())
     assert verdicts[0].argumentation == "Contains the term 'god'."

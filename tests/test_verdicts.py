@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import naive_parse_verdict, stdlib_parse_verdict
 
 from sacreddetect.judge import parse_verdict
-from sacreddetect.judge.verdicts import LABELS, Verdict
+from sacreddetect.judge.verdicts import LABELS, REASONS, Verdict
 
 CASES = json.loads((Path(__file__).parent / "data" / "verdict_cases.json").read_text())
 
@@ -212,3 +212,48 @@ def test_nested_replies_equal_the_stdlib_only_parser(depth):
     nested = "[" * depth + "]" * depth
     text = f'{{"Religious": "Yes", "Certainty": "90%", "Argumentation": "a", "note": {nested}}}'
     assert parse_verdict("s", text) == stdlib_parse_verdict("s", text)
+
+
+# --- labels/<model>/ rows ------------------------------------------------------
+# Text with what JSON must escape or may pass raw: quotes, backslashes,
+# control characters, U+2028 and U+0085, and characters beyond the BMP.
+_ROW_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u0085", "é", "\U0001f600"]
+        ),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=20,
+)
+VERDICTS = st.builds(
+    Verdict,
+    sentence_id=_ROW_TEXT,
+    label=st.sampled_from(LABELS),
+    certainty=st.none() | st.integers(0, 100),
+    argumentation=st.none() | _ROW_TEXT,
+    reason=st.none() | st.sampled_from(REASONS),
+)
+
+
+def assert_row_equals_json_dumps(verdict: Verdict) -> None:
+    row = {
+        "sentence_id": verdict.sentence_id,
+        "label": verdict.label,
+        "certainty": verdict.certainty,
+        "argumentation": verdict.argumentation,
+        "reason": verdict.reason,
+    }
+    assert verdict.to_line() == json.dumps(row, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=400)
+@given(verdict=VERDICTS)
+def test_label_rows_equal_json_dumps_of_the_row_dict(verdict):
+    assert_row_equals_json_dumps(verdict)
+
+
+@pytest.mark.parametrize("reason", REASONS)
+def test_the_row_of_every_reason_equals_json_dumps(reason):
+    sentence_id = 'a"\\\x01\u2028\u0085\U0001f600'
+    assert_row_equals_json_dumps(Verdict(sentence_id, "malformed", None, None, reason))
