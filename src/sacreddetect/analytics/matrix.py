@@ -23,6 +23,7 @@ from .terms import phrase_in_normalized
 SECULAR_TOTAL = "secular_total"
 RELIGIOUS_TOTAL = "religious_total"
 TOTAL = "total"
+SAMPLES_PER_PHRASE = 10  # rows each phrase keeps for its term report
 
 
 def normalize_sentence_text(text: str) -> str:
@@ -87,13 +88,12 @@ def tabulate(
     classifiers: Iterable[str],
     groups: dict[str, str],
     phrases: Iterable[str] = (),
-    max_samples: int = 10,
 ) -> LabelMatrix:
     """Accumulate rows in corpus order into a LabelMatrix.
 
     groups maps every NGO the rows name to its group. A phrase hits a row
     under terms.phrase_in_text's rule; each phrase keeps its first
-    max_samples hits. A sentence id seen twice raises CoverageError naming
+    SAMPLES_PER_PHRASE hits. A sentence id seen twice raises CoverageError naming
     the id.
     """
     classifiers = tuple(classifiers)
@@ -136,7 +136,7 @@ def tabulate(
                     for i, label in enumerate(labels):
                         if label == "yes":
                             hits.n_yes[i] += 1
-                    if len(hits.samples) < max_samples:
+                    if len(hits.samples) < SAMPLES_PER_PHRASE:
                         hits.samples.append(row)
     ngo_order = dict.fromkeys(ngo for ngo, *_ in joint)
     return LabelMatrix(

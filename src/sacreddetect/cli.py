@@ -6,8 +6,9 @@ operators launch stages and read files. Every setting of a run lives in
 its config file, and the global --config and --output-root choose which
 run. The config's [[models]] list decides which judges batch-build,
 classify and analyze run: a config with none runs the rule-based tree
-alone. Exit codes: 0 success, 2 config error, 3 prerequisite error, 4
-provider failure (resumable).
+alone. Exit codes: 0 success, 2 config or lexicon error, 3 prerequisite
+error, 4 provider failure (resumable), 1 any other pipeline error; each
+error class in errors.py carries its own.
 """
 
 from __future__ import annotations
@@ -19,23 +20,11 @@ from pathlib import Path
 
 import click
 
-from . import __version__
 from .config import PipelineConfig, default_config_path, validate_config
-from .errors import (
-    ConfigError,
-    LexiconError,
-    PrerequisiteError,
-    ProviderError,
-    SacredDetectError,
-)
+from .errors import SacredDetectError
 from . import stages
 
 log = logging.getLogger("sacreddetect")
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PREREQUISITE = 3
-EXIT_PROVIDER = 4
 
 
 def _load_config(ctx: click.Context) -> PipelineConfig:
@@ -148,24 +137,15 @@ def report(ctx):
 def run() -> int:
     try:
         main(standalone_mode=False)
-    except (ConfigError, LexiconError) as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    except PrerequisiteError as exc:
-        log.error("%s", exc)
-        return EXIT_PREREQUISITE
-    except ProviderError as exc:
-        log.error("%s", exc)
-        return EXIT_PROVIDER
     except SacredDetectError as exc:
         log.error("%s", exc)
-        return 1
+        return exc.exit_code
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
     except click.exceptions.Abort:
         return 1
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

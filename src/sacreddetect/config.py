@@ -25,6 +25,19 @@ from .judge.providers import PROVIDERS
 GROUPS = ("religious", "secular")
 
 DEFAULT_REPORT_PHRASES = ("mother earth", "sacred earth", "ubuntu")
+TREE_ID = "tree"  # the rule-based classifier: labels/tree, its column in every table
+
+
+def _check_id(value: str, name: str, forbidden: str) -> None:
+    """An id names files under the output root (corpus/<ngo_id>.jsonl,
+    batches/<model_id>/<ngo_id>.results.jsonl), so it must be one plain
+    file name that no other id's files can take: non-empty, not starting
+    with '.', and holding none of forbidden."""
+    if not value:
+        raise ConfigError(f"{name}: must be non-empty")
+    if value.startswith(".") or any(c in forbidden for c in value):
+        shown = ", ".join(repr(c) for c in forbidden)
+        raise ConfigError(f"{name}: {value!r} must not start with '.' or hold any of {shown}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +51,8 @@ class SourceSpec:
     to_year: int
 
     def validate(self, where: str = "source") -> None:
-        if not self.ngo_id:
-            raise ConfigError(f"{where}.ngo_id: must be non-empty")
+        # a '.' would let <ngo>.jsonl be another NGO's <ngo>.results.jsonl
+        _check_id(self.ngo_id, f"{where}.ngo_id", "/\\\0.")
         if self.group not in GROUPS:
             raise ConfigError(
                 f"{where}.group: {self.group!r} is not one of {'/'.join(GROUPS)}"
@@ -61,8 +74,9 @@ class ModelSpec:
     provider: str
 
     def validate(self, where: str = "model") -> None:
-        if not self.model_id:
-            raise ConfigError(f"{where}.model_id: must be non-empty")
+        _check_id(self.model_id, f"{where}.model_id", "/\\\0")
+        if self.model_id == TREE_ID:
+            raise ConfigError(f"{where}.model_id: {TREE_ID!r} names the rule-based tree's labels")
         if self.provider not in PROVIDERS:
             raise ConfigError(
                 f"{where}.provider: {self.provider!r} is not one of {'/'.join(PROVIDERS)}"

@@ -59,7 +59,8 @@ class HostGate:
     The spacing runs from the end of one request to the start of the next,
     so the host sees it whatever the connection and response latency.
     The clock (monotonic, sleep, and time, which stamps fetched_at) is the
-    time module unless a recorded web brings its own.
+    time module unless a recorded web brings its own; get waits out its
+    retry backoff on it too, so a harvest has one clock for every wait.
     """
 
     def __init__(self, rate_per_host: float, clock=time):
@@ -123,13 +124,12 @@ def get(
     session: requests.Session,
     gate: HostGate,
     timeout: float | None = None,
-    sleep=None,
 ) -> tuple[int, str, bytes]:
     """One GET under the policy, each attempt in its host's gate slot:
     (status, content type, body), the body empty unless the status is 2xx.
     Retryable failures (timeout, connection error, 5xx, 429) are retried up
-    to policy.retries times with exponential backoff through sleep, by
-    default time.sleep as it is at the call. Nothing is raised.
+    to policy.retries times with exponential backoff, waited out on the
+    gate's clock. Nothing is raised.
     """
     host = urlsplit(url).netloc
     status, content_type, body = 0, "", b""
@@ -147,33 +147,8 @@ def get(
             if status < 500 and status != 429:  # 429: Too Many Requests
                 break
         if attempt < policy.retries:
-            (sleep or time.sleep)(policy.backoff**attempt)
+            gate.clock.sleep(policy.backoff**attempt)
     return status, content_type, body
-
-
-def fetch_live(
-    url: str,
-    policy: FetchPolicy,
-    ngo_id: str = "",
-    session: requests.Session | None = None,
-    gate: HostGate | None = None,
-    snapshot_ts: str | None = None,
-    sleep=None,
-) -> RawDocument:
-    """Fetch one URL through get; the outcome, success or not, is the
-    returned RawDocument, stamped by the gate's clock."""
-    session = session or make_session()
-    gate = gate or HostGate(policy.rate_per_host)
-    status, content_type, body = get(url, policy, session, gate, sleep=sleep)
-    return RawDocument.make(
-        ngo_id=ngo_id,
-        url=url,
-        status=status,
-        content_type=content_type,
-        body=body,
-        fetched_at=datetime.fromtimestamp(gate.clock.time(), timezone.utc),
-        snapshot_ts=snapshot_ts,
-    )
 
 
 def harvest_source(
@@ -186,7 +161,8 @@ def harvest_source(
     robots: RobotsCache | None = None,
 ) -> Counter:
     """Fetch a source's worklist, each URL with its latest snapshot
-    timestamp, into the store; returns outcome counters.
+    timestamp, into the store; returns outcome counters. Every outcome,
+    success or not, is stored as a RawDocument stamped by the gate's clock.
 
     URLs already present in the store, fetched or failed, are skipped, so
     an interrupted harvest continues rather than refetching.
@@ -199,14 +175,9 @@ def harvest_source(
         if robots is not None and not robots.allowed(url):
             counters["skipped_robots"] += 1
             continue
-        doc = fetch_live(
-            url,
-            policy,
-            ngo_id=spec.ngo_id,
-            session=session,
-            gate=gate,
-            snapshot_ts=snapshot_ts,
-        )
+        status, content_type, body = get(url, policy, session, gate)
+        fetched_at = datetime.fromtimestamp(gate.clock.time(), timezone.utc)
+        doc = RawDocument.make(spec.ngo_id, url, status, content_type, body, fetched_at, snapshot_ts)
         store.append(doc)
         counters["fetched_ok" if doc.ok else "fetched_failed"] += 1
     return counters

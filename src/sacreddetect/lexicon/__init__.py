@@ -1,18 +1,1 @@
 """Hierarchical religious-concept lexicon and word-boundary matching."""
-
-from .matcher import Match, Matcher, MatchResult, classify_corpus, compile_matcher, match_sentence
-from .tree import Lexicon, LexiconNode, lexicon_to_json, load_lexicon, parse_lexicon_text
-
-__all__ = [
-    "Lexicon",
-    "LexiconNode",
-    "Match",
-    "MatchResult",
-    "Matcher",
-    "classify_corpus",
-    "compile_matcher",
-    "lexicon_to_json",
-    "load_lexicon",
-    "match_sentence",
-    "parse_lexicon_text",
-]

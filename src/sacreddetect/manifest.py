@@ -13,7 +13,7 @@ whole; see stages._produce.)
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,16 +31,6 @@ class RunManifest:
     tool_version: str = __version__
     started: str = ""
     finished: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "tool_version": self.tool_version,
-            "inputs": self.inputs,
-            "params": self.params,
-            "started": self.started,
-            "finished": self.finished,
-        }
 
 
 def _now() -> str:
@@ -61,7 +51,7 @@ def write_manifest(
         started=started or _now(),
         finished=_now(),
     )
-    write_json(Path(out_dir) / MANIFEST_NAME, manifest.to_dict())
+    write_json(Path(out_dir) / MANIFEST_NAME, asdict(manifest))  # write_json sorts the keys
     return manifest
 
 

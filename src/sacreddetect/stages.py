@@ -36,7 +36,7 @@ from .analytics.matrix import Row
 from .analytics.consistency import duplicate_consistency
 from .analytics.stats import disagreement_ratios, group_rates, pairwise_agreement
 from .analytics.terms import term_report
-from .config import PipelineConfig
+from .config import TREE_ID, PipelineConfig
 from .errors import (
     CdxParseError,
     ConfigError,
@@ -92,7 +92,7 @@ class Layout:
 
     @property
     def labels_tree(self) -> Path:
-        return self.root / "labels" / "tree"
+        return self.root / "labels" / TREE_ID
 
     def labels_model(self, model_id: str) -> Path:
         return self.root / "labels" / model_id
@@ -792,7 +792,7 @@ def run_analyze(config: PipelineConfig) -> None:
                 row for path, paths in label_paths.items() for row in _aligned_rows(path, paths)
             )
             matrix = matrix_mod.tabulate(
-                rows, ["tree", *model_ids], groups, config.report_phrases
+                rows, [TREE_ID, *model_ids], groups, config.report_phrases
             )
             bundle = {
                 "corpus": table1,

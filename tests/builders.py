@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from sacreddetect.analytics import LabelMatrix, tabulate
+from sacreddetect.analytics.matrix import LabelMatrix, tabulate
 
 MODELS = ("gpt", "llama")
 

@@ -12,7 +12,8 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles helper module
 
 from sacreddetect.config import bundled_path
-from sacreddetect.lexicon import compile_matcher, load_lexicon
+from sacreddetect.lexicon.matcher import compile_matcher
+from sacreddetect.lexicon.tree import load_lexicon
 from sacreddetect.textpipe.corpus import CleanDocument, build_sentence_corpus
 from sacreddetect.textpipe.htmltext import extract_main_text
 from sacreddetect.textpipe.langid import detect_language

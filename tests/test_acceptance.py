@@ -23,17 +23,14 @@ import pytest
 from builders import label_matrix, oracle_rows
 from oracles import naive_agreement, naive_match_spans, naive_rates, naive_ratios
 from sacreddetect import cli
-from sacreddetect.analytics import (
-    disagreement_ratios,
-    group_rates,
-    pairwise_agreement,
-    term_report,
-)
+from sacreddetect.analytics.stats import disagreement_ratios, group_rates, pairwise_agreement
+from sacreddetect.analytics.terms import term_report
 from sacreddetect.config import SourceSpec, sample_config_path
-from sacreddetect.harvest import build_cdx_query
-from sacreddetect.judge import parse_verdict, prompt_hash
-from sacreddetect.judge.verdicts import LABELS
-from sacreddetect.lexicon import Lexicon, LexiconNode, compile_matcher, match_sentence
+from sacreddetect.harvest.cdx import build_cdx_query
+from sacreddetect.judge.prompts import prompt_hash
+from sacreddetect.judge.verdicts import LABELS, parse_verdict
+from sacreddetect.lexicon.matcher import compile_matcher, match_sentence
+from sacreddetect.lexicon.tree import Lexicon, LexiconNode
 
 
 def report_line(name: str, ok: bool, detail: str = "") -> None:
@@ -466,7 +463,7 @@ def test_criterion_9_end_to_end_stub(tmp_path, monkeypatch):
             labels[row["sentence_id"]] = row["label"]
 
     from sacreddetect.config import bundled_path
-    from sacreddetect.lexicon import load_lexicon
+    from sacreddetect.lexicon.tree import load_lexicon
 
     lexicon = load_lexicon(bundled_path("starter.tree"))
     variants, exclusions = lexicon.all_variants(), lexicon.exclusions

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import ColumnMatrix, column_duplicate_consistency, column_term_report
 from sacreddetect import stages
-from sacreddetect.analytics import (
-    disagreement_ratios,
-    group_rates,
-    pairwise_agreement,
-)
+from sacreddetect.analytics.stats import disagreement_ratios, group_rates, pairwise_agreement
 from sacreddetect.config import (
     FetchPolicy,
     ModelSpec,

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dict_batch_line
 
-from sacreddetect.judge import TEMPLATE_IDS, build_batch_file, render_prompt
+from sacreddetect.judge.batch import build_batch_file
+from sacreddetect.judge.prompts import TEMPLATE_IDS, render_prompt
 
 # characters JSON escapes (quote, backslash, C0 controls) or leaves raw
 # (DEL, U+0085, U+2028, U+2029), and non-ASCII up to the astral planes

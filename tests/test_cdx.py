@@ -4,7 +4,7 @@ import pytest
 
 from sacreddetect.config import SourceSpec
 from sacreddetect.errors import CdxParseError
-from sacreddetect.harvest import build_cdx_query, parse_cdx_response
+from sacreddetect.harvest.cdx import build_cdx_query, parse_cdx_response
 
 ICSD = SourceSpec("icsd", "religious", "interfaithsustain.com", 2014, 2024)
 

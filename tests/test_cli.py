@@ -150,6 +150,33 @@ def test_corrupt_stage_file_exits_1_naming_the_file_and_line(monkeypatch, tmp_pa
     assert not (root / "labels").exists()  # nor the parent the failed build made
 
 
+def test_a_lexicon_without_the_general_root_exits_2_from_match(monkeypatch, tmp_path, caplog):
+    (tmp_path / "no-general.tree").write_text("Christianity:\n  bible: bible\n", encoding="utf-8")
+    path = _sample_config_with(tmp_path, 'lexicon = "starter"', 'lexicon = "no-general.tree"')
+    root = tmp_path / "run"
+    config = ["--config", str(path), "--output-root", str(root)]
+    assert run_cli([*config, "harvest", "--sample"], monkeypatch) == 0
+    assert run_cli([*config, "extract"], monkeypatch) == 0
+    assert run_cli([*config, "match"], monkeypatch) == 2  # a LexiconError
+    assert "lexicon lacks the 'general' root" in caplog.text
+    assert not (root / "labels").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["harvest", "--sample"], ["extract"], ["match"], ["batch-build"],
+     ["classify", "--stub"], ["analyze"], ["report"]],
+    ids=lambda command: command[0],
+)
+def test_a_model_named_tree_exits_2_from_every_command(monkeypatch, tmp_path, caplog, command):
+    # its labels would be labels/tree, the rule-based tree's own
+    path = _sample_config_with(tmp_path, 'model_id = "gpt-4o-mini"', 'model_id = "tree"')
+    root = tmp_path / "run"
+    assert run_cli(["--config", str(path), "--output-root", str(root), *command], monkeypatch) == 2
+    assert "models[0].model_id: 'tree'" in caplog.text
+    assert not root.exists()
+
+
 NETWORK_MODULES = ("requests", "urllib3", "ssl", "http.client", "urllib.request")
 
 
@@ -177,4 +204,4 @@ for command in (["harvest", "--sample"], ["extract"], ["match"], ["batch-build"]
     root = tmp_path / "run"
     assert _network_modules_after(pipeline, str(sample_config_path()), str(root)) == "[]"
     assert (root / "reports" / "table1.md").is_file()
-    assert _network_modules_after("import sys, sacreddetect.harvest") == "[]"
+    assert _network_modules_after("import sys, sacreddetect.harvest.fetch") == "[]"

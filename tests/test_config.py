@@ -120,6 +120,41 @@ def test_unknown_provider_rejected(tmp_path):
         validate_config(write_config(tmp_path, body))
 
 
+# each id names files under the output root, so it must be one plain file
+# name: a model named tree would overwrite labels/tree, and an NGO named
+# "a.results" would write batches/<model>/a.results.jsonl, NGO a's results
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        pytest.param('ngo_id = "a"', "a/b", id="ngo-slash"),
+        pytest.param('ngo_id = "a"', "a\\\\b", id="ngo-backslash"),
+        pytest.param('ngo_id = "a"', "a\\u0000b", id="ngo-nul"),
+        pytest.param('ngo_id = "a"', ".", id="ngo-dot"),
+        pytest.param('ngo_id = "a"', "..", id="ngo-dotdot"),
+        pytest.param('ngo_id = "a"', ".a", id="ngo-hidden"),
+        pytest.param('ngo_id = "a"', "a.results", id="ngo-inner-dot"),
+        pytest.param('model_id = "m"', "tree", id="model-tree"),
+        pytest.param('model_id = "m"', "m/x", id="model-slash"),
+        pytest.param('model_id = "m"', "m\\\\x", id="model-backslash"),
+        pytest.param('model_id = "m"', "m\\u0000x", id="model-nul"),
+        pytest.param('model_id = "m"', ".", id="model-dot"),
+        pytest.param('model_id = "m"', "..", id="model-dotdot"),
+        pytest.param('model_id = "m"', ".m", id="model-hidden"),
+    ],
+)
+def test_an_id_that_is_not_a_plain_file_name_rejected(tmp_path, line, value):
+    key = line.split(" = ")[0]
+    table = "sources" if key == "ngo_id" else "models"
+    body = MINIMAL.replace(line, f'{key} = "{value}"')
+    with pytest.raises(ConfigError, match=rf"^{table}\[0\]\.{key}: "):
+        validate_config(write_config(tmp_path, body))
+
+
+def test_a_model_id_may_hold_a_dot(tmp_path):
+    body = MINIMAL.replace('model_id = "m"', 'model_id = "llama-3.3-70b-versatile"')
+    assert validate_config(write_config(tmp_path, body)).models[0].model_id == "llama-3.3-70b-versatile"
+
+
 def test_missing_field_names_path(tmp_path):
     body = MINIMAL.replace('base_url = "a.org"\n', "")
     with pytest.raises(ConfigError, match=r"sources\[0\].base_url"):

@@ -1,10 +1,6 @@
 from collections import Counter
 
-from sacreddetect.textpipe import (
-    CleanDocument,
-    build_sentence_corpus,
-    filter_corpus,
-)
+from sacreddetect.textpipe.corpus import CleanDocument, build_sentence_corpus, filter_corpus
 
 
 def doc(doc_id, text, ngo="ngo", lang="en", confidence=0.9):

@@ -2,74 +2,15 @@ import json
 import os
 import threading
 import time
+from datetime import datetime, timezone
 
 import pytest
 
 from sacreddetect.config import FetchPolicy, SourceSpec
-from sacreddetect.harvest import DocumentStore, HostGate, RobotsCache, fetch_live
-from sacreddetect.harvest.fetch import harvest_source, make_session
+from sacreddetect.harvest.fetch import HostGate, RobotsCache, get, harvest_source, make_session
+from sacreddetect.harvest.store import DocumentStore
 
 FAST = FetchPolicy(rate_per_host=1000.0, retries=0, timeout=5.0)
-
-
-def test_fetch_ok_returns_body(http_server):
-    _, base = http_server
-    doc = fetch_live(f"{base}/page", FAST, ngo_id="x")
-    assert doc.status == 200
-    assert b"plain words" in doc.body
-    assert doc.ok
-    assert "text/html" in doc.content_type
-
-
-def test_fetch_404_records_empty_body(http_server):
-    _, base = http_server
-    doc = fetch_live(f"{base}/missing", FAST, ngo_id="x")
-    assert doc.status == 404
-    assert doc.body == b""
-    assert not doc.ok
-
-
-def test_fetch_retries_5xx_until_success(http_server):
-    server, base = http_server
-    policy = FetchPolicy(rate_per_host=1000.0, retries=3, timeout=5.0, backoff=1.0)
-    doc = fetch_live(f"{base}/flaky", policy, ngo_id="x", sleep=lambda s: None)
-    assert doc.status == 200
-    assert server.flaky_hits == 3
-
-
-def test_fetch_retries_429_with_the_5xx_backoff_and_no_other_4xx(http_server):
-    # a stored URL is never fetched again, so a rate-limited page stored as
-    # failed would be lost from the corpus for good
-    server, base = http_server
-    policy = FetchPolicy(rate_per_host=1000.0, retries=3, timeout=5.0, backoff=2.0)
-    waits = []
-    doc = fetch_live(f"{base}/throttled", policy, ngo_id="x", sleep=waits.append)
-    assert doc.status == 200
-    assert b"let through at last" in doc.body
-    assert server.throttled_hits == 3
-    assert waits == [1.0, 2.0]
-    doc = fetch_live(f"{base}/missing", policy, ngo_id="x", sleep=waits.append)
-    assert doc.status == 404
-    assert [path for path, _ in server.request_log].count("/missing") == 1
-
-
-def test_fetch_unreachable_is_recorded_not_raised():
-    policy = FetchPolicy(rate_per_host=1000.0, retries=1, timeout=0.2, backoff=1.0)
-    doc = fetch_live("http://127.0.0.1:1/none", policy, ngo_id="x", sleep=lambda s: None)
-    assert doc.status == 0
-    assert doc.body == b""
-
-
-def test_rate_limit_spacing_one_per_second(http_server):
-    server, base = http_server
-    policy = FetchPolicy(rate_per_host=1.0, retries=0, timeout=5.0)
-    gate = HostGate(policy.rate_per_host)
-    session = make_session()
-    fetch_live(f"{base}/one", policy, session=session, gate=gate)
-    fetch_live(f"{base}/two", policy, session=session, gate=gate)
-    times = [t for path, t in server.request_log if path in ("/one", "/two")]
-    assert len(times) == 2
-    assert times[1] - times[0] >= 0.95
 
 
 class FakeClock:
@@ -84,6 +25,73 @@ class FakeClock:
     def sleep(self, seconds):
         self.waits.append(seconds)
         self.now += seconds
+
+    def time(self):
+        return 1_600_000_000.0 + self.now
+
+
+def fetch(url, policy=FAST, clock=time):
+    """One get on a fresh session and gate."""
+    return get(url, policy, make_session(), HostGate(policy.rate_per_host, clock))
+
+
+def test_fetch_ok_returns_body(http_server):
+    _, base = http_server
+    status, content_type, body = fetch(f"{base}/page")
+    assert status == 200
+    assert b"plain words" in body
+    assert "text/html" in content_type
+
+
+def test_fetch_404_records_empty_body(http_server):
+    _, base = http_server
+    status, _, body = fetch(f"{base}/missing")
+    assert status == 404
+    assert body == b""
+
+
+def test_fetch_retries_5xx_until_success(http_server):
+    server, base = http_server
+    policy = FetchPolicy(rate_per_host=1000.0, retries=3, timeout=5.0, backoff=1.0)
+    status, _, _ = fetch(f"{base}/flaky", policy, FakeClock())
+    assert status == 200
+    assert server.flaky_hits == 3
+
+
+def test_fetch_retries_429_with_the_5xx_backoff_and_no_other_4xx(http_server):
+    # a stored URL is never fetched again, so a rate-limited page stored as
+    # failed would be lost from the corpus for good
+    server, base = http_server
+    policy = FetchPolicy(rate_per_host=1000.0, retries=3, timeout=5.0, backoff=2.0)
+    clock = FakeClock()  # the backoff waits on the gate's clock
+    status, _, body = fetch(f"{base}/throttled", policy, clock)
+    assert status == 200
+    assert b"let through at last" in body
+    assert server.throttled_hits == 3
+    assert clock.waits == [1.0, 2.0]
+    status, _, _ = fetch(f"{base}/missing", policy, clock)
+    assert status == 404
+    assert [path for path, _ in server.request_log].count("/missing") == 1
+    assert clock.waits == [1.0, 2.0]
+
+
+def test_fetch_unreachable_is_recorded_not_raised():
+    policy = FetchPolicy(rate_per_host=1000.0, retries=1, timeout=0.2, backoff=1.0)
+    status, _, body = fetch("http://127.0.0.1:1/none", policy, FakeClock())
+    assert status == 0
+    assert body == b""
+
+
+def test_rate_limit_spacing_one_per_second(http_server):
+    server, base = http_server
+    policy = FetchPolicy(rate_per_host=1.0, retries=0, timeout=5.0)
+    gate = HostGate(policy.rate_per_host)
+    session = make_session()
+    get(f"{base}/one", policy, session, gate)
+    get(f"{base}/two", policy, session, gate)
+    times = [t for path, t in server.request_log if path in ("/one", "/two")]
+    assert len(times) == 2
+    assert times[1] - times[0] >= 0.95
 
 
 def test_the_gate_spaces_each_host_alone_on_a_fake_clock():
@@ -130,11 +138,15 @@ def test_a_held_host_holds_up_no_other_host():
         holder.join(timeout=10)
 
 
-def test_doc_id_is_deterministic_over_url_and_body(http_server):
+def test_doc_id_is_deterministic_over_url_and_body(tmp_path, http_server):
     _, base = http_server
-    a = fetch_live(f"{base}/page", FAST, ngo_id="x")
-    b = fetch_live(f"{base}/page", FAST, ngo_id="x")
-    assert a.doc_id == b.doc_id
+    spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
+    docs = []
+    for name in ("a", "b"):  # fetched twice, at two times
+        store = DocumentStore(tmp_path / name)
+        harvest_source(spec, {f"{base}/page": None}, store, FAST, make_session(), HostGate(1000.0))
+        docs.extend(store.iter_ngo("x"))
+    assert docs[0].doc_id == docs[1].doc_id
 
 
 def test_harvest_resume_skips_stored_urls(tmp_path, http_server):
@@ -196,6 +208,18 @@ def test_snapshot_timestamp_recorded(tmp_path, http_server):
     assert doc.snapshot_ts == "20200202000000"
 
 
+def test_each_document_is_stamped_by_the_gate_clock(tmp_path):
+    spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
+    store = DocumentStore(tmp_path / "raw")
+    clock = FakeClock()
+    clock.now = 7.5
+    urls = {"https://example.org/a": "20200101000000"}
+    harvest_source(spec, urls, store, FAST, FakeSession(), HostGate(1000.0, clock))
+    [doc] = list(store.iter_ngo("x"))
+    assert doc.fetched_at == datetime.fromtimestamp(1_600_000_007.5, timezone.utc)
+    assert doc.ok and doc.body == FakeResponse.content
+
+
 def test_failed_fetch_spacing_still_resumable(tmp_path, http_server):
     _, base = http_server
     spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
@@ -226,9 +250,9 @@ class FakeSession:
 
 
 def _store_without_flush(raw, spec, urls):
-    store = DocumentStore(raw)
-    for url in urls:  # a harvest that crashed before flush_index
-        store.append(fetch_live(url, FAST, ngo_id=spec.ngo_id, session=FakeSession()))
+    # a harvest that crashed before flush_index
+    worklist = dict.fromkeys(urls, "20200101000000")
+    harvest_source(spec, worklist, DocumentStore(raw), FAST, FakeSession(), HostGate(1000.0))
 
 
 def test_resume_rebuilds_a_missing_index_from_the_raw_store(tmp_path):
@@ -254,7 +278,8 @@ def test_resume_rebuilds_an_index_older_than_the_raw_store(tmp_path):
     spec = SourceSpec("x", "secular", "example.org", 2020, 2020)
     raw = tmp_path / "raw"
     store = DocumentStore(raw)
-    store.append(fetch_live("https://example.org/a", FAST, ngo_id="x", session=FakeSession()))
+    worklist = {"https://example.org/a": "20200101000000"}
+    harvest_source(spec, worklist, store, FAST, FakeSession(), HostGate(1000.0))
     store.flush_index()
     _store_without_flush(raw, spec, ["https://example.org/b"])
     index = raw / "index.json"

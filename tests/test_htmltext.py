@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from oracles import naive_blocks, naive_extract_main_text
 
 from sacreddetect.config import bundled_path
-from sacreddetect.textpipe import extract_main_text
-from sacreddetect.textpipe.htmltext import BLOCK_TAGS, SKIP_SUBTREES, _scan_blocks
+from sacreddetect.textpipe.htmltext import BLOCK_TAGS, SKIP_SUBTREES, _scan_blocks, extract_main_text
 
 FIFTY_WORDS = " ".join(f"word{i}" for i in range(50))
 

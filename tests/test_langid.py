@@ -4,7 +4,6 @@ import pytest
 from oracles import _naive_trigram_bag, naive_detect_language
 
 from sacreddetect.judge.prompts import render_prompt
-from sacreddetect.textpipe import detect_language
 from sacreddetect.textpipe.langid import (
     _CACHE_SIZE,
     _SEEDS,
@@ -12,6 +11,7 @@ from sacreddetect.textpipe.langid import (
     _WORD_RE,
     _trigram_bag,
     _word_trigrams,
+    detect_language,
 )
 
 DUTCH_PARAGRAPH = (

@@ -1,8 +1,7 @@
 import pytest
 
 from sacreddetect.errors import LexiconError
-from sacreddetect.lexicon import Lexicon, LexiconNode, parse_lexicon_text
-from sacreddetect.lexicon.tree import validate_lexicon
+from sacreddetect.lexicon.tree import Lexicon, LexiconNode, parse_lexicon_text, validate_lexicon
 
 
 def test_starter_has_expected_roots(starter_lexicon):

@@ -8,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _match_exact, naive_match_spans
-from sacreddetect.lexicon import (
-    Lexicon,
-    LexiconNode,
-    MatchResult,
-    compile_matcher,
-    match_sentence,
-)
-from sacreddetect.lexicon.matcher import classify_corpus
-from sacreddetect.lexicon.tree import normalize_form, parse_lexicon_text
+from sacreddetect.lexicon.matcher import MatchResult, classify_corpus, compile_matcher, match_sentence
+from sacreddetect.lexicon.tree import Lexicon, LexiconNode, normalize_form, parse_lexicon_text
 
 
 def lex(variants_by_node: dict[str, list[str]], exclusions: list[str] = ()) -> Lexicon:

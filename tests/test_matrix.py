@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sacreddetect import stages
-from sacreddetect.analytics import tabulate
+from sacreddetect.analytics.matrix import tabulate
 from sacreddetect.errors import CoverageError
 from sacreddetect.textpipe.corpus import SentenceRecord
 

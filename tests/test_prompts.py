@@ -1,6 +1,6 @@
 import pytest
 
-from sacreddetect.judge import prompt_hash, render_prompt
+from sacreddetect.judge.prompts import prompt_hash, render_prompt
 
 # Committed golden hashes: any drift in the bundled prompt files fails here.
 GOLDEN_HASHES = {

@@ -117,10 +117,20 @@ def test_stub_word_boundaries():
     assert verdicts[0].label == "no"  # 'god' must not match inside other words
 
 
-# the six terms, near-misses, digits, the four non-ASCII letters that
-# re.IGNORECASE folds into [A-Za-z], and other non-ASCII
+# the four non-ASCII letters that re.IGNORECASE folds into [A-Za-z]
+FOLDS = {"i": "İı", "k": "K", "s": "ſ"}
+# each term with one letter swapped for its fold partner: "ſacred", "faıth"
+FOLDED_TERMS = [
+    term[:i] + fold + term[i + 1:]
+    for term in StubProvider.TERMS
+    for i, letter in enumerate(term)
+    for fold in FOLDS.get(letter, "")
+]
+# the six terms, the folded terms, near-misses, digits, the fold partners
+# alone, and other non-ASCII
 STUB_PIECES = st.sampled_from(
     list(StubProvider.TERMS)
+    + FOLDED_TERMS
     + ["PRAY", "Holy", "prayers", "godly", "faith1", "_holy", "7", "0god",
        "\u0130", "\u0131", "\u017f", "\u212a", "\u03a3", "\u2028", " ", ".", "-"]
 )

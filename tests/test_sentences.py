@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_segment_sentences
 
-from sacreddetect.textpipe import segment_sentences
+from sacreddetect.textpipe.sentences import segment_sentences
 
 
 def norm(s: str) -> str:

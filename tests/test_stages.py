@@ -21,7 +21,7 @@ from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import StubProvider, parse_result_lines
 from sacreddetect.judge.verdicts import REASONS
-from sacreddetect.lexicon import parse_lexicon_text
+from sacreddetect.lexicon.tree import parse_lexicon_text
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
 from sacreddetect.textpipe.htmltext import EXTRACTOR_VERSION

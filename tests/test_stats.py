@@ -5,7 +5,7 @@ import pytest
 
 from builders import label_matrix, oracle_rows
 from oracles import naive_agreement, naive_rates, naive_ratios
-from sacreddetect.analytics import disagreement_ratios, group_rates, pairwise_agreement
+from sacreddetect.analytics.stats import disagreement_ratios, group_rates, pairwise_agreement
 
 
 def row(tree, gpt, llama, ngo="a", group="secular"):

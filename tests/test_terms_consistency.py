@@ -1,8 +1,8 @@
 import pytest
 
 from builders import label_matrix
-from sacreddetect.analytics import duplicate_consistency, term_report
-from sacreddetect.analytics.terms import phrase_in_text
+from sacreddetect.analytics.consistency import duplicate_consistency
+from sacreddetect.analytics.terms import phrase_in_text, term_report
 
 
 def build(rows_spec, phrases=(), argumentation=None):

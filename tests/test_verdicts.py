@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_parse_verdict, stdlib_parse_verdict
 
-from sacreddetect.judge import parse_verdict
-from sacreddetect.judge.verdicts import LABELS, REASONS, Verdict
+from sacreddetect.judge.verdicts import LABELS, REASONS, Verdict, parse_verdict
 
 CASES = json.loads((Path(__file__).parent / "data" / "verdict_cases.json").read_text())
 

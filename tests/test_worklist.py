@@ -3,8 +3,8 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sacreddetect.harvest import derive_worklist, normalize_url, parse_cdx_response
-from sacreddetect.harvest.cdx import CdxRecord
+from sacreddetect.harvest.cdx import CdxRecord, parse_cdx_response
+from sacreddetect.harvest.worklist import derive_worklist, normalize_url
 
 
 def rec(url: str, ts: str = "20200101000000") -> CdxRecord:
