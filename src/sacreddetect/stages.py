@@ -520,6 +520,7 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
     _require_models(config, "classify")
     layout = Layout(config.output_root)
     with stage_lock(layout.root):
+        _require_manifest(layout.corpus, "extract")
         corpus_inputs = _hash_dir_files(layout.corpus)
         jobs: dict[Path, _ClassifyJob] = {}
         outputs: dict[Path, dict[str, str]] = {}
@@ -554,7 +555,6 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
                     "model_id": model.model_id,
                     # the prompt the batch lines carry, as batch-build recorded it
                     "template": batch_manifest.params["template"],
-                    "prompt_sha256": batch_manifest.inputs["prompt"],
                     "row_version": VERDICT_ROW_VERSION,
                     # No decoding parameters are sent; the provider's own
                     # defaults apply and that fact is the record.
@@ -563,8 +563,10 @@ def run_classify(config: PipelineConfig, stub: bool = False) -> None:
             )
             labels_dir = layout.labels_model(model.model_id)
             jobs[labels_dir] = job
+            # each request line is a function of what batch-build keyed its
+            # directory on: the corpus files, the prompt and the model
             outputs[labels_dir] = {
-                **{name: sha256_file(batch_dir / name) for name in corpus_inputs},
+                **batch_manifest.inputs,
                 "provider": sha256_text(provider_name),
                 # rows of an older shape are rewritten from the saved results
                 "row_version": sha256_text(VERDICT_ROW_VERSION),
@@ -848,6 +850,10 @@ def run_report(config: PipelineConfig) -> None:
     with stage_lock(layout.root):
         _require_manifest(layout.analysis, "analyze")
         stats_path = layout.analysis / "stats.json"
+        if not stats_path.is_file():
+            raise PrerequisiteError(
+                f"missing {stats_path}; run `sacreddetect analyze` first"
+            )
 
         def build(tmps: dict[Path, Path]) -> dict[Path, dict]:
             out = tmps[layout.reports]

@@ -17,10 +17,11 @@ from sacreddetect.errors import (
 )
 from sacreddetect.harvest import store as store_mod
 from sacreddetect.harvest.store import DocumentStore, RawDocument
+from sacreddetect.hashing import sha256_file, sha256_text
 from sacreddetect.jsonlio import read_jsonl
 from sacreddetect.judge.batch import build_batch_file
 from sacreddetect.judge.providers import StubProvider, parse_result_lines
-from sacreddetect.judge.verdicts import REASONS
+from sacreddetect.judge.verdicts import REASONS, VERDICT_ROW_VERSION
 from sacreddetect.lexicon.tree import parse_lexicon_text
 from sacreddetect.manifest import read_manifest
 from sacreddetect.textpipe.corpus import SentenceRecord
@@ -71,6 +72,22 @@ def test_analyze_before_classify_names_command(sample_config):
 def test_report_before_analyze_names_command(sample_config):
     with pytest.raises(PrerequisiteError, match="sacreddetect analyze"):
         run_report(sample_config)
+
+
+def test_classify_before_extract_names_command(sample_config):
+    with pytest.raises(PrerequisiteError, match="sacreddetect extract"):
+        run_classify(sample_config, stub=True)
+
+
+def test_classify_after_the_corpus_is_deleted_names_extract(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    shutil.rmtree(layout.corpus)
+    with pytest.raises(PrerequisiteError, match="sacreddetect extract"):
+        run_classify(sample_config, stub=True)
+    assert not (sample_config.output_root / "labels").exists()
 
 
 def test_full_sample_pipeline(sample_config):
@@ -489,9 +506,25 @@ def test_classify_records_the_template_the_batches_carry(sample_config):
     built = read_manifest(layout.batches("gpt-4o-mini"))
     sample_config.prompt_template = "general"
     run_classify(sample_config, stub=True)
-    params = read_manifest(layout.labels_model("gpt-4o-mini")).params
-    assert params["template"] == "revised"
-    assert params["prompt_sha256"] == built.inputs["prompt"]
+    labels = read_manifest(layout.labels_model("gpt-4o-mini"))
+    assert labels.params["template"] == "revised"
+    assert labels.inputs["prompt"] == built.inputs["prompt"]
+    assert "prompt_sha256" not in labels.params
+
+
+def test_classify_keys_its_labels_on_the_batch_manifest(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    for model in sample_config.models:
+        built = read_manifest(layout.batches(model.model_id)).inputs
+        assert read_manifest(layout.labels_model(model.model_id)).inputs == {
+            **built,
+            "provider": sha256_text("stub"),
+            "row_version": sha256_text(VERDICT_ROW_VERSION),
+        }
 
 
 def test_extract_skips_a_document_stored_twice(sample_config):
@@ -909,6 +942,41 @@ def test_classify_rewrites_an_old_format_labels_directory_from_saved_results(
     assert {path.name: path.read_bytes() for path in labels.glob("*.jsonl")} == fresh
 
 
+def test_classify_rekeys_labels_keyed_on_request_file_hashes_from_saved_results(
+    sample_config, monkeypatch
+):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_batch_build(sample_config)
+    model = "gpt-4o-mini"
+    run_classify(_only(sample_config, model), stub=True)
+    labels = layout.labels_model(model)
+    fresh = {path.name: path.read_bytes() for path in labels.glob("*.jsonl")}
+
+    # the manifest as classify wrote it when it hashed every request file
+    manifest = json.loads((labels / "manifest.json").read_text())
+    manifest["inputs"] = {
+        **{name: sha256_file(layout.batches(model) / name) for name in fresh},
+        "provider": sha256_text("stub"),
+        "row_version": sha256_text(VERDICT_ROW_VERSION),
+    }
+    manifest["params"]["prompt_sha256"] = read_manifest(layout.batches(model)).inputs["prompt"]
+    (labels / "manifest.json").write_text(json.dumps(manifest))
+
+    provider = FlakyProvider()
+    monkeypatch.setattr(stages.providers_mod, "get_provider", lambda name: provider)
+    run_classify(_only(sample_config, model), stub=True)
+    assert provider.sent == []  # read back from the results files, not sent again
+    rekeyed = read_manifest(labels)
+    assert {k: v for k, v in rekeyed.params["counters"].items() if k.startswith("reused:")} == {
+        f"reused:{name.removesuffix('.jsonl')}": 1 for name in fresh
+    }
+    assert {path.name: path.read_bytes() for path in labels.glob("*.jsonl")} == fresh
+    run_classify(_only(sample_config, model), stub=True)  # rebuilt once, then current
+    assert read_manifest(labels) == rekeyed
+
+
 def test_read_lines_splits_at_newline_only(tmp_path):
     path = tmp_path / "lines.jsonl"
     for text in ["", "\n", "a\n\nb\n", "a\r\nb\rc\x85d\n\n", "last line open", "x\u2028y\u2029z\n"]:
@@ -921,8 +989,6 @@ def test_classify_rerun_hashes_no_saved_results(sample_config, monkeypatch):
     run_harvest(sample_config, sample=True)
     run_extract(sample_config)
     run_batch_build(sample_config)
-    run_classify(sample_config, stub=True)
-    assert list(layout.batches("gpt-4o-mini").glob("*.results.jsonl"))
     hashed = []
     untouched = stages.sha256_file
 
@@ -931,9 +997,13 @@ def test_classify_rerun_hashes_no_saved_results(sample_config, monkeypatch):
         return untouched(path)
 
     monkeypatch.setattr(stages, "sha256_file", recording)
+    run_classify(sample_config, stub=True)
+    assert list(layout.batches("gpt-4o-mini").glob("*.results.jsonl"))
     run_classify(sample_config, stub=True)  # short-circuits
-    assert any(p.endswith("/batches/gpt-4o-mini/cca.jsonl") for p in hashed)
-    assert not [p for p in hashed if p.endswith(".results.jsonl")]
+    assert any(p.endswith("/corpus/cca.jsonl") for p in hashed)  # the corpus is still hashed
+    # the batch manifest stands for the request files, cold or current, and
+    # saved results are never hashed
+    assert not [p for p in hashed if p.startswith(str(layout.root / "batches"))]
 
 
 def _only(config, model_id):
@@ -1165,6 +1235,21 @@ def test_a_deleted_request_file_is_a_prerequisite_error(sample_config, monkeypat
         run_classify(sample_config)
     assert provider.sent == []
     assert not (sample_config.output_root / "labels").exists()
+
+
+def test_a_deleted_stats_file_is_a_prerequisite_error(sample_config):
+    layout = Layout(sample_config.output_root)
+    run_harvest(sample_config, sample=True)
+    run_extract(sample_config)
+    run_match(sample_config)
+    run_batch_build(sample_config)
+    run_classify(sample_config, stub=True)
+    run_analyze(sample_config)
+    missing = layout.analysis / "stats.json"
+    missing.unlink()
+    with pytest.raises(PrerequisiteError, match=rf"{re.escape(str(missing))}.*sacreddetect analyze"):
+        run_report(sample_config)
+    assert not layout.reports.exists()
 
 
 def test_extract_reads_each_raw_file_once_with_a_stale_index(sample_config, monkeypatch):
